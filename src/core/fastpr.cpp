@@ -283,7 +283,7 @@ RepairPlan FastPrPlanner::plan_fastpr_remaining(
   const auto dests = dest_nodes();
 
   const ReconSetOptions recon = effective_recon_options();
-  ReconSetStats stats;
+  recon_stats_ = {};
   std::vector<std::vector<ChunkRef>> sets;
 
   // Stragglers are planned around structurally: chunks that can still
@@ -336,7 +336,7 @@ RepairPlan FastPrPlanner::plan_fastpr_remaining(
       if (!clean.empty()) {
         sets = find_reconstruction_sets_for(clean, layout_, fast_sources,
                                             options_.k_repair, recon,
-                                            &stats, options_.code);
+                                            &recon_stats_, options_.code);
       }
       reduced = true;
     }
@@ -348,7 +348,7 @@ RepairPlan FastPrPlanner::plan_fastpr_remaining(
     auto tainted_sets =
         find_reconstruction_sets_for(tainted, layout_, sources,
                                      options_.k_repair, tainted_recon,
-                                     &stats, options_.code);
+                                     &recon_stats_, options_.code);
     for (auto& set : tainted_sets) sets.push_back(std::move(set));
   }
 

@@ -117,7 +117,9 @@ class FastPrPlanner {
   void use_reconstruction_sets(
       std::vector<std::vector<cluster::ChunkRef>> sets);
 
-  /// Stats of the last find_reconstruction_sets run.
+  /// Stats of the last Algorithm 1 run: plan_fastpr's (also shared by
+  /// plan_reconstruction_only), or plan_fastpr_remaining's, whichever
+  /// searched last.
   const ReconSetStats& recon_stats() const { return recon_stats_; }
 
  private:

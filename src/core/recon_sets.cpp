@@ -20,14 +20,13 @@ using matching::IncrementalMatcher;
 /// Shared context: node→left-index mapping and per-stripe adjacency.
 class MatchContext {
  public:
-  MatchContext(const StripeLayout& layout, NodeId stf,
+  MatchContext(const StripeLayout& layout,
                const std::vector<NodeId>& healthy, int k_repair,
                int max_set_size, int helper_reads_per_node,
                ReconSetStats* stats, const ec::ErasureCode* code,
                const net::Topology* topology = nullptr,
                const std::vector<NodeId>* deprioritized = nullptr)
       : layout_(layout),
-        stf_(stf),
         k_(k_repair),
         max_set_size_(max_set_size),
         reads_(helper_reads_per_node),
@@ -37,7 +36,6 @@ class MatchContext {
     FASTPR_CHECK(helper_reads_per_node >= 1);
     left_of_node_.reserve(healthy.size());
     for (size_t i = 0; i < healthy.size(); ++i) {
-      FASTPR_CHECK(stf == cluster::kNoNode || healthy[i] != stf);
       left_of_node_[healthy[i]] = static_cast<int>(i);
     }
     left_count_ = static_cast<int>(healthy.size());
@@ -47,8 +45,7 @@ class MatchContext {
     }
   }
 
-  int left_count() const { return left_count_; }
-  int k() const { return k_; }
+  bool is_source(NodeId node) const { return left_of_node_.count(node) > 0; }
 
   /// Fresh matcher over the source nodes with the configured per-node
   /// helper-read capacity.
@@ -73,14 +70,13 @@ class MatchContext {
 
   /// Adjacency of one helper slot for `chunk`: left indices of eligible
   /// nodes storing a VALID helper chunk (code-aware for LRC locality;
-  /// excludes the STF node and nodes outside the healthy source list).
+  /// excludes nodes outside the healthy source list).
   const std::vector<int>& slot_adjacency(ChunkRef chunk) {
     auto it = chunk_adj_.find(chunk);
     if (it != chunk_adj_.end()) return it->second;
     const auto& nodes = layout_.stripe_nodes(chunk.stripe);
     std::vector<int> adj;
     auto consider = [&](NodeId node) {
-      if (node == stf_) return;
       const auto li = left_of_node_.find(node);
       if (li != left_of_node_.end()) adj.push_back(li->second);
     };
@@ -101,18 +97,44 @@ class MatchContext {
   /// The MATCH function: can `chunk` join the set held by `matcher`?
   /// On success the k slot vertices stay committed.
   bool try_match(IncrementalMatcher& matcher, ChunkRef chunk) {
-    if (stats_ != nullptr) ++stats_->match_calls;
-    const int k_this = fetch_count(chunk);
-    // Arithmetic prune: no room for k' more helper-read slots.
-    if (matcher.right_count() + k_this > matcher.total_capacity()) {
-      return false;
-    }
+    const std::vector<int>* adj = screen(matcher, chunk);
     // Chunk adjacency is cached in chunk_adj_ (stable storage), so the
     // matcher may hold it by pointer.
-    return matcher.try_add_group(slot_adjacency(chunk), k_this);
+    return adj != nullptr && matcher.try_add_group(*adj, fetch_count(chunk));
+  }
+
+  /// MATCH(set of `held` ∪ {chunk}), leaving `held` unchanged: the
+  /// group is tried on `probe`, overwritten with a copy of `held` only
+  /// when the cheap tests pass (assignment reuses probe's storage).
+  bool fits(IncrementalMatcher& held, IncrementalMatcher& probe,
+            ChunkRef chunk) {
+    const std::vector<int>* adj = screen(held, chunk);
+    if (adj == nullptr) return false;
+    probe = held;
+    return probe.try_add_group(*adj, fetch_count(chunk));
   }
 
  private:
+  /// Counts one MATCH call and answers the provable failures without
+  /// augmenting: no room left for k' more helper reads, or fewer than k'
+  /// free slots reachable by alternating paths (the k' augmenting paths
+  /// would need k' distinct ones). Returns the chunk's adjacency when
+  /// the matcher must decide, nullptr when MATCH fails.
+  const std::vector<int>* screen(IncrementalMatcher& matcher,
+                                 ChunkRef chunk) {
+    if (stats_ != nullptr) ++stats_->match_calls;
+    const int k_this = fetch_count(chunk);
+    if (matcher.right_count() + k_this > matcher.total_capacity()) {
+      return nullptr;
+    }
+    const std::vector<int>& adj = slot_adjacency(chunk);
+    if (matcher.reachable_free_slots(adj, k_this) < k_this) {
+      if (stats_ != nullptr) ++stats_->pruned;
+      return nullptr;
+    }
+    return &adj;
+  }
+
   /// Preference-only adjacency reorder (DESIGN.md §11): deprioritized
   /// helpers sink to the back; with a rack topology the rest are
   /// round-robin interleaved by rack so the matcher's earlier-first
@@ -153,7 +175,6 @@ class MatchContext {
   }
 
   const StripeLayout& layout_;
-  NodeId stf_;
   int k_;
   int max_set_size_;
   int reads_;
@@ -168,22 +189,95 @@ class MatchContext {
       chunk_adj_;
 };
 
-/// The FIND function of Algorithm 1. Extracts one reconstruction set
-/// from `chunks` (removing its members) and returns it.
-std::vector<ChunkRef> find_one_set(MatchContext& ctx,
-                                   std::vector<ChunkRef>& chunks,
-                                   const ReconSetOptions& options,
-                                   ReconSetStats* stats) {
-  std::vector<ChunkRef> r;
-  IncrementalMatcher matcher = ctx.make_matcher();
+/// The FIND function of Algorithm 1, holding the matchers and buffers
+/// that every set of one search reuses.
+///
+/// The swap search (Lines 18–38) is pruned exactly: it reads nothing but
+/// MATCH outcomes, and MATCH depends only on the candidate set, never on
+/// the matching found, so skipping calls whose outcome is already known
+/// returns the same sets as probing every (i, j, l).
+class SetFinder {
+ public:
+  SetFinder(MatchContext& ctx, bool optimize, ReconSetStats* stats)
+      : ctx_(ctx),
+        optimize_(optimize),
+        stats_(stats),
+        committed_(ctx.make_matcher()),
+        base_(ctx.make_matcher()),
+        probe_(ctx.make_matcher()) {}
 
-  // Lines 10–17: greedy initial set.
-  {
+  /// Extracts one reconstruction set from `chunks` (removing its
+  /// members) and returns it.
+  std::vector<ChunkRef> find_one_set(std::vector<ChunkRef>& chunks) {
+    const size_t cap = static_cast<size_t>(ctx_.capacity());
+    std::vector<ChunkRef> r;
+    committed_.reset();
+
+    // Lines 10–17: greedy initial set.
+    add_fitting(r, chunks);
+
+    // Lines 18–38: swap optimization. Skipped when the set already has
+    // the maximum conceivable size — no swap can grow it further.
+    long swaps_committed = 0;
+    while (optimize_ && !chunks.empty() && r.size() < cap) {
+      size_t best_i = 0;
+      ChunkRef best_j;
+      if (!find_best_swap(r, chunks, best_i, best_j)) {
+        break;  // Line 36: no further expansion
+      }
+      ++swaps_committed;
+      if (stats_ != nullptr) ++stats_->swaps;
+
+      // Lines 33–35: commit the swap. Ci* returns to the residual pool,
+      // Cj* and the gain set join R.
+      const ChunkRef swapped_out = r[best_i];
+      r.erase(r.begin() + static_cast<ptrdiff_t>(best_i));
+      r.push_back(best_j);
+      r.insert(r.end(), best_gain_.begin(), best_gain_.end());
+      std::erase_if(chunks, [&](ChunkRef c) {
+        return c == best_j || std::find(best_gain_.begin(), best_gain_.end(),
+                                        c) != best_gain_.end();
+      });
+      chunks.push_back(swapped_out);
+
+      // Rebuild the committed matcher to reflect the new R.
+      committed_.reset();
+      for (ChunkRef c : r) {
+        FASTPR_CHECK_MSG(ctx_.try_match(committed_, c),
+                         "swap produced an inconsistent reconstruction set");
+      }
+    }
+
+    // Maximality sweep: a committed swap replays the residual pool
+    // against a different matching than the greedy pass saw, so a
+    // residual chunk skipped in Lines 24–29 of the LAST accepted swap
+    // (the gain scan stops at the cap or at chunks preceding the swap
+    // target) may still fit. One pure-addition pass restores the greedy
+    // invariant — every residual chunk provably fails MATCH(R ∪ {C}) —
+    // without touching the zero-swap output, which already has it.
+    if (swaps_committed > 0) {
+      const size_t before = r.size();
+      add_fitting(r, chunks);
+      if (stats_ != nullptr) {
+        stats_->sweep_adds += static_cast<long>(r.size() - before);
+      }
+    }
+
+    FASTPR_CHECK_MSG(!r.empty(),
+                     "FIND produced an empty reconstruction set — some "
+                     "chunk has no k healthy sources");
+    return r;
+  }
+
+ private:
+  /// Moves every chunk of `chunks` that still fits the committed matcher
+  /// into `r`, in order, while `r` is below the cap.
+  void add_fitting(std::vector<ChunkRef>& r, std::vector<ChunkRef>& chunks) {
+    const size_t cap = static_cast<size_t>(ctx_.capacity());
     std::vector<ChunkRef> residual;
     residual.reserve(chunks.size());
     for (ChunkRef c : chunks) {
-      if (static_cast<int>(r.size()) < ctx.capacity() &&
-          ctx.try_match(matcher, c)) {
+      if (r.size() < cap && ctx_.try_match(committed_, c)) {
         r.push_back(c);
       } else {
         residual.push_back(c);
@@ -192,112 +286,75 @@ std::vector<ChunkRef> find_one_set(MatchContext& ctx,
     chunks.swap(residual);
   }
 
-  // Lines 18–38: swap optimization. Skipped when the set already has the
-  // maximum conceivable size — no swap can grow it further.
-  long swaps_committed = 0;
-  while (options.optimize && !chunks.empty() &&
-         static_cast<int>(r.size()) < ctx.capacity()) {
-    const int max_gain = ctx.capacity() - static_cast<int>(r.size());
-    size_t best_i = 0, best_j = 0;
-    std::vector<ChunkRef> best_gain_set;
-
-    for (size_t i = 0; i < r.size(); ++i) {
-      // Base matcher over R − {Ci}, shared by every j (the probe for
-      // R' = R ∪ {Cj} − {Ci} is a copy plus one group insertion).
-      IncrementalMatcher base = ctx.make_matcher();
-      bool feasible = true;
-      for (size_t t = 0; t < r.size() && feasible; ++t) {
-        if (t == i) continue;
-        feasible = ctx.try_match(base, r[t]);
+  /// Lines 19–32: the swap (Ci out, Cj in) whose probe R' = R − {Ci} ∪
+  /// {Cj} admits the largest gain set of residual chunks, first in (i, j)
+  /// order among equals. Leaves the gain set in best_gain_; false when no
+  /// swap gains anything.
+  bool find_best_swap(const std::vector<ChunkRef>& r,
+                      const std::vector<ChunkRef>& chunks, size_t& best_i,
+                      ChunkRef& best_j) {
+    const size_t cap = static_cast<size_t>(ctx_.capacity());
+    const size_t max_gain = cap - r.size();
+    best_gain_.clear();
+    for (size_t i = 0; i < r.size() && best_gain_.size() < max_gain; ++i) {
+      // Base matcher over R − {Ci}, shared by every probe of this i.
+      base_.reset();
+      for (size_t t = 0; t < r.size(); ++t) {
+        if (t != i) FASTPR_CHECK(ctx_.try_match(base_, r[t]));
       }
-      if (!feasible) continue;  // cannot happen for subsets, defensive
-      for (size_t j = 0; j < chunks.size(); ++j) {
-        IncrementalMatcher probe = base;
-        if (!ctx.try_match(probe, chunks[j])) continue;
-
+      // F_i: the residual chunks that fit R − {Ci}. MATCH is monotone —
+      // a chunk failing R − {Ci} fails every larger probe — so the
+      // swap-in Cj and every gain Cl come from F_i alone.
+      fit_.clear();
+      for (ChunkRef c : chunks) {
+        if (ctx_.fits(base_, probe_, c)) fit_.push_back(c);
+      }
+      // A gain set of this i lies in F_i − {Cj}, and only a strictly
+      // larger one replaces the best.
+      const size_t f = fit_.size();
+      if (f <= best_gain_.size() + 1) continue;
+      // pair_failed_[a·f + b], a < b: MATCH(R − {Ci} ∪ {Fa, Fb}) failed,
+      // learnt while a gain set was still empty. The test is symmetric,
+      // so the probe of Fb skips Fa at any later gain.
+      pair_failed_.assign(f * f, false);
+      for (size_t a = 0; a < f; ++a) {
+        FASTPR_CHECK(ctx_.fits(base_, probe_, fit_[a]));
         // Grow R' with whatever residual chunks now fit (Lines 24–29).
-        std::vector<ChunkRef> gain_set;
-        for (size_t l = 0; l < chunks.size(); ++l) {
-          if (l == j) continue;
+        gain_.clear();
+        for (size_t b = 0; b < f; ++b) {
+          if (b == a) continue;
           // |R'| = |R| + gains; stop once the set-size cap is reached.
-          if (static_cast<int>(r.size() + gain_set.size()) >=
-              ctx.capacity()) {
-            break;
-          }
-          if (ctx.try_match(probe, chunks[l])) {
-            gain_set.push_back(chunks[l]);
+          if (r.size() + gain_.size() >= cap) break;
+          const size_t pair = std::min(a, b) * f + std::max(a, b);
+          if (pair_failed_[pair]) continue;
+          if (ctx_.try_match(probe_, fit_[b])) {
+            gain_.push_back(fit_[b]);
+          } else if (gain_.empty()) {
+            pair_failed_[pair] = true;
           }
         }
-        if (gain_set.size() > best_gain_set.size()) {
+        if (gain_.size() > best_gain_.size()) {
           best_i = i;
-          best_j = j;
-          best_gain_set = std::move(gain_set);
-          if (static_cast<int>(best_gain_set.size()) >= max_gain) break;
+          best_j = fit_[a];
+          best_gain_ = gain_;
+          if (best_gain_.size() >= max_gain) break;
         }
       }
-      if (static_cast<int>(best_gain_set.size()) >= max_gain) break;
     }
-
-    if (best_gain_set.empty()) break;  // Line 36: no further expansion
-    ++swaps_committed;
-    if (stats != nullptr) ++stats->swaps;
-
-    // Lines 33–35: commit the swap. Ci* returns to the residual pool,
-    // Cj* and the gain set join R.
-    const ChunkRef swapped_out = r[best_i];
-    const ChunkRef swapped_in = chunks[best_j];
-    r.erase(r.begin() + static_cast<ptrdiff_t>(best_i));
-    r.push_back(swapped_in);
-    for (ChunkRef c : best_gain_set) r.push_back(c);
-
-    std::vector<ChunkRef> residual;
-    residual.reserve(chunks.size());
-    for (ChunkRef c : chunks) {
-      if (c == swapped_in) continue;
-      if (std::find(best_gain_set.begin(), best_gain_set.end(), c) !=
-          best_gain_set.end()) {
-        continue;
-      }
-      residual.push_back(c);
-    }
-    residual.push_back(swapped_out);
-    chunks.swap(residual);
-
-    // Rebuild the committed matcher to reflect the new R.
-    matcher.reset();
-    for (ChunkRef c : r) {
-      FASTPR_CHECK_MSG(ctx.try_match(matcher, c),
-                       "swap produced an inconsistent reconstruction set");
-    }
+    return !best_gain_.empty();
   }
 
-  // Maximality sweep: a committed swap replays the residual pool against
-  // a different matching than the greedy pass saw, so a residual chunk
-  // skipped in Lines 24–29 of the LAST accepted swap (the gain scan stops
-  // at the cap or at chunks preceding the swap target) may still fit.
-  // One pure-addition pass restores the greedy invariant — every residual
-  // chunk provably fails MATCH(R ∪ {C}) — without touching the zero-swap
-  // output, which already has it.
-  if (swaps_committed > 0) {
-    std::vector<ChunkRef> residual;
-    residual.reserve(chunks.size());
-    for (ChunkRef c : chunks) {
-      if (static_cast<int>(r.size()) < ctx.capacity() &&
-          ctx.try_match(matcher, c)) {
-        r.push_back(c);
-        if (stats != nullptr) ++stats->sweep_adds;
-      } else {
-        residual.push_back(c);
-      }
-    }
-    chunks.swap(residual);
-  }
-
-  FASTPR_CHECK_MSG(!r.empty(),
-                   "FIND produced an empty reconstruction set — some chunk "
-                   "has no k healthy sources");
-  return r;
-}
+  MatchContext& ctx_;
+  bool optimize_;
+  ReconSetStats* stats_;
+  IncrementalMatcher committed_;  // the set being built
+  IncrementalMatcher base_;       // R − {Ci}
+  IncrementalMatcher probe_;      // R − {Ci} ∪ {Cj} ∪ gains
+  std::vector<ChunkRef> fit_;     // F_i
+  std::vector<bool> pair_failed_;
+  std::vector<ChunkRef> gain_;
+  std::vector<ChunkRef> best_gain_;
+};
 
 }  // namespace
 
@@ -320,9 +377,18 @@ std::vector<std::vector<ChunkRef>> find_reconstruction_sets_for(
   FASTPR_CHECK_MSG(static_cast<int>(healthy_sources.size()) >= k_repair,
                    "need at least k healthy source nodes");
 
-  MatchContext ctx(layout, cluster::kNoNode, healthy_sources, k_repair,
-                   options.max_set_size, options.helper_reads_per_node,
-                   stats, code, options.topology, &options.deprioritized);
+  MatchContext ctx(layout, healthy_sources, k_repair, options.max_set_size,
+                   options.helper_reads_per_node, stats, code,
+                   options.topology, &options.deprioritized);
+  for (ChunkRef c : all_chunks) {
+    FASTPR_CHECK_MSG(!ctx.is_source(layout.node_of(c)),
+                     "node " << layout.node_of(c)
+                             << " is listed as a helper source but holds "
+                                "chunk ("
+                             << c.stripe << "," << c.index
+                             << ") under repair");
+  }
+  SetFinder finder(ctx, options.optimize, stats);
 
   std::vector<std::vector<ChunkRef>> sets;
 
@@ -337,7 +403,7 @@ std::vector<std::vector<ChunkRef>> find_reconstruction_sets_for(
     std::vector<ChunkRef> group(all_chunks.begin() + static_cast<ptrdiff_t>(start),
                                 all_chunks.begin() + static_cast<ptrdiff_t>(end));
     while (!group.empty()) {
-      sets.push_back(find_one_set(ctx, group, options, stats));
+      sets.push_back(finder.find_one_set(group));
     }
   }
   return sets;
@@ -349,7 +415,9 @@ bool is_valid_reconstruction_set(const StripeLayout& layout, NodeId stf,
                                  const std::vector<ChunkRef>& set,
                                  const ec::ErasureCode* code,
                                  int helper_reads_per_node) {
-  MatchContext ctx(layout, stf, healthy, k_repair, 0, helper_reads_per_node,
+  FASTPR_CHECK(std::find(healthy.begin(), healthy.end(), stf) ==
+               healthy.end());
+  MatchContext ctx(layout, healthy, k_repair, 0, helper_reads_per_node,
                    nullptr, code);
   IncrementalMatcher matcher = ctx.make_matcher();
   for (ChunkRef c : set) {

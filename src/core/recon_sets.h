@@ -6,7 +6,9 @@
 // (at most one read per node). Membership is tested by bipartite
 // matching (MATCH); FIND greedily grows an initial set and then runs the
 // paper's swap-based optimization (Lines 18–38) that trades one member
-// for an outsider whenever that unlocks a net gain of chunks.
+// for an outsider whenever that unlocks a net gain of chunks. The swap
+// search skips every MATCH call whose outcome is already known
+// (DESIGN.md §5d), so it returns exactly the sets of the full search.
 #pragma once
 
 #include <vector>
@@ -52,6 +54,7 @@ struct ReconSetOptions {
 /// Counters for the microbenchmarks.
 struct ReconSetStats {
   long match_calls = 0;  // MATCH invocations
+  long pruned = 0;       // MATCH calls the reachability bound answered
   long swaps = 0;        // accepted swap optimizations
   long sweep_adds = 0;   // chunks added by the post-swap maximality sweep
 };
@@ -72,7 +75,8 @@ std::vector<std::vector<cluster::ChunkRef>> find_reconstruction_sets(
 
 /// Generalized form over an explicit chunk list (multi-failure reactive
 /// repair partitions the union of several nodes' lost chunks).
-/// `healthy_sources` must exclude every node whose chunks are lost.
+/// `healthy_sources` must exclude every node whose chunks are lost
+/// (CheckFailure otherwise).
 std::vector<std::vector<cluster::ChunkRef>> find_reconstruction_sets_for(
     std::vector<cluster::ChunkRef> chunks,
     const cluster::StripeLayout& layout,

@@ -21,6 +21,7 @@
 // also makes copying a matcher — the swap-optimization probe — cheap).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 namespace fastpr::matching {
@@ -43,6 +44,15 @@ class IncrementalMatcher {
   /// matcher (and any copies of it).
   bool try_add_group(const std::vector<int>& adjacency, int copies);
 
+  /// Free slots reachable from `adjacency` by alternating paths, counted
+  /// up to `limit` (>= 1). A group of k copies sharing `adjacency` fits
+  /// only if this reaches k: its k augmenting paths would end in k
+  /// distinct such slots. A cheap necessary test for try_add_group;
+  /// never changes the matching. While at most 64 slots are free, the
+  /// first call after a change computes every left vertex's reachable
+  /// set at once, so later calls on the same matching cost O(|adjacency|).
+  int reachable_free_slots(const std::vector<int>& adjacency, int limit);
+
   /// Number of committed right vertices (all matched).
   int right_count() const { return static_cast<int>(right_adj_.size()); }
 
@@ -63,7 +73,19 @@ class IncrementalMatcher {
 
  private:
   /// Kuhn DFS: find augmenting path from right vertex r.
-  bool augment(int r, std::vector<char>& visited_left);
+  bool augment(int r);
+
+  /// Starts a new search: every left vertex becomes unvisited.
+  void begin_visit();
+
+  /// Marks left vertex l visited; false if it already was.
+  bool visit(int l);
+
+  void check_adjacency(const std::vector<int>& adjacency) const;
+
+  /// Fills reach_masks_ for the current matching, or marks it
+  /// kTooManyFree when more slots are free than a mask has bits.
+  void build_reach_masks();
 
   /// Places r into slot `slot` of left vertex l.
   void place(int r, int l, int slot);
@@ -78,6 +100,22 @@ class IncrementalMatcher {
   std::vector<int> slot_offset_;
   std::vector<int> slots_;
   std::vector<int> match_r_;  // right → left (always matched once committed)
+  /// Left vertex l is visited in the current search iff
+  /// visit_stamp_[l] == epoch_, so starting a search costs O(1).
+  std::vector<unsigned> visit_stamp_;
+  unsigned epoch_ = 0;
+  /// Bit b of reach_masks_[l] is set iff the b-th free slot (in slot
+  /// order) is reachable from left vertex l by an alternating path.
+  /// Valid for the current matching only while masks_ == kReady.
+  enum class Masks { kStale, kReady, kTooManyFree };
+  Masks masks_ = Masks::kStale;
+  std::vector<uint64_t> reach_masks_;
+  /// build_reach_masks' reverse alternating steps as CSR: the left
+  /// vertices one step before x are pred_[pred_begin_[x] .. [x+1]).
+  std::vector<int> pred_begin_;
+  std::vector<int> pred_;
+  std::vector<char> queued_;
+  std::vector<int> queue_;  // BFS frontier / mask worklist
 };
 
 }  // namespace fastpr::matching

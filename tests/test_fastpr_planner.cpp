@@ -147,7 +147,19 @@ TEST(FastPrPlanner, ReconStatsPopulated) {
   FastPrPlanner planner(w.layout, w.state,
                         options_for(Scenario::kScattered, 6));
   (void)planner.plan_fastpr();
-  EXPECT_GT(planner.recon_stats().match_calls, 0);
+  const ReconSetStats full = planner.recon_stats();
+  EXPECT_GT(full.match_calls, 0);
+  EXPECT_GT(full.pruned, 0);
+  EXPECT_LE(full.pruned, full.match_calls);
+
+  // A replan with nothing handled and no straggler repeats the same
+  // search over the same chunks, and publishes its counters too.
+  FastPrPlanner replanner(w.layout, w.state,
+                          options_for(Scenario::kScattered, 6));
+  (void)replanner.plan_fastpr_remaining({}, {});
+  EXPECT_EQ(replanner.recon_stats().match_calls, full.match_calls);
+  EXPECT_EQ(replanner.recon_stats().pruned, full.pruned);
+  EXPECT_EQ(replanner.recon_stats().swaps, full.swaps);
 }
 
 TEST(FastPrPlanner, CostModelReflectsCluster) {

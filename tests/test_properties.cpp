@@ -7,6 +7,8 @@
 //    the planner uses;
 //  * every set is maximal: no chunk from a later set could have been
 //    added (unless the set already sits at the configured cap);
+//  * both again at Fig 15's scale (M = 100, |C| = 300), checked with
+//    the incremental matcher instead of the oracle;
 //  * no plan ever lands two chunks of one stripe on the same node,
 //    across rounds and batch members (§IV-A, DESIGN.md §9.3).
 //
@@ -294,6 +296,54 @@ TEST(AlgorithmOneProperties, DeprioritizedSetsFeasibleAndMaximal) {
     expect_exact_cover(sets, layout.chunks_on(stf));
     expect_feasible_and_maximal(layout, healthy, k_repair,
                                 /*reads_per_node=*/1, /*cap=*/0, sets);
+  }
+}
+
+TEST(AlgorithmOneProperties, PaperScaleSetsValidAndMaximal) {
+  // Fig 15's middle point: M = 100, RS(9,6), the STF node in each of 300
+  // stripes — the scale where the swap search prunes hardest. Brute
+  // force cannot reach it, so feasibility and maximality go through
+  // is_valid_reconstruction_set (the incremental matcher, pinned to
+  // Hopcroft–Karp by test_matching) on each grown set.
+  const int num_nodes = 100;
+  const int k_repair = 6;
+  const NodeId stf = 0;
+  for (int s = 0; s < seed_count(); ++s) {
+    const uint64_t seed = seed_base() + static_cast<uint64_t>(s);
+    SCOPED_TRACE("seed=" + std::to_string(seed) +
+                 " (override with FASTPR_PROPERTY_SEED_BASE)");
+    Rng rng(seed);
+    cluster::StripeLayout layout(num_nodes, /*chunks_per_stripe=*/9);
+    for (int stripe = 0; stripe < 300; ++stripe) {
+      std::vector<NodeId> nodes{stf};
+      for (int pick : rng.sample_distinct(num_nodes - 1, 8)) {
+        nodes.push_back(pick + 1);
+      }
+      layout.add_stripe(nodes);
+    }
+    const auto healthy = healthy_except(num_nodes, {stf});
+    const size_t cap = healthy.size() / k_repair;
+
+    const auto sets = core::find_reconstruction_sets(layout, stf, healthy,
+                                                     k_repair);
+    expect_exact_cover(sets, layout.chunks_on(stf));
+    for (size_t i = 0; i < sets.size(); ++i) {
+      EXPECT_LE(sets[i].size(), cap);
+      EXPECT_TRUE(core::is_valid_reconstruction_set(layout, stf, healthy,
+                                                    k_repair, sets[i]))
+          << "set " << i << " is not a valid reconstruction set";
+      if (sets[i].size() >= cap) continue;
+      for (size_t j = i + 1; j < sets.size(); ++j) {
+        for (ChunkRef chunk : sets[j]) {
+          std::vector<ChunkRef> grown = sets[i];
+          grown.push_back(chunk);
+          EXPECT_FALSE(core::is_valid_reconstruction_set(
+              layout, stf, healthy, k_repair, grown))
+              << "set " << i << " is not maximal: chunk (" << chunk.stripe
+              << "," << chunk.index << ") from set " << j << " still fits";
+        }
+      }
+    }
   }
 }
 

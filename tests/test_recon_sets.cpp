@@ -195,5 +195,26 @@ TEST(ReconSets, InsufficientHealthySourcesRejected) {
       CheckFailure);
 }
 
+TEST(ReconSets, SourceHoldingARepairedChunkRejected) {
+  // The STF node listed among its own helper sources: its chunk would be
+  // "rebuilt" from itself. is_valid_reconstruction_set refuses the same
+  // arguments.
+  StripeLayout layout(6, 4);
+  layout.add_stripe({0, 1, 2, 3});
+  const std::vector<NodeId> sources = {0, 1, 2, 4, 5};
+  EXPECT_THROW(
+      find_reconstruction_sets(layout, 0, sources, 3, ReconSetOptions{}),
+      CheckFailure);
+  EXPECT_THROW(is_valid_reconstruction_set(layout, 0, sources, 3,
+                                           layout.chunks_on(0)),
+               CheckFailure);
+  // The generalized entry point checks every chunk's holder, so a
+  // multi-node batch cannot lend one member to another as a helper.
+  layout.add_stripe({4, 1, 2, 3});
+  EXPECT_THROW(find_reconstruction_sets_for({ChunkRef{0, 0}, ChunkRef{1, 0}},
+                                            layout, {1, 2, 3, 4, 5}, 3),
+               CheckFailure);
+}
+
 }  // namespace
 }  // namespace fastpr::core
