@@ -824,7 +824,7 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan) {
       request.failed_nodes.assign(failed_nodes_.begin(),
                                   failed_nodes_.end());
       std::sort(request.failed_nodes.begin(), request.failed_nodes.end());
-      ReplanResult result = options_.replan(request);
+      core::ReactiveResult result = options_.replan(request);
       rounds.resize(round_idx + 1);
       for (auto& extra : result.plan.rounds) {
         rounds.push_back(std::move(extra));

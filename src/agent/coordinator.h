@@ -51,14 +51,11 @@ struct ReplanRequest {
   std::vector<cluster::NodeId> failed_nodes;
 };
 
-/// Output of the replan hook: reconstruction-only rounds for the
-/// remaining chunks, plus the chunks no surviving stripe can rebuild.
-struct ReplanResult {
-  core::RepairPlan plan;
-  std::vector<cluster::ChunkRef> unrepairable;
-};
-
-using ReplanFn = std::function<ReplanResult(const ReplanRequest&)>;
+/// The replan hook returns reconstruction-only rounds for the remaining
+/// chunks, plus the chunks no surviving stripe can rebuild (typically
+/// FastPrPlanner::plan_reactive).
+using ReplanFn =
+    std::function<core::ReactiveResult(const ReplanRequest&)>;
 
 /// Input of the bandwidth replan hook (DESIGN.md §11): fired when
 /// measured per-link throughput drifts below the rates the plan priced

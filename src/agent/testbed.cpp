@@ -321,19 +321,6 @@ core::FastPrPlanner Testbed::make_planner(core::Scenario scenario) {
   return core::FastPrPlanner(*layout_, *cluster_, popts);
 }
 
-core::MultiStfPlanner Testbed::make_multi_planner(core::Scenario scenario) {
-  core::PlannerOptions popts;
-  popts.scenario = scenario;
-  popts.k_repair = code_.repair_fetch_count(0);
-  popts.chunk_bytes = static_cast<double>(options_.chunk_bytes);
-  popts.code = &code_;
-  popts.packet_bytes = static_cast<double>(options_.packet_bytes);
-  popts.chain_hop_overhead_seconds = options_.chain_hop_overhead_seconds;
-  popts.sched.strategy = options_.repair_strategy;
-  popts.topology = topology();
-  return core::MultiStfPlanner(*layout_, *cluster_, popts);
-}
-
 ExecutionReport Testbed::execute(const core::RepairPlan& plan) {
   // Mid-repair degradation hook (DESIGN.md §7): when the STF node dies,
   // the coordinator asks for a pure reactive plan over what is left.
@@ -352,13 +339,8 @@ ExecutionReport Testbed::execute(const core::RepairPlan& plan) {
     }
   }
   coordinator_->set_replan([this, scenario](const ReplanRequest& request) {
-    auto planner = make_planner(scenario);
-    auto reactive =
-        planner.plan_reactive(request.handled, request.failed_nodes);
-    ReplanResult result;
-    result.plan = std::move(reactive.plan);
-    result.unrepairable = std::move(reactive.unrepairable);
-    return result;
+    return make_planner(scenario).plan_reactive(request.handled,
+                                                request.failed_nodes);
   });
   // Bandwidth-drift hook (DESIGN.md §11): re-derive the predictive tail
   // for whatever is left, with the straggler links' source endpoints
@@ -406,34 +388,22 @@ ExecutionReport Testbed::execute(const core::RepairPlan& plan) {
 
 std::vector<telemetry::PredictedRound> Testbed::predict_rounds(
     const core::RepairPlan& plan, core::Scenario scenario) {
-  const bool multi = plan.stf_nodes.size() > 1;
-  const core::CostModel model =
-      multi ? make_multi_planner(scenario).cost_model()
-            : make_planner(scenario).cost_model();
+  const core::CostModel model = make_planner(scenario).cost_model();
   std::vector<telemetry::PredictedRound> predicted;
   predicted.reserve(plan.rounds.size());
   for (const auto& round : plan.rounds) {
     telemetry::PredictedRound p;
     p.cr = static_cast<int>(round.reconstructions.size());
     p.cm = static_cast<int>(round.migrations.size());
-    int slowest_stream_cm = p.cm;
-    if (multi) {
-      // Migration streams run in parallel, one per STF disk; the round
-      // is paced by the most-loaded source (DESIGN.md §8).
-      std::unordered_map<NodeId, int> per_src;
-      for (const auto& task : round.migrations) ++per_src[task.src];
-      std::vector<int> cm_per_stf;
-      cm_per_stf.reserve(per_src.size());
-      slowest_stream_cm = 0;
-      for (const auto& [src, cm] : per_src) {
-        cm_per_stf.push_back(cm);
-        slowest_stream_cm = std::max(slowest_stream_cm, cm);
-      }
-      p.duration_seconds =
-          model.round_time_multi(p.cr, cm_per_stf, round.strategy);
-    } else {
-      p.duration_seconds = model.round_time(p.cr, p.cm, round.strategy);
+    // Migration streams run in parallel, one per STF disk; the round is
+    // paced by the most-loaded source (DESIGN.md §8).
+    std::unordered_map<NodeId, int> per_src;
+    int slowest_stream_cm = 0;
+    for (const auto& task : round.migrations) {
+      slowest_stream_cm = std::max(slowest_stream_cm, ++per_src[task.src]);
     }
+    p.duration_seconds =
+        model.round_time(p.cr, slowest_stream_cm, round.strategy);
     // Phase expectations the drift tables diff the measured tr/tm
     // against: the reconstruction side of the round, and the slowest
     // migration stream (round_time = max of the two).

@@ -187,45 +187,21 @@ double CostModel::migration_only_time_per_chunk() const {
   return migration_only_time() / params_.stf_chunks;
 }
 
-int CostModel::migration_quota(int cr) const {
-  return migration_quota(cr, RepairStrategy::kFanIn);
-}
-
 int CostModel::migration_quota(int cr, RepairStrategy strategy) const {
   if (cr <= 0) return 0;
   const double quota = tr(static_cast<double>(cr), strategy) / tm();
   return static_cast<int>(std::floor(quota));
 }
 
-double CostModel::round_time(int cr, int cm) const {
-  return round_time(cr, cm, RepairStrategy::kFanIn);
-}
-
-double CostModel::round_time(int cr, int cm,
+double CostModel::round_time(int cr, int slowest_stream_cm,
                              RepairStrategy strategy) const {
-  FASTPR_CHECK(cr >= 0 && cm >= 0);
-  // Migrations serialize through the STF node's disk; reconstructions of
-  // one round run in parallel groups. The round ends when both finish.
+  FASTPR_CHECK(cr >= 0 && slowest_stream_cm >= 0);
+  // Migrations serialize through each STF disk; reconstructions of one
+  // round run in parallel groups. The round ends when both finish.
   const double recon =
       cr > 0 ? tr(static_cast<double>(cr), strategy) : 0.0;
-  const double migrate = cm * tm();
+  const double migrate = slowest_stream_cm * tm();
   return std::max(recon, migrate);
-}
-
-double CostModel::round_time_multi(int cr,
-                                   const std::vector<int>& cm_per_stf) const {
-  return round_time_multi(cr, cm_per_stf, RepairStrategy::kFanIn);
-}
-
-double CostModel::round_time_multi(int cr,
-                                   const std::vector<int>& cm_per_stf,
-                                   RepairStrategy strategy) const {
-  int slowest = 0;
-  for (int cm : cm_per_stf) {
-    FASTPR_CHECK(cm >= 0);
-    slowest = std::max(slowest, cm);
-  }
-  return round_time(cr, slowest, strategy);
 }
 
 }  // namespace fastpr::core

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "net/topology.h"
 
@@ -160,26 +159,19 @@ class CostModel {
   double migration_only_time_per_chunk() const;
 
   /// Scheduler hook (§IV-C): chunks to migrate during one reconstruction
-  /// round of cr chunks, cm = tr(cr)/tm, floored to whole chunks. The
-  /// strategy overload uses the chosen strategy's tr — a faster chain
-  /// round leaves less time to migrate alongside it.
-  int migration_quota(int cr) const;
+  /// round of cr chunks under `strategy`, cm = tr(cr)/tm, floored to
+  /// whole chunks — a faster chain round leaves less time to migrate
+  /// alongside it. Each STF disk of a batch drains its own cm.
   int migration_quota(int cr, RepairStrategy strategy) const;
 
   /// Modelled wall time of one executed round repairing cr chunks by
-  /// reconstruction while cm migrate concurrently: max(tr(cr), cm·tm).
-  /// This is what telemetry::PredictedRound diffs measured rounds
-  /// against (DESIGN.md §5c).
-  double round_time(int cr, int cm) const;
-  double round_time(int cr, int cm, RepairStrategy strategy) const;
-
-  /// Multi-STF round time (DESIGN.md §8): the B migration streams run on
-  /// independent disks, so the round ends when the slowest stream and
-  /// the reconstruction both finish — max(tr(cr), max_s cm_s·tm).
-  /// Equals round_time(cr, cm_per_stf[0]) for a single-element vector.
-  double round_time_multi(int cr, const std::vector<int>& cm_per_stf) const;
-  double round_time_multi(int cr, const std::vector<int>& cm_per_stf,
-                          RepairStrategy strategy) const;
+  /// reconstruction while migrations drain the STF disks:
+  /// max(tr(cr), cm·tm), where cm is the busiest disk's migration count
+  /// — a batch's streams run on independent disks (DESIGN.md §8). This
+  /// is what telemetry::PredictedRound diffs measured rounds against
+  /// (DESIGN.md §5c).
+  double round_time(int cr, int slowest_stream_cm,
+                    RepairStrategy strategy) const;
 
  private:
   /// bn as repair actually experiences it: net_bw × repair_bw_fraction.

@@ -1,74 +1,12 @@
-// Multi-STF batch planner (DESIGN.md §8): several soon-to-fail nodes
-// repaired concurrently by ONE joint plan.
-//
-// The paper plans for a single STF node; predictive models often flag a
-// correlated batch (same vintage, same rack). This planner runs
-// Algorithm 1 over the union of every batch member's chunks — the
-// bipartite matching naturally keeps helpers disjoint across members,
-// because all STF nodes are excluded from the source side — and a
-// generalized Algorithm 2 that packs one reconstruction set plus an
-// independent migration stream PER member disk into each round. With a
-// batch of one the whole pipeline degenerates to FastPrPlanner
-// byte-for-byte.
+// Former name of the batch planner, kept only because the repair
+// benchmark (repairbench/) still names it. FastPrPlanner plans every
+// batch size; delete this header once the benchmark names FastPrPlanner.
 #pragma once
 
-#include <vector>
-
-#include "cluster/cluster_state.h"
-#include "cluster/stripe_layout.h"
-#include "core/cost_model.h"
 #include "core/fastpr.h"
-#include "core/recon_sets.h"
-#include "core/repair_plan.h"
 
 namespace fastpr::core {
 
-class MultiStfPlanner {
- public:
-  /// Plans for every node flagged soon-to-fail in `cluster` (at least
-  /// one). Both references must outlive the planner.
-  MultiStfPlanner(const cluster::StripeLayout& layout,
-                  const cluster::ClusterState& cluster,
-                  const PlannerOptions& options);
-
-  const std::vector<cluster::NodeId>& batch() const { return batch_; }
-
-  /// Joint plan: Algorithm 1 over the union of the batch's chunks,
-  /// Algorithm 2 with per-member migration quotas sharing each round.
-  RepairPlan plan_fastpr();
-
-  /// Baseline for the batch sweep: plan each member independently with
-  /// the single-STF algorithms and execute the plans back to back
-  /// (concatenated rounds, shared cross-round destination memory).
-  RepairPlan plan_sequential();
-
-  /// The §III analysis generalized to the batch (B = batch size,
-  /// U = chunks across all members; DESIGN.md §8).
-  CostModel cost_model() const;
-
-  /// Stats of the last joint Algorithm 1 run.
-  const ReconSetStats& recon_stats() const { return recon_stats_; }
-
- private:
-  std::vector<cluster::NodeId> source_nodes() const;
-  std::vector<cluster::NodeId> dest_nodes() const;
-  int scattered_round_capacity() const;
-  ReconSetOptions effective_recon_options() const;
-  /// Removes and returns the chunks whose stripes the batch itself left
-  /// with fewer than k' healthy helpers — reconstruction is impossible,
-  /// so they are scheduled as migrations (order-stable partition).
-  std::vector<cluster::ChunkRef> split_forced_migrations(
-      std::vector<cluster::ChunkRef>& chunks) const;
-  CostModel member_cost_model(cluster::NodeId stf) const;
-  /// Fills the ModelParams topology terms from options_.topology
-  /// (no-op for flat/absent topologies; DESIGN.md §11).
-  void apply_topology(ModelParams& params) const;
-
-  const cluster::StripeLayout& layout_;
-  const cluster::ClusterState& cluster_;
-  PlannerOptions options_;
-  std::vector<cluster::NodeId> batch_;
-  ReconSetStats recon_stats_;
-};
+using MultiStfPlanner = FastPrPlanner;
 
 }  // namespace fastpr::core

@@ -37,34 +37,70 @@ ChunkRef chunk_of_stripe_on(const StripeLayout& layout,
 
 }  // namespace
 
-RepairRound assign_round(const StripeLayout& layout, NodeId stf,
+PlacedOverlay::PlacedOverlay(const std::vector<ChunkRef>& repaired) {
+  std::vector<cluster::StripeId> stripes;
+  stripes.reserve(repaired.size());
+  for (ChunkRef chunk : repaired) stripes.push_back(chunk.stripe);
+  std::sort(stripes.begin(), stripes.end());
+  for (size_t i = 1; i < stripes.size(); ++i) {
+    if (stripes[i] == stripes[i - 1]) placed_[stripes[i]];
+  }
+}
+
+bool PlacedOverlay::used(cluster::StripeId stripe, NodeId node) const {
+  const auto it = placed_.find(stripe);
+  return it != placed_.end() &&
+         std::find(it->second.nodes.begin(), it->second.nodes.end(),
+                   node) != it->second.nodes.end();
+}
+
+void PlacedOverlay::record(cluster::StripeId stripe, NodeId node) {
+  const auto it = placed_.find(stripe);
+  if (it != placed_.end()) it->second.nodes.push_back(node);
+}
+
+bool PlacedOverlay::used_rack(cluster::StripeId stripe, int rack) const {
+  const auto it = placed_.find(stripe);
+  return it != placed_.end() &&
+         std::find(it->second.racks.begin(), it->second.racks.end(),
+                   rack) != it->second.racks.end();
+}
+
+void PlacedOverlay::record_rack(cluster::StripeId stripe, int rack) {
+  const auto it = placed_.find(stripe);
+  if (it != placed_.end()) it->second.racks.push_back(rack);
+}
+
+NodeId next_spare(const std::vector<NodeId>& spares,
+                  cluster::StripeId stripe, int* standby_cursor,
+                  PlacedOverlay* placed) {
+  FASTPR_CHECK(!spares.empty());
+  FASTPR_CHECK(standby_cursor != nullptr);
+  const size_t base = static_cast<size_t>(*standby_cursor);
+  ++*standby_cursor;
+  for (size_t o = 0; o < spares.size(); ++o) {
+    const NodeId node = spares[(base + o) % spares.size()];
+    if (placed != nullptr && placed->used(stripe, node)) continue;
+    if (placed != nullptr) placed->record(stripe, node);
+    return node;
+  }
+  FASTPR_CHECK_MSG(false, "every hot-standby spare already holds a "
+                          "repaired chunk of stripe "
+                              << stripe);
+  return cluster::kNoNode;
+}
+
+RepairRound assign_round(const StripeLayout& layout,
+                         const std::vector<NodeId>& stf_batch,
                          const std::vector<NodeId>& source_nodes,
                          const std::vector<NodeId>& dest_nodes,
                          Scenario scenario, int k_repair,
                          const ScheduledRound& round, int* standby_cursor,
                          const ec::ErasureCode* code,
-                         bool balance_destinations,
+                         bool balance_destinations, PlacedOverlay* placed,
+                         int helper_reads_per_node,
                          const net::Topology* topology,
                          const std::vector<NodeId>* deprioritized) {
-  return assign_round_multi(layout, {stf}, source_nodes, dest_nodes,
-                            scenario, k_repair, round, standby_cursor, code,
-                            balance_destinations, nullptr, 1, topology,
-                            deprioritized);
-}
-
-RepairRound assign_round_multi(const StripeLayout& layout,
-                               const std::vector<NodeId>& stf_batch,
-                               const std::vector<NodeId>& source_nodes,
-                               const std::vector<NodeId>& dest_nodes,
-                               Scenario scenario, int k_repair,
-                               const ScheduledRound& round,
-                               int* standby_cursor,
-                               const ec::ErasureCode* code,
-                               bool balance_destinations,
-                               PlacedOverlay* placed,
-                               int helper_reads_per_node,
-                               const net::Topology* topology,
-                               const std::vector<NodeId>* deprioritized) {
   FASTPR_CHECK(!stf_batch.empty());
   FASTPR_CHECK(helper_reads_per_node >= 1);
   const bool rack_aware = topology != nullptr && !topology->is_flat();
@@ -181,17 +217,10 @@ RepairRound assign_round_multi(const StripeLayout& layout,
   }
 
   // ---- Migration tasks (destinations filled below). ----
-  // A one-node batch keeps the historical contract of reading from the
-  // caller's STF node unconditionally (reactive rounds pass kNoNode and
-  // never migrate); a real batch reads each chunk off the member disk
-  // that stores it.
   for (ChunkRef chunk : round.migrate) {
-    NodeId src = stf_batch[0];
-    if (stf_batch.size() > 1) {
-      src = layout.node_of(chunk);
-      FASTPR_CHECK_MSG(stf_set.count(src) > 0,
-                       "migrated chunk is not stored on an STF batch node");
-    }
+    const NodeId src = layout.node_of(chunk);
+    FASTPR_CHECK_MSG(stf_set.count(src) > 0,
+                     "migrated chunk is not stored on an STF batch node");
     out.migrations.push_back(MigrationTask{chunk, src, cluster::kNoNode});
   }
 
@@ -201,27 +230,13 @@ RepairRound assign_round_multi(const StripeLayout& layout,
 
   // ---- Destination selection. ----
   if (scenario == Scenario::kHotStandby) {
-    FASTPR_CHECK(!dest_nodes.empty());
-    FASTPR_CHECK(standby_cursor != nullptr);
-    auto next_spare = [&](cluster::StripeId stripe) {
-      const size_t base = static_cast<size_t>(*standby_cursor);
-      ++*standby_cursor;
-      for (size_t o = 0; o < dest_nodes.size(); ++o) {
-        const NodeId node = dest_nodes[(base + o) % dest_nodes.size()];
-        if (placed != nullptr && placed->used(stripe, node)) continue;
-        commit(stripe, node);
-        return node;
-      }
-      FASTPR_CHECK_MSG(false, "every hot-standby spare already holds a "
-                              "repaired chunk of stripe "
-                                  << stripe);
-      return cluster::kNoNode;
-    };
     for (auto& task : out.reconstructions) {
-      task.dst = next_spare(task.chunk.stripe);
+      task.dst = next_spare(dest_nodes, task.chunk.stripe, standby_cursor,
+                            placed);
     }
     for (auto& task : out.migrations) {
-      task.dst = next_spare(task.chunk.stripe);
+      task.dst = next_spare(dest_nodes, task.chunk.stripe, standby_cursor,
+                            placed);
     }
     return out;
   }

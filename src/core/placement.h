@@ -9,7 +9,6 @@
 #pragma once
 
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/cluster_state.h"
@@ -22,43 +21,49 @@
 
 namespace fastpr::core {
 
-/// Cross-round destination memory for multi-STF plans (DESIGN.md §8). A
-/// stripe that loses chunks on several STF nodes is repaired across
-/// rounds; §IV-A distinctness then requires that no destination receive
+/// Cross-round destination memory (DESIGN.md §8). A stripe that loses
+/// several chunks to the batch (or to failures) is repaired more than
+/// once; §IV-A distinctness then requires that no destination receive
 /// two of its chunks over the WHOLE plan, not just within one round.
-/// Single-STF plans repair each stripe at most once, so the overlay
-/// never fires there.
+/// Only those stripes get entries: the overlay is never queried for a
+/// stripe before its first repair, so a stripe repaired once could not
+/// be vetoed anyway.
 class PlacedOverlay {
  public:
-  bool used(cluster::StripeId stripe, cluster::NodeId node) const {
-    const auto it = placed_.find(stripe);
-    return it != placed_.end() && it->second.count(node) > 0;
-  }
-  void record(cluster::StripeId stripe, cluster::NodeId node) {
-    placed_[stripe].insert(node);
-  }
+  /// `repaired`: every chunk the plan may repair.
+  explicit PlacedOverlay(const std::vector<cluster::ChunkRef>& repaired);
+
+  bool used(cluster::StripeId stripe, cluster::NodeId node) const;
+  void record(cluster::StripeId stripe, cluster::NodeId node);
 
   /// Rack-level analog for topology-aware plans (DESIGN.md §11): racks
   /// that already received a repaired chunk of `stripe` earlier in the
   /// plan. Recorded only by the rack-aware scattered path; hot-standby
   /// spares are exempt from the rack invariant.
-  bool used_rack(cluster::StripeId stripe, int rack) const {
-    const auto it = racks_.find(stripe);
-    return it != racks_.end() && it->second.count(rack) > 0;
-  }
-  void record_rack(cluster::StripeId stripe, int rack) {
-    racks_[stripe].insert(rack);
-  }
+  bool used_rack(cluster::StripeId stripe, int rack) const;
+  void record_rack(cluster::StripeId stripe, int rack);
 
  private:
-  std::unordered_map<cluster::StripeId,
-                     std::unordered_set<cluster::NodeId>>
-      placed_;
-  std::unordered_map<cluster::StripeId, std::unordered_set<int>> racks_;
+  struct Placed {
+    std::vector<cluster::NodeId> nodes;
+    std::vector<int> racks;
+  };
+  std::unordered_map<cluster::StripeId, Placed> placed_;
 };
 
+/// Hot-standby destination: the next spare round-robin from
+/// `*standby_cursor` that holds no repaired chunk of `stripe` yet
+/// (recorded in `placed`).
+cluster::NodeId next_spare(const std::vector<cluster::NodeId>& spares,
+                           cluster::StripeId stripe, int* standby_cursor,
+                           PlacedOverlay* placed);
+
 /// Assigns sources and destinations for one scheduled round.
-/// `source_nodes`: healthy nodes eligible for helper reads.
+/// Every node in `stf_batch` (the STF batch, or every dead node for a
+/// reactive round) is excluded from sources and destinations, and each
+/// migration reads its chunk off the member disk that stores it.
+/// `source_nodes`: healthy nodes eligible for helper reads; each may
+/// serve `helper_reads_per_node` reads.
 /// `dest_nodes`: scattered → healthy storage nodes; hot-standby → spares.
 /// `standby_cursor`: round-robin state across rounds (hot-standby only).
 /// When `code` is given, per-chunk helper counts and candidate indices
@@ -66,31 +71,8 @@ class PlacedOverlay {
 /// `balance_destinations`: pick the scattered destination matching that
 /// minimizes total destination load (min-cost matching over current
 /// chunk counts) instead of an arbitrary maximum matching.
-/// `deprioritized` (optional, DESIGN.md §11): nodes whose helper reads
-/// the matching should avoid when any alternative exists — degraded
-/// links reported by the bandwidth replan trigger. A preference, never
-/// a feasibility constraint: a chunk whose only eligible helpers are
-/// deprioritized still gets them. Null/empty leaves the assignment
-/// bit-identical.
-RepairRound assign_round(const cluster::StripeLayout& layout,
-                         cluster::NodeId stf,
-                         const std::vector<cluster::NodeId>& source_nodes,
-                         const std::vector<cluster::NodeId>& dest_nodes,
-                         Scenario scenario, int k_repair,
-                         const ScheduledRound& round, int* standby_cursor,
-                         const ec::ErasureCode* code = nullptr,
-                         bool balance_destinations = false,
-                         const net::Topology* topology = nullptr,
-                         const std::vector<cluster::NodeId>* deprioritized =
-                             nullptr);
-
-/// Multi-STF generalization (DESIGN.md §8): every node in `stf_batch` is
-/// excluded from sources and destinations, each migration's src is the
-/// batch member actually storing the chunk, `placed` (optional) vetoes
-/// destinations already used for the same stripe earlier in the plan and
-/// records this round's assignments, and source nodes may each serve
-/// `helper_reads_per_node` reads. A one-node batch with no overlay and
-/// one read per node is exactly assign_round.
+/// `placed` (optional) vetoes destinations already used for the same
+/// stripe earlier in the plan and records this round's assignments.
 ///
 /// `topology` (optional, DESIGN.md §11) activates rack-aware placement
 /// when it names more than one rack: scattered destinations additionally
@@ -102,7 +84,14 @@ RepairRound assign_round(const cluster::StripeLayout& layout,
 /// single-rack topologies take the exact legacy code path, bit-identical
 /// plans included. Hot-standby spares stay exempt from the rack
 /// invariant (they live in an overflow rack of their own).
-RepairRound assign_round_multi(
+///
+/// `deprioritized` (optional, DESIGN.md §11): nodes whose helper reads
+/// the matching should avoid when any alternative exists — degraded
+/// links reported by the bandwidth replan trigger. A preference, never
+/// a feasibility constraint: a chunk whose only eligible helpers are
+/// deprioritized still gets them. Null/empty leaves the assignment
+/// bit-identical.
+RepairRound assign_round(
     const cluster::StripeLayout& layout,
     const std::vector<cluster::NodeId>& stf_batch,
     const std::vector<cluster::NodeId>& source_nodes,

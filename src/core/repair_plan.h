@@ -55,9 +55,9 @@ struct RepairRound {
 
 struct RepairPlan {
   cluster::NodeId stf_node = cluster::kNoNode;
-  /// Multi-STF batch plans (DESIGN.md §8) list every STF node covered,
-  /// with stf_node == stf_nodes.front(). Single-STF planners leave this
-  /// empty; consumers treat that as a batch of {stf_node}.
+  /// Every STF node the plan covers (DESIGN.md §8), with stf_node ==
+  /// stf_nodes.front(). Consumers treat an empty list as a batch of
+  /// {stf_node}.
   std::vector<cluster::NodeId> stf_nodes;
   std::vector<RepairRound> rounds;
 
@@ -93,5 +93,26 @@ void validate_plan(const RepairPlan& plan,
                    const ec::ErasureCode* code = nullptr,
                    int helper_reads_per_node = 1,
                    const net::Topology* topology = nullptr);
+
+/// Reactive repair (DESIGN.md §7): reconstruction-only rounds for the
+/// lost chunks, plus the chunks no surviving stripe can rebuild.
+struct ReactiveResult {
+  RepairPlan plan;
+  /// Chunks whose stripes lost more than the code tolerates — data loss.
+  std::vector<cluster::ChunkRef> unrepairable;
+  /// Chunks rebuilt in dedicated degraded rounds because their preferred
+  /// helper candidates are partly gone (LRC local group damaged and
+  /// rebuilt through global parities).
+  int degraded_repairs = 0;
+};
+
+/// Validation for reactive plans: every recoverable lost chunk (on the
+/// `failed` nodes) repaired exactly once from surviving nodes, no node
+/// reading twice in a round, and — as in validate_plan — no destination
+/// receiving two repaired chunks of one stripe anywhere in the plan.
+void validate_reactive_plan(const ReactiveResult& result,
+                            const cluster::StripeLayout& layout,
+                            const cluster::ClusterState& cluster,
+                            const std::vector<cluster::NodeId>& failed);
 
 }  // namespace fastpr::core

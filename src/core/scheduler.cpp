@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "util/check.h"
 
@@ -22,176 +21,105 @@ RepairStrategy resolve_strategy(StrategyChoice choice,
 
 std::vector<ScheduledRound> schedule_repair(
     std::vector<std::vector<cluster::ChunkRef>> recon_sets,
-    const CostModel& model, const SchedulerOptions& options) {
-  std::vector<ScheduledRound> rounds;
-  if (recon_sets.empty()) return rounds;
-  for (const auto& set : recon_sets) FASTPR_CHECK(!set.empty());
-
-  // Line 1: sort by size, descending (stable for determinism).
-  std::stable_sort(recon_sets.begin(), recon_sets.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.size() > b.size();
-                   });
-
-  // Line 2: l points at the largest unscheduled set, u at the smallest.
-  size_t l = 0;
-  size_t u = recon_sets.size() - 1;
-
-  for (;;) {
-    ScheduledRound round;
-    round.reconstruct = recon_sets[l];
-    const int cr = static_cast<int>(round.reconstruct.size());
-    round.strategy = resolve_strategy(options.strategy, model, cr);
-    int cm = options.fixed_migration_quota >= 0
-                 ? options.fixed_migration_quota
-                 : model.migration_quota(cr, round.strategy);
-    if (options.max_round_repairs > 0) {
-      // Keep cr + cm within the destination-matching guarantee.
-      cm = std::min(cm, std::max(0, options.max_round_repairs - cr));
+    const CostModel& model, const SchedulerOptions& options,
+    const std::function<int(cluster::ChunkRef)>& member_of) {
+  // Each chunk's member disk is resolved once; `migrate` marks the
+  // chunks the current round takes.
+  struct Pending {
+    cluster::ChunkRef chunk;
+    int member;
+    bool migrate;
+  };
+  const int members = model.params().batch;
+  std::vector<std::vector<Pending>> sets;
+  sets.reserve(recon_sets.size());
+  for (const auto& set : recon_sets) {
+    FASTPR_CHECK(!set.empty());
+    auto& pending = sets.emplace_back();
+    pending.reserve(set.size());
+    for (cluster::ChunkRef chunk : set) {
+      const int member = member_of ? member_of(chunk) : 0;
+      FASTPR_CHECK_MSG(member >= 0 && member < members,
+                       "chunk owner is not in the STF batch");
+      pending.push_back(Pending{chunk, member, false});
     }
-
-    // Chunks remaining in sets l+1..u.
-    size_t remaining = 0;
-    for (size_t i = l + 1; i <= u && u >= l + 1; ++i) {
-      remaining += recon_sets[i].size();
-    }
-
-    if (remaining <= static_cast<size_t>(cm)) {
-      // Lines 5–8: everything left fits in this round's migration quota.
-      for (size_t i = l + 1; i <= u && u >= l + 1; ++i) {
-        for (auto c : recon_sets[i]) round.migrate.push_back(c);
-      }
-      rounds.push_back(std::move(round));
-      break;
-    }
-
-    // Line 9: largest x with sum_{i=x..u} |R_i| > cm. Scanning from the
-    // smallest set upward, stop as soon as the suffix total exceeds cm.
-    size_t suffix = 0;
-    size_t x = u;
-    for (size_t i = u; i > l; --i) {
-      suffix += recon_sets[i].size();
-      if (suffix > static_cast<size_t>(cm)) {
-        x = i;
-        break;
-      }
-    }
-
-    // Lines 10–12: move all of R_{x+1..u} plus a top-up slice of R_x.
-    size_t below_x = 0;
-    for (size_t i = x + 1; i <= u && u >= x + 1; ++i) {
-      below_x += recon_sets[i].size();
-      for (auto c : recon_sets[i]) round.migrate.push_back(c);
-    }
-    const size_t slice = static_cast<size_t>(cm) - below_x;
-    FASTPR_CHECK(slice < recon_sets[x].size());
-    auto& rx = recon_sets[x];
-    for (size_t t = 0; t < slice; ++t) {
-      round.migrate.push_back(rx.back());
-      rx.pop_back();
-    }
-
-    rounds.push_back(std::move(round));
-
-    // Lines 13–14.
-    l += 1;
-    u = x;
-    FASTPR_CHECK(l < recon_sets.size());
-    if (l > u) break;  // defensive; the break above should fire first
   }
 
-  return rounds;
-}
-
-std::vector<ScheduledRound> schedule_repair_multi(
-    std::vector<std::vector<cluster::ChunkRef>> recon_sets,
-    const CostModel& model,
-    const std::function<cluster::NodeId(cluster::ChunkRef)>& owner_of,
-    const std::vector<cluster::NodeId>& stf_batch,
-    const SchedulerOptions& options) {
-  FASTPR_CHECK(!stf_batch.empty());
+  const auto larger = [](const auto& a, const auto& b) {
+    return a.size() > b.size();
+  };
   std::vector<ScheduledRound> rounds;
-  if (recon_sets.empty()) return rounds;
-  for (const auto& set : recon_sets) FASTPR_CHECK(!set.empty());
+  std::vector<int> budget(static_cast<size_t>(members));
+  std::vector<size_t> marked;
+  while (!sets.empty()) {
+    // Line 1: sort by size, descending (stable for determinism). The
+    // sets only shrink, so after the first round they are usually still
+    // sorted.
+    if (!std::is_sorted(sets.begin(), sets.end(), larger)) {
+      std::stable_sort(sets.begin(), sets.end(), larger);
+    }
 
-  while (!recon_sets.empty()) {
-    // Line 1 generalized: the sets only ever shrink from the tail, so an
-    // already-sorted sequence passes through unchanged (this keeps the
-    // one-node batch byte-identical to schedule_repair, which sorts
-    // exactly once).
-    std::stable_sort(recon_sets.begin(), recon_sets.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.size() > b.size();
-                     });
-
+    // Line 2 onward: reconstruct the largest set R_l.
     ScheduledRound round;
-    round.reconstruct = recon_sets[0];
+    round.reconstruct.reserve(sets[0].size());
+    for (const auto& p : sets[0]) round.reconstruct.push_back(p.chunk);
     const int cr = static_cast<int>(round.reconstruct.size());
     round.strategy = resolve_strategy(options.strategy, model, cr);
 
-    // Per-STF migration quota (each disk drains independently) plus the
-    // shared destination-capacity cap on the whole round.
+    // Per-disk migration quota plus the shared destination-capacity cap
+    // on the whole round.
     const int quota = options.fixed_migration_quota >= 0
                           ? options.fixed_migration_quota
                           : model.migration_quota(cr, round.strategy);
-    std::unordered_map<cluster::NodeId, int> budget;
-    for (cluster::NodeId s : stf_batch) budget[s] = quota;
+    std::fill(budget.begin(), budget.end(), quota);
     int total_left = options.max_round_repairs > 0
                          ? std::max(0, options.max_round_repairs - cr)
                          : std::numeric_limits<int>::max();
 
-    // Mark migrations smallest-set-first, back to front — the suffix the
-    // single-STF Algorithm 2 would slice — skipping chunks whose owner's
-    // disk quota is already spent.
-    std::vector<std::vector<char>> marked(recon_sets.size());
-    std::vector<size_t> marked_count(recon_sets.size(), 0);
-    for (size_t i = recon_sets.size(); i-- > 1 && total_left > 0;) {
-      marked[i].assign(recon_sets[i].size(), 0);
-      for (size_t p = recon_sets[i].size(); p-- > 0 && total_left > 0;) {
-        auto it = budget.find(owner_of(recon_sets[i][p]));
-        FASTPR_CHECK_MSG(it != budget.end(),
-                         "chunk owner is not in the STF batch");
-        if (it->second <= 0) continue;
-        --it->second;
+    // Lines 9–12: migrate from the smallest sets up, back to front —
+    // the suffix of the sorted sets — skipping chunks whose disk has
+    // spent its quota.
+    marked.assign(sets.size(), 0);
+    for (size_t i = sets.size(); i-- > 1 && total_left > 0;) {
+      for (size_t p = sets[i].size(); p-- > 0 && total_left > 0;) {
+        auto& pending = sets[i][p];
+        int& left = budget[static_cast<size_t>(pending.member)];
+        if (left <= 0) continue;
+        --left;
         --total_left;
-        marked[i][p] = 1;
-        ++marked_count[i];
+        pending.migrate = true;
+        ++marked[i];
       }
     }
 
-    // Emit in the single-path order: fully migrated sets ascending,
-    // forward; then partially migrated sets ascending, back to front.
-    for (size_t i = 1; i < recon_sets.size(); ++i) {
-      if (marked_count[i] != recon_sets[i].size()) continue;
-      for (auto c : recon_sets[i]) round.migrate.push_back(c);
+    // Emit fully migrated sets ascending, forward; then partially
+    // migrated sets ascending, back to front.
+    for (size_t i = 1; i < sets.size(); ++i) {
+      if (marked[i] != sets[i].size()) continue;
+      for (const auto& p : sets[i]) round.migrate.push_back(p.chunk);
     }
-    for (size_t i = 1; i < recon_sets.size(); ++i) {
-      if (marked_count[i] == 0 || marked_count[i] == recon_sets[i].size()) {
-        continue;
-      }
-      for (size_t p = recon_sets[i].size(); p-- > 0;) {
-        if (marked[i][p]) round.migrate.push_back(recon_sets[i][p]);
+    for (size_t i = 1; i < sets.size(); ++i) {
+      if (marked[i] == 0 || marked[i] == sets[i].size()) continue;
+      for (size_t p = sets[i].size(); p-- > 0;) {
+        if (sets[i][p].migrate) round.migrate.push_back(sets[i][p].chunk);
       }
     }
     rounds.push_back(std::move(round));
 
-    // Drop the reconstructed set and every migrated chunk.
-    std::vector<std::vector<cluster::ChunkRef>> next;
-    next.reserve(recon_sets.size());
-    for (size_t i = 1; i < recon_sets.size(); ++i) {
-      if (marked_count[i] == recon_sets[i].size()) continue;
-      if (marked_count[i] == 0) {
-        next.push_back(std::move(recon_sets[i]));
-        continue;
+    // Lines 13–14: drop the reconstructed set and every migrated chunk.
+    size_t kept = 0;
+    for (size_t i = 1; i < sets.size(); ++i) {
+      if (marked[i] == sets[i].size()) continue;
+      if (marked[i] > 0) {
+        sets[i].erase(std::remove_if(sets[i].begin(), sets[i].end(),
+                                     [](const Pending& p) {
+                                       return p.migrate;
+                                     }),
+                      sets[i].end());
       }
-      std::vector<cluster::ChunkRef> kept;
-      kept.reserve(recon_sets[i].size() - marked_count[i]);
-      for (size_t p = 0; p < recon_sets[i].size(); ++p) {
-        if (!marked[i][p]) kept.push_back(recon_sets[i][p]);
-      }
-      next.push_back(std::move(kept));
+      sets[kept++] = std::move(sets[i]);
     }
-    recon_sets.swap(next);
+    sets.resize(kept);
   }
   return rounds;
 }

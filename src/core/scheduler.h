@@ -42,24 +42,17 @@ struct SchedulerOptions {
 RepairStrategy resolve_strategy(StrategyChoice choice,
                                 const CostModel& model, int cr);
 
-/// Runs Algorithm 2. `recon_sets` is consumed by value (the algorithm
-/// splits sets). The model supplies the per-round migration quota.
+/// Runs Algorithm 2 (generalized to a batch of STF nodes, DESIGN.md §8).
+/// `recon_sets` is consumed by value (the algorithm splits sets). Each
+/// STF disk is an independent migration stream, so every one of the
+/// model's `batch` members gets its OWN per-round quota cm = tr(cr)/tm
+/// while `options.max_round_repairs` still bounds the round's total
+/// cr + cm (shared destination capacity). `member_of` maps a chunk to
+/// the index of the member storing it; when empty, every chunk is on
+/// member 0, which is Algorithm 2 exactly.
 std::vector<ScheduledRound> schedule_repair(
     std::vector<std::vector<cluster::ChunkRef>> recon_sets,
-    const CostModel& model, const SchedulerOptions& options = {});
-
-/// Multi-STF Algorithm 2 (DESIGN.md §8): the sets cover the union of a
-/// batch of STF nodes' chunks; each STF node's disk is an independent
-/// migration stream, so every node in `stf_batch` gets its OWN per-round
-/// quota cm = tr(cr)/tm while `options.max_round_repairs` still bounds
-/// the round's total cr + cm (shared destination capacity). `owner_of`
-/// maps a chunk to the STF node storing it (must be in `stf_batch`).
-/// With a one-node batch this reproduces schedule_repair byte-for-byte.
-std::vector<ScheduledRound> schedule_repair_multi(
-    std::vector<std::vector<cluster::ChunkRef>> recon_sets,
-    const CostModel& model,
-    const std::function<cluster::NodeId(cluster::ChunkRef)>& owner_of,
-    const std::vector<cluster::NodeId>& stf_batch,
-    const SchedulerOptions& options = {});
+    const CostModel& model, const SchedulerOptions& options = {},
+    const std::function<int(cluster::ChunkRef)>& member_of = {});
 
 }  // namespace fastpr::core

@@ -8,7 +8,6 @@
 
 #include "cluster/rebalancer.h"
 #include "core/fastpr.h"
-#include "core/reactive.h"
 #include "sim/simulator.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -145,12 +144,6 @@ LifetimeReport simulate_lifetime(const LifetimeConfig& config) {
   // Cap Algorithm 1's planning cost per repair (§IV-D chunk grouping).
   popts.recon.chunk_group_size = 128;
 
-  core::ReactiveOptions ropts;
-  ropts.scenario = config.scenario;
-  ropts.k_repair = config.k;
-  ropts.chunk_bytes = config.chunk_bytes;
-  ropts.recon.chunk_group_size = 128;
-
   // --- Play the schedule. ---
   for (const auto& ev : events) {
     if (layout.load(ev.node) == 0) continue;  // empty node: nothing to do
@@ -195,10 +188,11 @@ LifetimeReport simulate_lifetime(const LifetimeConfig& config) {
       // rejoins empty and healthy.
       state.set_health(ev.node, cluster::NodeHealth::kHealthy);
     } else {
-      // Unpredicted: reactive repair after the fact, full exposure.
-      state.set_health(ev.node, cluster::NodeHealth::kFailed);
-      core::ReactivePlanner reactive(layout, state, ropts);
-      const auto result = reactive.plan({ev.node});
+      // Unpredicted: reactive repair after the fact, full exposure. The
+      // lost node is the batch; nothing of it has been handled yet.
+      state.set_health(ev.node, cluster::NodeHealth::kSoonToFail);
+      core::FastPrPlanner planner(layout, state, popts);
+      const auto result = planner.plan_reactive({}, {});
       const auto timing = sim::simulate(result.plan, sp);
       report.repair_traffic_chunks += timing.repair_traffic_chunks;
       report.repair_seconds.add(timing.total_time);
@@ -214,7 +208,7 @@ LifetimeReport simulate_lifetime(const LifetimeConfig& config) {
       degraded[ev.node] = std::move(window);
       account_overlap(ev.node, ev.day);
 
-      for (ChunkRef c : result.unrecoverable) {
+      for (ChunkRef c : result.unrepairable) {
         if (lost_stripes.insert(c.stripe).second) {
           ++report.data_loss_stripes;
         }

@@ -6,11 +6,11 @@
 // failure can destroy data. This module plays years of cluster life:
 // nodes fail as a Poisson process, a predictor flags a configurable
 // fraction of failures with a random lead time, FastPR repairs flagged
-// nodes proactively and the ReactivePlanner cleans up everything the
-// predictor missed (or didn't finish in time). It reports vulnerability
-// time, degraded-stripe exposure, data-loss events and repair traffic —
-// with the predictive policy ON or OFF, so benches can quantify what
-// prediction accuracy buys.
+// nodes proactively and reactive repair (FastPrPlanner::plan_reactive)
+// cleans up everything the predictor missed (or didn't finish in time).
+// It reports vulnerability time, degraded-stripe exposure, data-loss
+// events and repair traffic — with the predictive policy ON or OFF, so
+// benches can quantify what prediction accuracy buys.
 #pragma once
 
 #include <cstdint>

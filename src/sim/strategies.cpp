@@ -4,7 +4,6 @@
 
 #include "cluster/cluster_state.h"
 #include "cluster/stripe_layout.h"
-#include "core/multi_stf.h"
 #include "util/check.h"
 
 namespace fastpr::sim {
@@ -97,7 +96,7 @@ MultiStrategyTimes run_multi_experiment(const ExperimentConfig& config) {
   options.scenario = config.scenario;
   options.k_repair = config.k;
   options.chunk_bytes = config.chunk_bytes;
-  core::MultiStfPlanner planner(layout, state, options);
+  core::FastPrPlanner planner(layout, state, options);
 
   SimParams sim_params;
   sim_params.chunk_bytes = config.chunk_bytes;

@@ -52,8 +52,8 @@ StrategyTimes run_averaged(const ExperimentConfig& config, int runs);
 /// — each member planned alone, plans executed back to back — is the
 /// in-repo reference the joint planner must beat.
 struct MultiStrategyTimes {
-  double joint = 0;         // MultiStfPlanner::plan_fastpr
-  double sequential = 0;    // MultiStfPlanner::plan_sequential
+  double joint = 0;         // FastPrPlanner::plan_fastpr
+  double sequential = 0;    // FastPrPlanner::plan_sequential
   double optimum = 0;       // Eq. (2) generalized, batch cost model
   int total_chunks = 0;     // U = union of all members' chunks
   int joint_rounds = 0;

@@ -38,9 +38,6 @@ struct Rank {
 };
 
 // -- control plane -------------------------------------------------------
-/// core::ReconSetCache entry install. Algorithm 1 runs outside the
-/// lock; holders only splice a computed entry, never call out.
-inline constexpr Rank kReconCache{10, "core.recon_cache"};
 /// core::RepairThrottler lease/AIMD state. The coordinator thread ticks
 /// it and agents' pressure reports fold into it; holders only update
 /// budget arithmetic, never send or block.

@@ -1,4 +1,4 @@
-#include "matching/brute_force.h"
+#include "brute_force.h"
 
 #include <algorithm>
 

@@ -1,6 +1,6 @@
 // Exponential exact maximum matching for small graphs.
 //
-// Test oracle only: property suites compare Hopcroft–Karp and the
+// Test oracle: property suites compare Hopcroft–Karp and the
 // incremental matcher against this on randomly generated graphs.
 #pragma once
 

@@ -372,7 +372,7 @@ TEST(Chaos, MultiStfMemberDeathDegradesOnlyItsChunks) {
       Testbed scout(opts, code);
       const auto batch = scout.flag_stf_batch(2);
       const auto plan =
-          scout.make_multi_planner(core::Scenario::kScattered).plan_fastpr();
+          scout.make_planner(core::Scenario::kScattered).plan_fastpr();
       for (const auto& round : plan.rounds) {
         for (const auto& task : round.migrations) {
           victim_migrations += task.src == batch.front() ? 1 : 0;
@@ -388,7 +388,7 @@ TEST(Chaos, MultiStfMemberDeathDegradesOnlyItsChunks) {
     Testbed tb(opts, code);
     const auto batch = tb.flag_stf_batch(2);
     const auto plan =
-        tb.make_multi_planner(core::Scenario::kScattered).plan_fastpr();
+        tb.make_planner(core::Scenario::kScattered).plan_fastpr();
 
     const auto report = tb.execute(plan);
     expect_full_recovery(tb, plan, report);

@@ -185,9 +185,9 @@ TEST(CostModel, HelperFractionValidated) {
 
 TEST(CostModel, MigrationQuotaMatchesRatio) {
   const CostModel m(paper_defaults());
-  const int quota = m.migration_quota(16);
+  const int quota = m.migration_quota(16, RepairStrategy::kFanIn);
   EXPECT_EQ(quota, static_cast<int>(m.tr(16) / m.tm()));
-  EXPECT_EQ(m.migration_quota(0), 0);
+  EXPECT_EQ(m.migration_quota(0, RepairStrategy::kFanIn), 0);
 }
 
 TEST(CostModel, ChainRoundTimeFormula) {
@@ -257,18 +257,17 @@ TEST(CostModel, ChainMigrationQuotaAndRoundTime) {
   EXPECT_EQ(m.migration_quota(16, RepairStrategy::kChain),
             static_cast<int>(m.tr_chain(16) / m.tm()));
   EXPECT_LE(m.migration_quota(16, RepairStrategy::kChain),
-            m.migration_quota(16));
+            m.migration_quota(16, RepairStrategy::kFanIn));
   EXPECT_EQ(m.migration_quota(0, RepairStrategy::kChain), 0);
-  // round_time takes max(tr, cm·tm) under the chosen strategy; the
-  // no-strategy overloads remain the fan-in model.
+  // round_time takes max(tr, cm·tm) under the chosen strategy, cm being
+  // the busiest migration stream's count.
   EXPECT_DOUBLE_EQ(m.round_time(16, 0, RepairStrategy::kChain),
                    m.tr_chain(16));
   EXPECT_DOUBLE_EQ(m.round_time(16, 1000, RepairStrategy::kChain),
                    1000 * m.tm());
-  EXPECT_DOUBLE_EQ(m.round_time(16, 0), m.tr(16));
-  EXPECT_DOUBLE_EQ(
-      m.round_time_multi(16, {3, 7}, RepairStrategy::kChain),
-      std::max(m.tr_chain(16), 7 * m.tm()));
+  EXPECT_DOUBLE_EQ(m.round_time(16, 0, RepairStrategy::kFanIn), m.tr(16));
+  EXPECT_DOUBLE_EQ(m.round_time(16, 7, RepairStrategy::kChain),
+                   std::max(m.tr_chain(16), 7 * m.tm()));
 }
 
 TEST(CostModel, RepairBwFractionEqualsScaledNetBw) {

@@ -7,7 +7,7 @@
 #include <random>
 #include <string>
 
-#include "matching/brute_force.h"
+#include "brute_force.h"
 #include "matching/hopcroft_karp.h"
 #include "matching/incremental_matching.h"
 

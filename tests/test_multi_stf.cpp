@@ -1,9 +1,9 @@
-// Multi-STF batch planner (DESIGN.md §8): degenerate-batch equivalence
-// (a batch of one is byte-identical to the single-STF pipeline), the
-// sim-vs-cost-model differential sweep (every simulated round must hit
-// round_time_multi exactly under the paper timing model), the forced-
+// Batch planning (DESIGN.md §8): the sim-vs-cost-model differential
+// sweep (every simulated round must hit round_time on its busiest
+// migration stream exactly under the paper timing model), the forced-
 // migration path, and a real-testbed batch execution whose round count
-// matches the Algorithm-2 plan.
+// matches the Algorithm-2 plan. A batch of one reproducing the paper's
+// single-STF plan is pinned by tests/test_recon_golden.cpp.
 //
 // The differential sweep's seed window widens via
 // FASTPR_PROPERTY_SEED_BASE/_COUNT (same knobs as test_properties, so
@@ -20,7 +20,6 @@
 #include "cluster/cluster_state.h"
 #include "cluster/stripe_layout.h"
 #include "core/fastpr.h"
-#include "core/multi_stf.h"
 #include "core/repair_plan.h"
 #include "ec/rs_code.h"
 #include "sim/simulator.h"
@@ -31,7 +30,6 @@
 namespace fastpr {
 namespace {
 
-using cluster::ChunkRef;
 using cluster::NodeId;
 
 uint64_t env_u64(const char* name, uint64_t fallback) {
@@ -45,101 +43,6 @@ uint64_t env_u64(const char* name, uint64_t fallback) {
 uint64_t seed_base() { return env_u64("FASTPR_PROPERTY_SEED_BASE", 1); }
 int seed_count() {
   return static_cast<int>(env_u64("FASTPR_PROPERTY_SEED_COUNT", 4));
-}
-
-NodeId most_loaded(const cluster::StripeLayout& layout) {
-  NodeId best = 0;
-  for (NodeId node = 1; node < layout.num_nodes(); ++node) {
-    if (layout.load(node) > layout.load(best)) best = node;
-  }
-  return best;
-}
-
-/// Field-by-field plan equality — "byte-identical" in DESIGN.md §9.7.
-void expect_plans_identical(const core::RepairPlan& a,
-                            const core::RepairPlan& b) {
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  EXPECT_EQ(a.stf_node, b.stf_node);
-  for (size_t r = 0; r < a.rounds.size(); ++r) {
-    SCOPED_TRACE("round " + std::to_string(r));
-    const auto& ra = a.rounds[r];
-    const auto& rb = b.rounds[r];
-    ASSERT_EQ(ra.migrations.size(), rb.migrations.size());
-    for (size_t i = 0; i < ra.migrations.size(); ++i) {
-      EXPECT_EQ(ra.migrations[i].chunk, rb.migrations[i].chunk);
-      EXPECT_EQ(ra.migrations[i].src, rb.migrations[i].src);
-      EXPECT_EQ(ra.migrations[i].dst, rb.migrations[i].dst);
-    }
-    ASSERT_EQ(ra.reconstructions.size(), rb.reconstructions.size());
-    for (size_t i = 0; i < ra.reconstructions.size(); ++i) {
-      const auto& task_a = ra.reconstructions[i];
-      const auto& task_b = rb.reconstructions[i];
-      EXPECT_EQ(task_a.chunk, task_b.chunk);
-      EXPECT_EQ(task_a.dst, task_b.dst);
-      ASSERT_EQ(task_a.sources.size(), task_b.sources.size());
-      for (size_t s = 0; s < task_a.sources.size(); ++s) {
-        EXPECT_EQ(task_a.sources[s].node, task_b.sources[s].node);
-        EXPECT_EQ(task_a.sources[s].chunk, task_b.sources[s].chunk);
-      }
-    }
-  }
-}
-
-TEST(MultiStfPlanner, BatchOfOneIsByteIdenticalToSingleStf) {
-  for (auto scenario :
-       {core::Scenario::kScattered, core::Scenario::kHotStandby}) {
-    SCOPED_TRACE(core::to_string(scenario));
-    Rng rng(7);
-    const auto layout = cluster::StripeLayout::random(
-        /*num_nodes=*/20, /*chunks_per_stripe=*/9, /*num_stripes=*/100,
-        rng);
-    cluster::ClusterState state(
-        20, /*num_hot_standby=*/3,
-        cluster::BandwidthProfile{MBps(100), Gbps(1)});
-    state.set_health(most_loaded(layout), cluster::NodeHealth::kSoonToFail);
-
-    core::PlannerOptions options;
-    options.scenario = scenario;
-    options.k_repair = 6;
-    options.chunk_bytes = static_cast<double>(MB(64));
-    core::FastPrPlanner single(layout, state, options);
-    core::MultiStfPlanner multi(layout, state, options);
-    ASSERT_EQ(multi.batch().size(), 1u);
-
-    const auto reference = single.plan_fastpr();
-    // Joint AND sequential collapse onto the single-STF plan at B = 1.
-    expect_plans_identical(reference, multi.plan_fastpr());
-    expect_plans_identical(reference, multi.plan_sequential());
-
-    // The batch cost model degenerates to Equations 1–6 exactly.
-    const auto cm_single = single.cost_model();
-    const auto cm_multi = multi.cost_model();
-    EXPECT_DOUBLE_EQ(cm_single.tm(), cm_multi.tm());
-    EXPECT_DOUBLE_EQ(cm_single.tr(3.0), cm_multi.tr(3.0));
-    EXPECT_DOUBLE_EQ(cm_single.max_parallel_groups(),
-                     cm_multi.max_parallel_groups());
-    EXPECT_DOUBLE_EQ(cm_single.predictive_time(), cm_multi.predictive_time());
-    EXPECT_DOUBLE_EQ(cm_single.reactive_time(), cm_multi.reactive_time());
-    EXPECT_DOUBLE_EQ(cm_single.migration_only_time(),
-                     cm_multi.migration_only_time());
-  }
-}
-
-TEST(MultiStfPlanner, RoundTimeMultiDegeneratesToRoundTime) {
-  core::ModelParams params;
-  params.num_nodes = 20;
-  params.stf_chunks = 100;
-  params.chunk_bytes = static_cast<double>(MB(64));
-  params.disk_bw = MBps(100);
-  params.net_bw = Gbps(1);
-  params.k_repair = 6;
-  const core::CostModel model(params);
-  EXPECT_DOUBLE_EQ(model.round_time_multi(3, {2}), model.round_time(3, 2));
-  EXPECT_DOUBLE_EQ(model.round_time_multi(0, {5}), model.round_time(0, 5));
-  // B independent disks: the round is paced by the busiest stream.
-  EXPECT_DOUBLE_EQ(model.round_time_multi(2, {1, 4, 2}),
-                   model.round_time(2, 4));
-  EXPECT_DOUBLE_EQ(model.round_time_multi(2, {}), model.round_time(2, 0));
 }
 
 TEST(MultiStfPlanner, BatchStarvedStripesFallBackToMigration) {
@@ -161,7 +64,7 @@ TEST(MultiStfPlanner, BatchStarvedStripesFallBackToMigration) {
   core::PlannerOptions options;
   options.k_repair = 4;
   options.chunk_bytes = static_cast<double>(MB(4));
-  core::MultiStfPlanner planner(layout, state, options);
+  core::FastPrPlanner planner(layout, state, options);
 
   const auto plan = planner.plan_fastpr();
   core::validate_plan(plan, layout, state, options.k_repair);
@@ -186,8 +89,9 @@ TEST(MultiStfPlanner, BatchStarvedStripesFallBackToMigration) {
 
 TEST(MultiStfDifferential, SimRoundsMatchCostModelExactly) {
   // Under the paper timing model the simulator's per-round times are the
-  // §III closed forms — so each must equal round_time_multi(cr, per-src
-  // migration counts) to float precision, any plan, any batch size.
+  // §III closed forms — so each must equal round_time(cr, busiest
+  // per-source migration count) to float precision, any plan, any batch
+  // size.
   for (int s = 0; s < seed_count(); ++s) {
     const uint64_t seed = seed_base() + static_cast<uint64_t>(s);
     for (const auto& code : {std::pair<int, int>{6, 4},
@@ -221,7 +125,7 @@ TEST(MultiStfDifferential, SimRoundsMatchCostModelExactly) {
           options.scenario = scenario;
           options.k_repair = code.second;
           options.chunk_bytes = static_cast<double>(MB(64));
-          core::MultiStfPlanner planner(layout, state, options);
+          core::FastPrPlanner planner(layout, state, options);
           const auto plan = planner.plan_fastpr();
           const auto model = planner.cost_model();
 
@@ -236,17 +140,14 @@ TEST(MultiStfDifferential, SimRoundsMatchCostModelExactly) {
           ASSERT_EQ(result.round_times.size(), plan.rounds.size());
           for (size_t r = 0; r < plan.rounds.size(); ++r) {
             std::unordered_map<NodeId, int> per_src;
+            int busiest = 0;
             for (const auto& task : plan.rounds[r].migrations) {
-              ++per_src[task.src];
-            }
-            std::vector<int> cm_per_stf;
-            for (const auto& [src, count] : per_src) {
-              (void)src;
-              cm_per_stf.push_back(count);
+              busiest = std::max(busiest, ++per_src[task.src]);
             }
             const int cr =
                 static_cast<int>(plan.rounds[r].reconstructions.size());
-            const double expected = model.round_time_multi(cr, cm_per_stf);
+            const double expected =
+                model.round_time(cr, busiest, core::RepairStrategy::kFanIn);
             EXPECT_NEAR(result.round_times[r], expected,
                         1e-9 * expected + 1e-12)
                 << "round " << r;
@@ -310,7 +211,7 @@ TEST(MultiStfTestbed, ExecutedRoundsMatchAlgorithmTwoPlan) {
   const auto batch = tb.flag_stf_batch(2);
   ASSERT_EQ(batch.size(), 2u);
 
-  auto planner = tb.make_multi_planner(core::Scenario::kScattered);
+  auto planner = tb.make_planner(core::Scenario::kScattered);
   const auto plan = planner.plan_fastpr();
   ASSERT_GT(plan.rounds.size(), 0u);
   // Plan order is ascending node id; flag order is load-descending.

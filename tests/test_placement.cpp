@@ -51,7 +51,7 @@ TEST(Placement, SourcesDistinctWithinRound) {
   round.reconstruct = sets.front();
   int cursor = 0;
   const auto assigned =
-      assign_round(f.layout, f.stf, f.sources, f.dests,
+      assign_round(f.layout, {f.stf}, f.sources, f.dests,
                    Scenario::kScattered, k, round, &cursor);
   std::set<NodeId> read_nodes;
   for (const auto& task : assigned.reconstructions) {
@@ -85,7 +85,7 @@ TEST(Placement, ScatteredDestinationsPreserveFaultTolerance) {
   }
   int cursor = 0;
   const auto assigned =
-      assign_round(f.layout, f.stf, f.sources, f.dests,
+      assign_round(f.layout, {f.stf}, f.sources, f.dests,
                    Scenario::kScattered, 4, round, &cursor);
   std::set<NodeId> dests;
   auto check_dst = [&](ChunkRef chunk, NodeId dst) {
@@ -110,7 +110,7 @@ TEST(Placement, HotStandbyRoundRobinAcrossRounds) {
     round.reconstruct.push_back(chunks[static_cast<size_t>(round_idx)]);
     round.migrate.push_back(chunks[static_cast<size_t>(round_idx + 3)]);
     const auto assigned =
-        assign_round(f.layout, f.stf, f.sources, spares,
+        assign_round(f.layout, {f.stf}, f.sources, spares,
                      Scenario::kHotStandby, 3, round, &cursor);
     for (const auto& t : assigned.reconstructions) {
       ++uses[static_cast<size_t>(t.dst - 20)];
@@ -127,7 +127,7 @@ TEST(Placement, EmptyRound) {
   auto f = Fixture::random(15, 4, 50, 4);
   int cursor = 0;
   const auto assigned =
-      assign_round(f.layout, f.stf, f.sources, f.dests,
+      assign_round(f.layout, {f.stf}, f.sources, f.dests,
                    Scenario::kScattered, 3, ScheduledRound{}, &cursor);
   EXPECT_TRUE(assigned.reconstructions.empty());
   EXPECT_TRUE(assigned.migrations.empty());

@@ -3,7 +3,7 @@
 //
 //  * every reconstruction set — single-STF and multi-STF — admits a
 //    saturating helper matching per the EXPONENTIAL oracle
-//    (matching/brute_force), independent of the incremental matcher
+//    (tests/brute_force), independent of the incremental matcher
 //    the planner uses;
 //  * every set is maximal: no chunk from a later set could have been
 //    added (unless the set already sits at the configured cap);
@@ -27,12 +27,12 @@
 #include <utility>
 #include <vector>
 
+#include "brute_force.h"
 #include "cluster/cluster_state.h"
 #include "cluster/stripe_layout.h"
-#include "core/multi_stf.h"
+#include "core/fastpr.h"
 #include "core/recon_sets.h"
 #include "core/repair_plan.h"
-#include "matching/brute_force.h"
 #include "net/topology.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -424,7 +424,7 @@ TEST_P(PlacementPropertyTest, PlanNeverColocatesStripeChunks) {
       options.scenario = scenario;
       options.k_repair = 4;
       options.chunk_bytes = static_cast<double>(MB(4));
-      core::MultiStfPlanner planner(layout, state, options);
+      core::FastPrPlanner planner(layout, state, options);
       for (const auto& plan :
            {planner.plan_fastpr(), planner.plan_sequential()}) {
         core::validate_plan(plan, layout, state, options.k_repair);
@@ -503,7 +503,7 @@ TEST_P(PlacementPropertyTest, RackedPlanKeepsStripesRackDisjoint) {
       options.k_repair = 4;
       options.chunk_bytes = static_cast<double>(MB(4));
       options.topology = &topo;
-      core::MultiStfPlanner planner(layout, state, options);
+      core::FastPrPlanner planner(layout, state, options);
       for (const auto& plan :
            {planner.plan_fastpr(), planner.plan_sequential()}) {
         core::validate_plan(plan, layout, state, options.k_repair,

@@ -1,10 +1,13 @@
-// Reactive multi-failure repair: coverage, survivor-only sourcing,
-// degraded LRC paths, unrecoverable detection.
-#include "core/reactive.h"
+// Reactive multi-failure repair (FastPrPlanner::plan_reactive): coverage,
+// survivor-only sourcing, degraded LRC paths, unrecoverable detection,
+// and destination distinctness across rounds.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <set>
+#include <utility>
 
 #include "core/fastpr.h"
-
-#include <gtest/gtest.h>
 
 #include "ec/lrc_code.h"
 #include "ec/rs_code.h"
@@ -31,25 +34,46 @@ World make_world(int nodes, int n, int stripes, uint64_t seed) {
                             cluster::BandwidthProfile{MBps(100), Gbps(1)})};
 }
 
-ReactiveOptions rs_options(int k) {
-  ReactiveOptions opts;
+PlannerOptions rs_options(int k) {
+  PlannerOptions opts;
   opts.k_repair = k;
   opts.chunk_bytes = static_cast<double>(MB(64));
   return opts;
 }
 
+/// The lost nodes form the batch; plan_reactive treats it as dead.
 void fail_nodes(World& w, const std::vector<NodeId>& failed) {
   for (NodeId n : failed) {
-    w.state.set_health(n, cluster::NodeHealth::kFailed);
+    w.state.set_health(n, cluster::NodeHealth::kSoonToFail);
   }
+}
+
+ReactiveResult plan_reactive(const StripeLayout& layout,
+                             const ClusterState& state,
+                             const PlannerOptions& options) {
+  FastPrPlanner planner(layout, state, options);
+  return planner.plan_reactive({}, {});
+}
+
+/// Stripes with two repaired chunks on one destination (§IV-A).
+int colocated_stripes(const RepairPlan& plan) {
+  std::map<cluster::StripeId, std::set<NodeId>> landed;
+  std::set<cluster::StripeId> colocated;
+  for (const auto& round : plan.rounds) {
+    for (const auto& task : round.reconstructions) {
+      if (!landed[task.chunk.stripe].insert(task.dst).second) {
+        colocated.insert(task.chunk.stripe);
+      }
+    }
+  }
+  return static_cast<int>(colocated.size());
 }
 
 TEST(ReactivePlanner, SingleFailureFullCover) {
   auto w = make_world(30, 9, 300, 1);
   fail_nodes(w, {4});
-  ReactivePlanner planner(w.layout, w.state, rs_options(6));
-  const auto result = planner.plan({4});
-  EXPECT_TRUE(result.unrecoverable.empty());
+  const auto result = plan_reactive(w.layout, w.state, rs_options(6));
+  EXPECT_TRUE(result.unrepairable.empty());
   EXPECT_EQ(result.plan.total_migrated(), 0);
   EXPECT_EQ(result.plan.total_reconstructed(), w.layout.load(4));
   validate_reactive_plan(result, w.layout, w.state, {4});
@@ -58,13 +82,31 @@ TEST(ReactivePlanner, SingleFailureFullCover) {
 TEST(ReactivePlanner, DoubleFailureSharedStripes) {
   auto w = make_world(25, 9, 300, 2);
   fail_nodes(w, {1, 2});
-  ReactivePlanner planner(w.layout, w.state, rs_options(6));
-  const auto result = planner.plan({1, 2});
+  const auto result = plan_reactive(w.layout, w.state, rs_options(6));
   // RS(9,6) tolerates 3 losses: everything is recoverable.
-  EXPECT_TRUE(result.unrecoverable.empty());
+  EXPECT_TRUE(result.unrepairable.empty());
   EXPECT_EQ(result.plan.total_reconstructed(),
             w.layout.load(1) + w.layout.load(2));
   validate_reactive_plan(result, w.layout, w.state, {1, 2});
+}
+
+TEST(ReactivePlanner, DoubleFailureKeepsStripeDestinationsDistinct) {
+  // A stripe that lost chunks on both nodes is repaired in two rounds;
+  // §IV-A forbids its two rebuilt chunks from landing on one node, which
+  // only a cross-round record of earlier destinations can prevent.
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    for (auto scenario : {Scenario::kScattered, Scenario::kHotStandby}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " " +
+                   to_string(scenario));
+      auto w = make_world(25, 9, 300, seed);
+      fail_nodes(w, {1, 2});
+      PlannerOptions opts = rs_options(6);
+      opts.scenario = scenario;
+      const auto result = plan_reactive(w.layout, w.state, opts);
+      EXPECT_EQ(colocated_stripes(result.plan), 0);
+      validate_reactive_plan(result, w.layout, w.state, {1, 2});
+    }
+  }
 }
 
 TEST(ReactivePlanner, BeyondToleranceReportsUnrecoverable) {
@@ -74,13 +116,12 @@ TEST(ReactivePlanner, BeyondToleranceReportsUnrecoverable) {
   layout.add_stripe({0, 3, 4});  // loses 1 → recoverable
   layout.add_stripe({3, 4, 5});  // untouched
   ClusterState state(6, 0, cluster::BandwidthProfile{MBps(100), Gbps(1)});
-  state.set_health(0, cluster::NodeHealth::kFailed);
-  state.set_health(1, cluster::NodeHealth::kFailed);
+  state.set_health(0, cluster::NodeHealth::kSoonToFail);
+  state.set_health(1, cluster::NodeHealth::kSoonToFail);
 
-  ReactivePlanner planner(layout, state, rs_options(2));
-  const auto result = planner.plan({0, 1});
-  EXPECT_EQ(result.unrecoverable.size(), 2u);  // both chunks of stripe 0
-  for (const auto& c : result.unrecoverable) EXPECT_EQ(c.stripe, 0);
+  const auto result = plan_reactive(layout, state, rs_options(2));
+  EXPECT_EQ(result.unrepairable.size(), 2u);  // both chunks of stripe 0
+  for (const auto& c : result.unrepairable) EXPECT_EQ(c.stripe, 0);
   EXPECT_EQ(result.plan.total_reconstructed(), 1);
   validate_reactive_plan(result, layout, state, {0, 1});
 }
@@ -93,16 +134,15 @@ TEST(ReactivePlanner, LrcDegradedGroupUsesGlobalParity) {
   layout.add_stripe({0, 2, 3, 4, 1, 5, 6, 7});  // index 0 on node0,
                                                 // local parity (idx 4) on node1
   ClusterState state(10, 0, cluster::BandwidthProfile{MBps(100), Gbps(1)});
-  state.set_health(0, cluster::NodeHealth::kFailed);
-  state.set_health(1, cluster::NodeHealth::kFailed);
+  state.set_health(0, cluster::NodeHealth::kSoonToFail);
+  state.set_health(1, cluster::NodeHealth::kSoonToFail);
 
-  ReactiveOptions opts;
+  PlannerOptions opts;
   opts.k_repair = 2;
   opts.chunk_bytes = static_cast<double>(MB(64));
   opts.code = &code;
-  ReactivePlanner planner(layout, state, opts);
-  const auto result = planner.plan({0, 1});
-  EXPECT_TRUE(result.unrecoverable.empty());
+  const auto result = plan_reactive(layout, state, opts);
+  EXPECT_TRUE(result.unrepairable.empty());
   EXPECT_EQ(result.plan.total_reconstructed(), 2);
   EXPECT_GE(result.degraded_repairs, 1);
   validate_reactive_plan(result, layout, state, {0, 1});
@@ -111,10 +151,9 @@ TEST(ReactivePlanner, LrcDegradedGroupUsesGlobalParity) {
 TEST(ReactivePlanner, HotStandbyDestinations) {
   auto w = make_world(20, 6, 150, 3);
   fail_nodes(w, {7});
-  ReactiveOptions opts = rs_options(4);
+  PlannerOptions opts = rs_options(4);
   opts.scenario = Scenario::kHotStandby;
-  ReactivePlanner planner(w.layout, w.state, opts);
-  const auto result = planner.plan({7});
+  const auto result = plan_reactive(w.layout, w.state, opts);
   validate_reactive_plan(result, w.layout, w.state, {7});
   for (const auto& round : result.plan.rounds) {
     for (const auto& task : round.reconstructions) {
@@ -138,8 +177,7 @@ TEST(ReactivePlanner, SimulatedTimeMatchesReconstructionOnly) {
   // Reactive.
   auto w1 = w;
   fail_nodes(w1, {victim});
-  ReactivePlanner reactive(w1.layout, w1.state, rs_options(6));
-  const auto r = reactive.plan({victim});
+  const auto r = plan_reactive(w1.layout, w1.state, rs_options(6));
   const auto reactive_time = sim::simulate(r.plan, sp);
 
   // Predictive reconstruction-only on the same layout.

@@ -25,7 +25,6 @@
 #include "cluster/cluster_state.h"
 #include "cluster/stripe_layout.h"
 #include "core/fastpr.h"
-#include "core/multi_stf.h"
 #include "core/recon_sets.h"
 #include "core/repair_plan.h"
 #include "ec/lrc_code.h"
@@ -316,7 +315,7 @@ TEST(ReconSetsGolden, PlannerPlans) {
             11502752430148121843ULL);
 
   const PaperCluster pair(2, 300, 2);
-  core::MultiStfPlanner batch(pair.layout, pair.state, paper_options());
+  core::FastPrPlanner batch(pair.layout, pair.state, paper_options());
   EXPECT_EQ(digest_plan(batch.plan_fastpr()), 17974459476939857931ULL);
 }
 
@@ -479,7 +478,7 @@ TEST(PlanGolden, Batches) {
     SCOPED_TRACE("B=" + std::to_string(c.batch) + " " +
                  core::to_string(c.scenario));
     const Flagged rs(random_layout(40, 9, 300, 8), c.batch);
-    core::MultiStfPlanner planner(rs.layout, rs.state,
+    core::FastPrPlanner planner(rs.layout, rs.state,
                                   options_for(c.scenario));
     EXPECT_EQ(digest_plan(planner.plan_fastpr()), c.joint);
     EXPECT_EQ(digest_plan(planner.plan_sequential()), c.sequential);
@@ -503,7 +502,7 @@ TEST(PlanGolden, BatchForcedMigrations) {
   }
   auto options = paper_options();
   options.k_repair = 4;
-  core::MultiStfPlanner small(layout, state, options);
+  core::FastPrPlanner small(layout, state, options);
   EXPECT_EQ(digest_plan(small.plan_fastpr()), 1540103202006631130ULL);
   EXPECT_EQ(digest_plan(small.plan_sequential()), 15376547910426751523ULL);
 
@@ -520,7 +519,7 @@ TEST(PlanGolden, BatchForcedMigrations) {
     }
   }
   EXPECT_GT(starved, 0);
-  core::MultiStfPlanner planner(rs.layout, rs.state, options);
+  core::FastPrPlanner planner(rs.layout, rs.state, options);
   EXPECT_EQ(digest_plan(planner.plan_fastpr()), 8520352391371197366ULL);
   EXPECT_EQ(digest_plan(planner.plan_sequential()), 1035434750675986050ULL);
 }
@@ -603,7 +602,7 @@ TEST(PlanGolden, PredictRounds) {
     SCOPED_TRACE(core::to_string(scenario));
     agent::Testbed tb(opts, code);
     tb.flag_stf_batch(2);
-    const auto plan = tb.make_multi_planner(scenario).plan_fastpr();
+    const auto plan = tb.make_planner(scenario).plan_fastpr();
     // Two members: a round's migrations split over two disks, so tm is
     // the busier stream's, not cm·tm.
     std::vector<Expected> want = {{2, 2, kRound, kRound, kTm},

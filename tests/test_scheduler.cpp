@@ -155,7 +155,7 @@ TEST(Scheduler, ModelDerivedQuotaMatchesCostModel) {
   const auto rounds = schedule_repair(sets, model, {});
   check_exact_once(sets, rounds);
   // First round's migration count equals cm = floor(tr(16)/tm).
-  const int expected_cm = model.migration_quota(16);
+  const int expected_cm = model.migration_quota(16, RepairStrategy::kFanIn);
   ASSERT_FALSE(rounds.empty());
   EXPECT_EQ(static_cast<int>(rounds[0].migrate.size()),
             std::min(expected_cm, 10));

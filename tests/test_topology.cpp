@@ -17,7 +17,6 @@
 #include "cluster/stripe_layout.h"
 #include "core/cost_model.h"
 #include "core/fastpr.h"
-#include "core/multi_stf.h"
 #include "core/repair_plan.h"
 #include "ec/rs_code.h"
 #include "net/topology.h"

@@ -521,14 +521,8 @@ int cmd_execute(const Spec& spec, const std::string& fault_plan_path,
         std::vector<cluster::NodeId>(stf_batch.begin(), stf_batch.end()));
   }
 
-  core::RepairPlan plan;
-  if (batch.size() > 1) {
-    auto planner = tb.make_multi_planner(spec.scenario);
-    plan = planner.plan_fastpr();
-  } else {
-    auto planner = tb.make_planner(spec.scenario);
-    plan = planner.plan_fastpr();
-  }
+  const core::RepairPlan plan =
+      tb.make_planner(spec.scenario).plan_fastpr();
   for (const cluster::NodeId stf : batch) {
     std::printf("STF node %d holds %d chunks\n", stf,
                 tb.layout().load(stf));
