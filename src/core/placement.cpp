@@ -47,30 +47,6 @@ PlacedOverlay::PlacedOverlay(const std::vector<ChunkRef>& repaired) {
   }
 }
 
-bool PlacedOverlay::used(cluster::StripeId stripe, NodeId node) const {
-  const auto it = placed_.find(stripe);
-  return it != placed_.end() &&
-         std::find(it->second.nodes.begin(), it->second.nodes.end(),
-                   node) != it->second.nodes.end();
-}
-
-void PlacedOverlay::record(cluster::StripeId stripe, NodeId node) {
-  const auto it = placed_.find(stripe);
-  if (it != placed_.end()) it->second.nodes.push_back(node);
-}
-
-bool PlacedOverlay::used_rack(cluster::StripeId stripe, int rack) const {
-  const auto it = placed_.find(stripe);
-  return it != placed_.end() &&
-         std::find(it->second.racks.begin(), it->second.racks.end(),
-                   rack) != it->second.racks.end();
-}
-
-void PlacedOverlay::record_rack(cluster::StripeId stripe, int rack) {
-  const auto it = placed_.find(stripe);
-  if (it != placed_.end()) it->second.racks.push_back(rack);
-}
-
 NodeId next_spare(const std::vector<NodeId>& spares,
                   cluster::StripeId stripe, int* standby_cursor,
                   PlacedOverlay* placed) {

@@ -8,6 +8,7 @@
 //    hot-standby repair spreads destinations round-robin over the spares.
 #pragma once
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -33,21 +34,43 @@ class PlacedOverlay {
   /// `repaired`: every chunk the plan may repair.
   explicit PlacedOverlay(const std::vector<cluster::ChunkRef>& repaired);
 
-  bool used(cluster::StripeId stripe, cluster::NodeId node) const;
-  void record(cluster::StripeId stripe, cluster::NodeId node);
+  /// Asked for every candidate destination of every repaired chunk, so
+  /// an overlay without entries answers without a hash lookup.
+  bool used(cluster::StripeId stripe, cluster::NodeId node) const {
+    const Placed* p = find(stripe);
+    return p != nullptr && std::find(p->nodes.begin(), p->nodes.end(),
+                                     node) != p->nodes.end();
+  }
+  void record(cluster::StripeId stripe, cluster::NodeId node) {
+    if (Placed* p = find(stripe)) p->nodes.push_back(node);
+  }
 
   /// Rack-level analog for topology-aware plans (DESIGN.md §11): racks
   /// that already received a repaired chunk of `stripe` earlier in the
   /// plan. Recorded only by the rack-aware scattered path; hot-standby
   /// spares are exempt from the rack invariant.
-  bool used_rack(cluster::StripeId stripe, int rack) const;
-  void record_rack(cluster::StripeId stripe, int rack);
+  bool used_rack(cluster::StripeId stripe, int rack) const {
+    const Placed* p = find(stripe);
+    return p != nullptr && std::find(p->racks.begin(), p->racks.end(),
+                                     rack) != p->racks.end();
+  }
+  void record_rack(cluster::StripeId stripe, int rack) {
+    if (Placed* p = find(stripe)) p->racks.push_back(rack);
+  }
 
  private:
   struct Placed {
     std::vector<cluster::NodeId> nodes;
     std::vector<int> racks;
   };
+  Placed* find(cluster::StripeId stripe) {
+    if (placed_.empty()) return nullptr;
+    const auto it = placed_.find(stripe);
+    return it == placed_.end() ? nullptr : &it->second;
+  }
+  const Placed* find(cluster::StripeId stripe) const {
+    return const_cast<PlacedOverlay*>(this)->find(stripe);
+  }
   std::unordered_map<cluster::StripeId, Placed> placed_;
 };
 

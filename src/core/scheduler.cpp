@@ -72,6 +72,7 @@ std::vector<ScheduledRound> schedule_repair(
                           ? options.fixed_migration_quota
                           : model.migration_quota(cr, round.strategy);
     std::fill(budget.begin(), budget.end(), quota);
+    int open_disks = quota > 0 ? members : 0;
     int total_left = options.max_round_repairs > 0
                          ? std::max(0, options.max_round_repairs - cr)
                          : std::numeric_limits<int>::max();
@@ -80,12 +81,13 @@ std::vector<ScheduledRound> schedule_repair(
     // the suffix of the sorted sets — skipping chunks whose disk has
     // spent its quota.
     marked.assign(sets.size(), 0);
-    for (size_t i = sets.size(); i-- > 1 && total_left > 0;) {
-      for (size_t p = sets[i].size(); p-- > 0 && total_left > 0;) {
+    for (size_t i = sets.size(); i-- > 1 && total_left > 0 && open_disks > 0;) {
+      for (size_t p = sets[i].size();
+           p-- > 0 && total_left > 0 && open_disks > 0;) {
         auto& pending = sets[i][p];
         int& left = budget[static_cast<size_t>(pending.member)];
         if (left <= 0) continue;
-        --left;
+        if (--left == 0) --open_disks;
         --total_left;
         pending.migrate = true;
         ++marked[i];
