@@ -145,12 +145,6 @@ CostModel FastPrPlanner::model_for(const std::vector<NodeId>& members) const {
 
 CostModel FastPrPlanner::cost_model() const { return model_for(batch_); }
 
-int FastPrPlanner::fetch_count(ChunkRef chunk) const {
-  return options_.code != nullptr
-             ? options_.code->repair_fetch_count(chunk.index)
-             : options_.k_repair;
-}
-
 std::vector<char> FastPrPlanner::live_mask(
     const std::vector<NodeId>& live) const {
   std::vector<char> mask(
@@ -171,7 +165,9 @@ bool FastPrPlanner::reaches_helpers(ChunkRef chunk,
   } else {
     for (NodeId node : nodes) helpers += live[static_cast<size_t>(node)];
   }
-  return helpers >= fetch_count(chunk);
+  return helpers >= (options_.code != nullptr
+                         ? options_.code->repair_fetch_count(chunk.index)
+                         : options_.k_repair);
 }
 
 std::vector<ChunkRef> FastPrPlanner::split_forced_migrations(

@@ -142,12 +142,10 @@ class FastPrPlanner {
   /// The cost model for `members` repaired as one batch.
   CostModel model_for(const std::vector<cluster::NodeId>& members) const;
 
-  /// Helpers a chunk's repair fetches: k' for its index, or k_repair.
-  int fetch_count(cluster::ChunkRef chunk) const;
   /// `live` as a mask indexed by node id, for reaches_helpers.
   std::vector<char> live_mask(const std::vector<cluster::NodeId>& live) const;
-  /// Whether `chunk` can still reach fetch_count(chunk) helpers among
-  /// the nodes `live` marks.
+  /// Whether `chunk` can still reach the helpers its repair fetches (k'
+  /// for its index, or k_repair) among the nodes `live` marks.
   bool reaches_helpers(cluster::ChunkRef chunk,
                        const std::vector<char>& live) const;
   /// Removes and returns the chunks whose stripes the batch itself left

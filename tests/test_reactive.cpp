@@ -5,7 +5,6 @@
 
 #include <map>
 #include <set>
-#include <utility>
 
 #include "core/fastpr.h"
 

@@ -479,7 +479,7 @@ TEST(PlanGolden, Batches) {
                  core::to_string(c.scenario));
     const Flagged rs(random_layout(40, 9, 300, 8), c.batch);
     core::FastPrPlanner planner(rs.layout, rs.state,
-                                  options_for(c.scenario));
+                                options_for(c.scenario));
     EXPECT_EQ(digest_plan(planner.plan_fastpr()), c.joint);
     EXPECT_EQ(digest_plan(planner.plan_sequential()), c.sequential);
   }
