@@ -1,8 +1,6 @@
 #include "agent/agent.h"
 
 #include <algorithm>
-#include <chrono>
-#include <functional>
 
 #include "gf/gf256.h"
 #include "telemetry/metrics.h"
@@ -16,7 +14,31 @@ using cluster::ChunkRef;
 using cluster::NodeId;
 using net::Message;
 using net::MessageType;
-using net::TransferMode;
+
+namespace {
+
+telemetry::Counter& agent_counter(const char* name) {
+  return telemetry::MetricsRegistry::global().counter(name);
+}
+
+/// Entry-point validation of the transfer fields an agent sizes buffers
+/// with and indexes by: a command or request that fails it is dropped
+/// and counted rather than trusted.
+bool transfer_fields_ok(const Message& msg) {
+  return msg.packet_bytes >= 1 && msg.packet_bytes <= msg.chunk_bytes &&
+         !msg.sources.empty() &&
+         msg.sources.size() <= net::kMaxRepairStreams &&
+         msg.hop < msg.sources.size() &&
+         (msg.shape == net::RepairShape::kFanIn ||
+          msg.shape == net::RepairShape::kChain);
+}
+
+uint32_t packet_count(uint64_t chunk_bytes, uint64_t packet_bytes) {
+  return static_cast<uint32_t>((chunk_bytes + packet_bytes - 1) /
+                               packet_bytes);
+}
+
+}  // namespace
 
 Agent::Agent(NodeId id, net::Transport& transport, ChunkStore& store,
              const AgentOptions& options)
@@ -97,23 +119,14 @@ void Agent::dispatch_loop() {
     // parent under the sender's open span.
     telemetry::ScopedTraceContext adopt(msg->trace, id_);
     switch (msg->type) {
-      case MessageType::kReconstructCmd:
-        handle_reconstruct_cmd(*msg);
-        break;
-      case MessageType::kMigrateCmd:
-        handle_migrate_cmd(*msg);
+      case MessageType::kRepairCmd:
+        handle_repair_cmd(*msg);
         break;
       case MessageType::kFetchRequest:
         handle_fetch_request(*msg);
         break;
       case MessageType::kDataPacket:
         handle_data_packet(std::move(*msg));
-        break;
-      case MessageType::kChainCmd:
-        handle_chain_cmd(*msg);
-        break;
-      case MessageType::kChainPacket:
-        handle_chain_packet(std::move(*msg));
         break;
       case MessageType::kCancelTask:
         handle_cancel_task(*msg);
@@ -131,113 +144,170 @@ void Agent::dispatch_loop() {
   }
 }
 
-void Agent::handle_reconstruct_cmd(const Message& msg) {
+bool Agent::stale_attempt(uint64_t task_id, uint32_t attempt) const {
+  const auto it = tasks_.find(task_id);
+  if (it != tasks_.end() && it->second.attempt >= attempt) return true;
+  const auto retired = retired_.find(task_id);
+  return retired != retired_.end() && retired->second >= attempt;
+}
+
+void Agent::retire(std::unordered_map<uint64_t, TransferState>::iterator it) {
+  uint32_t& retired = retired_[it->first];
+  retired = std::max(retired, it->second.attempt);
+  tasks_.erase(it);
+}
+
+void Agent::handle_repair_cmd(const Message& msg) {
   // We are the destination. Retries are idempotent: a command that does
-  // not advance the attempt is a duplicate and must not restart helper
+  // not advance the attempt is a duplicate and must not restart the
   // streams; a higher attempt supersedes the old state wholesale (its
   // in-flight packets then fail the attempt check and drop).
-  const auto existing = tasks_.find(msg.task_id);
-  if (existing != tasks_.end() && existing->second.attempt >= msg.attempt) {
-    telemetry::MetricsRegistry::global()
-        .counter("agent.stale_cmds")
-        .add();
+  if (!transfer_fields_ok(msg)) {
+    agent_counter("agent.malformed_msgs").add();
     return;
   }
-
-  // Register the decode state, then ask every helper to stream its
-  // (coefficient-tagged) chunk to us.
+  if (stale_attempt(msg.task_id, msg.attempt)) {
+    agent_counter("agent.stale_cmds").add();
+    return;
+  }
+  const bool chain = msg.shape == net::RepairShape::kChain;
   TransferState state;
-  state.chunk = msg.chunk;
-  state.mode = TransferMode::kDecode;
   state.attempt = msg.attempt;
-  state.expected_streams = static_cast<int>(msg.sources.size());
+  state.chunk = msg.chunk;
   state.chunk_bytes = msg.chunk_bytes;
   state.packet_bytes = msg.packet_bytes;
-  state.total_packets = static_cast<uint32_t>(
-      (msg.chunk_bytes + msg.packet_bytes - 1) / msg.packet_bytes);
+  state.total_packets = packet_count(msg.chunk_bytes, msg.packet_bytes);
+  state.streams = chain ? 1 : msg.sources.size();
   state.accumulator.assign(msg.chunk_bytes, 0);
   state.pending.resize(state.total_packets);
   tasks_[msg.task_id] = std::move(state);
 
-  for (const auto& src : msg.sources) {
+  // Ask every source to stream: a fan-in source is a one-hop chain of
+  // its own, a chain's hops each learn the whole chain. A chain is asked
+  // last-hop-first, so on an ordered transport every hop's request lands
+  // before its predecessor can stream into it; TCP's cross-connection
+  // reordering is absorbed by the hops' early-packet buffer.
+  const size_t n = msg.sources.size();
+  for (size_t j = 0; j < n; ++j) {
+    const size_t i = chain ? n - 1 - j : j;
     Message req;
     req.type = MessageType::kFetchRequest;
     req.from = id_;
-    req.to = src.node;
+    req.to = msg.sources[i].node;
     req.task_id = msg.task_id;
     req.attempt = msg.attempt;
-    req.chunk = src.chunk;
+    req.chunk = msg.chunk;
     req.dst = id_;
-    req.coefficient = src.coefficient;
+    req.chunk_bytes = msg.chunk_bytes;
     req.packet_bytes = msg.packet_bytes;
+    if (chain) {
+      req.sources = msg.sources;
+      req.hop = static_cast<uint32_t>(i);
+    } else {
+      req.sources = {msg.sources[i]};
+    }
     req.trace = telemetry::current_trace_context();
-    // Tracked by the TransferState fan-in registered above: a helper
-    // that never streams stalls the task, which the coordinator's
-    // round deadline + probe salvages.
+    // Tracked by the TransferState registered above: a source that
+    // never streams stalls the task, which the coordinator's round
+    // deadline + probe salvages.
     transport_.send(std::move(req));  // fastpr-lint: allow(ack-tracking)
   }
 }
 
-void Agent::handle_migrate_cmd(const Message& msg) {
-  // We are the STF node: stream the chunk to its new home.
-  const uint64_t task_id = msg.task_id;
-  const uint32_t attempt = msg.attempt;
-  const ChunkRef chunk = msg.chunk;
-  const NodeId dst = msg.dst;
-  const uint64_t packet_bytes = msg.packet_bytes;
-  // Contexts do not follow threads: capture ours so the reader task's
-  // spans stay in the command's trace.
-  const telemetry::TraceContext ctx = telemetry::current_trace_context();
-  reader_pool_->post([this, task_id, attempt, chunk, dst, packet_bytes,
-                      ctx] {
-    telemetry::ScopedTraceContext adopt(ctx, id_);
-    stream_chunk(task_id, attempt, chunk, dst, TransferMode::kStore, 1,
-                 packet_bytes);
-  });
-}
-
 void Agent::handle_fetch_request(const Message& msg) {
-  const uint64_t task_id = msg.task_id;
-  const uint32_t attempt = msg.attempt;
-  const ChunkRef chunk = msg.chunk;
-  const NodeId dst = msg.dst;
-  const uint8_t coeff = msg.coefficient;
-  const uint64_t packet_bytes = msg.packet_bytes;
-  const telemetry::TraceContext ctx = telemetry::current_trace_context();
-  reader_pool_->post([this, task_id, attempt, chunk, dst, coeff,
-                      packet_bytes, ctx] {
-    telemetry::ScopedTraceContext adopt(ctx, id_);
-    stream_chunk(task_id, attempt, chunk, dst, TransferMode::kDecode, coeff,
-                 packet_bytes);
-  });
+  if (!transfer_fields_ok(msg)) {
+    agent_counter("agent.malformed_msgs").add();
+    return;
+  }
+  const net::SourceSpec& own = msg.sources[msg.hop];
+  const bool last = msg.hop + 1 == msg.sources.size();
+  const NodeId next = last ? msg.dst : msg.sources[msg.hop + 1].node;
+  const uint32_t next_hop = last ? 0 : msg.hop + 1;
+
+  if (msg.hop == 0) {
+    // Nothing arrives at hop 0, so it keeps no state: a reader task
+    // streams its chunk, and the receiver drops the copies a duplicated
+    // request streams again.
+    const uint64_t task_id = msg.task_id;
+    const uint32_t attempt = msg.attempt;
+    const ChunkRef chunk = msg.chunk;
+    const ChunkRef own_chunk = own.chunk;
+    const uint8_t coeff = own.coefficient;
+    const uint64_t packet_bytes = msg.packet_bytes;
+    // Contexts do not follow threads: capture ours so the reader task's
+    // spans stay in the command's trace.
+    const telemetry::TraceContext ctx = telemetry::current_trace_context();
+    reader_pool_->post([this, task_id, attempt, chunk, own_chunk, next,
+                        next_hop, coeff, packet_bytes, ctx] {
+      telemetry::ScopedTraceContext adopt(ctx, id_);
+      stream_chunk(task_id, attempt, chunk, own_chunk, next, next_hop,
+                   coeff, packet_bytes);
+    });
+    return;
+  }
+
+  if (stale_attempt(msg.task_id, msg.attempt)) {
+    agent_counter("agent.stale_cmds").add();
+    return;
+  }
+  // Read the whole own chunk up front; per-packet disk time is charged
+  // as each slice folds, pipelined with the forwards.
+  auto content = store_.read_unthrottled(own.chunk);
+  if (!content.has_value()) {
+    report_failure(msg.task_id, msg.attempt,
+                   "read error on chain hop " + std::to_string(id_) +
+                       " for stripe " + std::to_string(own.chunk.stripe));
+    return;
+  }
+  if (content->size() != msg.chunk_bytes) {
+    agent_counter("agent.malformed_msgs").add();
+    return;
+  }
+  TransferState state;
+  state.attempt = msg.attempt;
+  state.hop = msg.hop;
+  state.chunk_bytes = msg.chunk_bytes;
+  state.packet_bytes = msg.packet_bytes;
+  state.total_packets = packet_count(msg.chunk_bytes, msg.packet_bytes);
+  state.own = std::move(*content);
+  state.coefficient = own.coefficient;
+  state.next = next;
+  state.next_hop = next_hop;
+  state.window = std::make_shared<SendWindow>();
+  state.pending.resize(state.total_packets);
+  tasks_[msg.task_id] = std::move(state);
+
+  // Fold any of our predecessor's packets that outran the request.
+  const auto early = early_.find(msg.task_id);
+  if (early != early_.end()) {
+    std::vector<Message> parked = std::move(early->second);
+    early_.erase(early);
+    for (auto& m : parked) {
+      // Re-adopt each parked packet's own context: its spans belong to
+      // the predecessor's stream, not to this request.
+      telemetry::ScopedTraceContext packet_ctx(m.trace, id_);
+      handle_data_packet(std::move(m));
+    }
+  }
 }
 
 void Agent::handle_cancel_task(const Message& msg) {
   // Cancel is keyed by attempt so a cancel racing a newer command
-  // cannot kill the newer attempt's state.
-  bool cancelled = false;
+  // cannot kill the newer attempt's state. The cancelled attempt is
+  // retired, so its stragglers drop instead of parking.
+  uint32_t& retired = retired_[msg.task_id];
+  retired = std::max(retired, msg.attempt);
   const auto it = tasks_.find(msg.task_id);
   if (it != tasks_.end() && it->second.attempt <= msg.attempt) {
     tasks_.erase(it);
-    cancelled = true;
+    agent_counter("agent.cancelled_tasks").add();
   }
-  const auto chain_it = chain_tasks_.find(msg.task_id);
-  if (chain_it != chain_tasks_.end() &&
-      chain_it->second.attempt <= msg.attempt) {
-    chain_tasks_.erase(chain_it);
-    cancelled = true;
-  }
-  const auto early_it = chain_early_.find(msg.task_id);
-  if (early_it != chain_early_.end()) {
-    std::erase_if(early_it->second, [&](const Message& m) {
+  const auto early = early_.find(msg.task_id);
+  if (early != early_.end()) {
+    std::erase_if(early->second, [&](const Message& m) {
       return m.attempt <= msg.attempt;
     });
-    if (early_it->second.empty()) chain_early_.erase(early_it);
-  }
-  if (cancelled) {
-    telemetry::MetricsRegistry::global()
-        .counter("agent.cancelled_tasks")
-        .add();
+    if (early->second.empty()) early_.erase(early);
   }
 }
 
@@ -351,21 +421,19 @@ void Agent::sender_loop() {
 }
 
 void Agent::stream_chunk(uint64_t task_id, uint32_t attempt, ChunkRef chunk,
-                         NodeId dst, TransferMode mode, uint8_t coefficient,
-                         uint64_t packet_bytes) {
-  FASTPR_CHECK(packet_bytes >= 1);
+                         ChunkRef own, NodeId next, uint32_t next_hop,
+                         uint8_t coefficient, uint64_t packet_bytes) {
   FASTPR_TRACE_SPAN("agent.stream_chunk", "agent",
                     static_cast<int64_t>(task_id), "task");
-  const auto content = store_.read_unthrottled(chunk);
+  const auto content = store_.read_unthrottled(own);
   if (!content.has_value()) {
     report_failure(task_id, attempt,
                    "read error on node " + std::to_string(id_) +
-                       " for stripe " + std::to_string(chunk.stripe));
+                       " for stripe " + std::to_string(own.stripe));
     return;
   }
   const uint64_t chunk_bytes = content->size();
-  const uint32_t total_packets = static_cast<uint32_t>(
-      (chunk_bytes + packet_bytes - 1) / packet_bytes);
+  const uint32_t total_packets = packet_count(chunk_bytes, packet_bytes);
 
   // Paper §V multi-threading: this reader task paces the disk and feeds
   // the persistent sender workers; the window keeps at most
@@ -380,78 +448,81 @@ void Agent::stream_chunk(uint64_t task_id, uint32_t attempt, ChunkRef chunk,
     Message packet;
     packet.type = MessageType::kDataPacket;
     packet.from = id_;
-    packet.to = dst;
+    packet.to = next;
     packet.task_id = task_id;
     packet.attempt = attempt;
     packet.chunk = chunk;
-    packet.mode = mode;
     packet.coefficient = coefficient;
     packet.packet_index = p;
     packet.total_packets = total_packets;
+    packet.hop = next_hop;
     packet.chunk_bytes = chunk_bytes;
     packet.packet_bytes = packet_bytes;
     packet.trace = telemetry::current_trace_context();
     // Pool-recycled payload: after the destination folds the packet in
     // and drops it, the buffer comes back for a later packet.
     packet.payload.assign(content->data() + offset, len);
-
+    if (next_hop != 0) {
+      // Seed partial sum of a chain, scaled in place: every later hop
+      // folds into it, and the destination takes the sum as is.
+      gf::mul_region(packet.payload.data(), packet.payload.data(),
+                     coefficient, len);
+      packet.coefficient = 1;
+    }
     enqueue_send(std::move(packet), window);
   }
-  telemetry::MetricsRegistry::global()
-      .counter("agent.data_packets_tx")
-      .add(total_packets);
+  agent_counter("agent.data_packets_tx").add(total_packets);
 }
 
 void Agent::handle_data_packet(Message&& msg) {
   // Static refs: one registry lookup per process, not per packet.
   static telemetry::Counter& rx_packets =
-      telemetry::MetricsRegistry::global().counter("agent.data_packets_rx");
+      agent_counter("agent.data_packets_rx");
   static telemetry::Counter& stale_packets =
-      telemetry::MetricsRegistry::global().counter("agent.stale_packets");
-  static telemetry::Counter& dup_packets =
-      telemetry::MetricsRegistry::global().counter("agent.dup_packets");
+      agent_counter("agent.stale_packets");
+  static telemetry::Counter& dup_packets = agent_counter("agent.dup_packets");
+  static telemetry::Counter& forwards = agent_counter("agent.chain_forwards");
   rx_packets.add();
-  auto it = tasks_.find(msg.task_id);
-  const bool store_restart =
-      it != tasks_.end() && msg.mode == TransferMode::kStore &&
-      msg.attempt > it->second.attempt;
-  if (it == tasks_.end() || store_restart) {
-    if (msg.mode != TransferMode::kStore) {
-      // Decode packet with no matching state: a superseded attempt's
-      // helper stream (or a cancelled task) still draining.
+  const auto it = tasks_.find(msg.task_id);
+  if (it == tasks_.end()) {
+    const auto retired = retired_.find(msg.task_id);
+    if (retired != retired_.end() && retired->second >= msg.attempt) {
+      // Straggler of an attempt this node already finished or dropped.
+      dup_packets.add();
+      return;
+    }
+    if (msg.hop == 0) {
+      // A destination registers before it requests any stream: this is
+      // a superseded attempt's stream (or a cancelled task) draining.
       stale_packets.add();
       return;
     }
-    // Migration stream: the first packet creates the state lazily (the
-    // coordinator commanded the STF node, not us). A retried migration
-    // restarts the state at its higher attempt the same way.
-    TransferState state;
-    state.chunk = msg.chunk;
-    state.mode = TransferMode::kStore;
-    state.attempt = msg.attempt;
-    state.expected_streams = 1;
-    state.chunk_bytes = msg.chunk_bytes;
-    state.packet_bytes = msg.packet_bytes;
-    state.total_packets = msg.total_packets;
-    state.accumulator.assign(msg.chunk_bytes, 0);
-    state.pending.resize(msg.total_packets);
-    tasks_[msg.task_id] = std::move(state);
-    it = tasks_.find(msg.task_id);
+    // Our hop request may still be in flight (TCP orders frames per
+    // connection, not across them): park the packet until it lands.
+    auto& parked = early_[msg.task_id];
+    if (parked.size() >= kEarlyCap) {
+      stale_packets.add();
+      return;
+    }
+    parked.push_back(std::move(msg));
+    return;
   }
 
   TransferState& state = it->second;
-  if (msg.attempt != state.attempt) {
+  if (msg.attempt != state.attempt || msg.hop != state.hop) {
     // Stale stream of a superseded attempt: folding it in would corrupt
-    // the current attempt's accumulator.
+    // the current attempt's sum.
     stale_packets.add();
     return;
   }
-  FASTPR_CHECK(msg.packet_index < state.total_packets);
   const uint64_t offset =
       static_cast<uint64_t>(msg.packet_index) * state.packet_bytes;
-  FASTPR_CHECK(offset + msg.payload.size() <= state.accumulator.size());
-  const size_t payload_bytes = msg.payload.size();
-
+  const size_t len = msg.payload.size();
+  if (msg.packet_index >= state.total_packets ||
+      len != std::min(state.packet_bytes, state.chunk_bytes - offset)) {
+    agent_counter("agent.malformed_msgs").add();
+    return;
+  }
   auto& pending = state.pending[msg.packet_index];
   if (pending.done) {
     // Already folded: a duplicated packet (flaky network) arriving
@@ -460,20 +531,46 @@ void Agent::handle_data_packet(Message&& msg) {
     return;
   }
 
-  bool packet_final = false;
-  if (state.expected_streams == 1) {
-    // Single-stream transfer (migration, or k=1 repair): no fan-in to
-    // wait for — scale-copy straight into place and recycle the buffer.
+  if (state.hop != 0) {
+    {
+      FASTPR_TRACE_SPAN("agent.chain_forward", "agent",
+                        static_cast<int64_t>(msg.task_id), "task");
+      store_.charge_io(static_cast<int64_t>(len));  // own-chunk read share
+      // Fold our scaled contribution into the running partial sum in
+      // place on the pooled payload — no copy, no allocation on the hop
+      // (single-source dot_region_xor = one fused multiply-XOR pass).
+      const uint8_t* own_slice = state.own.data() + offset;
+      gf::dot_region_xor(msg.payload.data(), &own_slice, &state.coefficient,
+                         1, len);
+      msg.from = id_;
+      msg.to = state.next;
+      msg.hop = state.next_hop;
+      msg.coefficient = 1;
+      msg.trace = telemetry::current_trace_context();
+      pending.done = true;
+      ++state.packets_complete;
+      // Send-window pipelining: up to pipeline_depth of this chain's
+      // forwards sit between the fold and the wire; the wait here is the
+      // hop's backpressure (a slow successor paces us, and through us
+      // the whole upstream chain).
+      enqueue_send(std::move(msg), state.window);
+    }
+    forwards.add();
+    if (state.packets_complete == state.total_packets) retire(it);
+    return;
+  }
+
+  if (state.streams == 1) {
+    // Single stream (migration, chain, or one-source fan-in): no fan-in
+    // to wait for — scale-copy straight into place and recycle.
     gf::mul_region(state.accumulator.data() + offset, msg.payload.data(),
-                   msg.coefficient, payload_bytes);
-    pending.done = true;
-    packet_final = true;
+                   msg.coefficient, len);
   } else {
-    // Reconstruction fan-in: park the stream's contribution until every
-    // helper's packet for this index has arrived, then fold all of them
-    // into the accumulator with one fused dot pass (one sweep over the
-    // packet instead of one per helper stream). A sender contributes at
-    // most once per index (duplicate-packet dedupe).
+    // Fan-in: park the stream's contribution until every source's
+    // packet for this index has arrived, then fold all of them into the
+    // accumulator with one fused dot pass (one sweep over the packet
+    // instead of one per stream). A sender contributes at most once per
+    // index (duplicate-packet dedupe).
     for (NodeId sender : pending.senders) {
       if (sender == msg.from) {
         dup_packets.add();
@@ -483,305 +580,39 @@ void Agent::handle_data_packet(Message&& msg) {
     pending.payloads.push_back(std::move(msg.payload));
     pending.coeffs.push_back(msg.coefficient);
     pending.senders.push_back(msg.from);
-    if (pending.payloads.size() ==
-        static_cast<size_t>(state.expected_streams)) {
-      const uint8_t* srcs[net::kMaxRepairStreams];
-      const size_t n = pending.payloads.size();
-      FASTPR_CHECK(n <= net::kMaxRepairStreams);
-      for (size_t j = 0; j < n; ++j) {
-        FASTPR_CHECK(pending.payloads[j].size() == payload_bytes);
-        srcs[j] = pending.payloads[j].data();
-      }
-      FASTPR_TRACE_SPAN("agent.accumulate", "agent",
-                        static_cast<int64_t>(msg.task_id), "task");
-      gf::dot_region_xor(state.accumulator.data() + offset, srcs,
-                         pending.coeffs.data(), n, payload_bytes);
-      pending.payloads.clear();  // recycles the pooled buffers
-      pending.coeffs.clear();
-      pending.senders.clear();
-      pending.done = true;
-      packet_final = true;
-    }
-  }
-
-  if (packet_final) {
-    // This packet of the repaired chunk is final: write it out now
-    // (pipelined disk write), matching the paper's decode-as-you-go.
-    store_.charge_io(static_cast<int64_t>(payload_bytes));
-    ++state.packets_complete;
-    if (state.packets_complete == state.total_packets) {
-      FASTPR_TRACE_SPAN("agent.store_chunk", "agent",
-                        static_cast<int64_t>(msg.task_id), "task");
-      store_.write_unthrottled(state.chunk, std::move(state.accumulator));
-      Message done;
-      done.type = MessageType::kTaskDone;
-      done.from = id_;
-      done.to = options_.coordinator;
-      done.task_id = msg.task_id;
-      done.attempt = state.attempt;
-      done.chunk = state.chunk;
-      done.trace = telemetry::current_trace_context();
-      // Completion ack: the coordinator's pending map consumes it.
-      transport_.send(std::move(done));  // fastpr-lint: allow(ack-tracking)
-      tasks_.erase(it);
-    }
-  }
-}
-
-void Agent::handle_chain_cmd(const Message& msg) {
-  // One command per hop; the full chain rides in msg.sources and `hop`
-  // names our slot. Retries are idempotent exactly like reconstruct
-  // commands: stale/duplicate attempts drop, a higher attempt replaces
-  // the hop state wholesale (its in-flight packets then fail the
-  // attempt check).
-  FASTPR_CHECK(!msg.sources.empty());
-  FASTPR_CHECK(msg.hop < msg.sources.size());
-  const auto existing = chain_tasks_.find(msg.task_id);
-  if (existing != chain_tasks_.end() &&
-      existing->second.attempt >= msg.attempt) {
-    telemetry::MetricsRegistry::global().counter("agent.stale_cmds").add();
-    return;
-  }
-  const auto done_it = chain_done_.find(msg.task_id);
-  if (done_it != chain_done_.end()) {
-    if (done_it->second >= msg.attempt) {
-      telemetry::MetricsRegistry::global().counter("agent.stale_cmds").add();
-      return;
-    }
-    chain_done_.erase(done_it);
-  }
-
-  const net::SourceSpec& own = msg.sources[msg.hop];
-  const bool last = msg.hop + 1 == msg.sources.size();
-  const NodeId next = last ? msg.dst : msg.sources[msg.hop + 1].node;
-
-  if (msg.hop == 0) {
-    // Head: nothing arrives here — a reader task seeds the chain. The
-    // (otherwise unused) state only dedupes duplicate commands.
-    ChainState state;
-    state.attempt = msg.attempt;
-    state.hop = 0;
-    chain_tasks_[msg.task_id] = std::move(state);
-    const uint64_t task_id = msg.task_id;
-    const uint32_t attempt = msg.attempt;
-    const ChunkRef chunk = msg.chunk;
-    const ChunkRef own_chunk = own.chunk;
-    const uint8_t coeff = own.coefficient;
-    const uint64_t packet_bytes = msg.packet_bytes;
-    const telemetry::TraceContext ctx = telemetry::current_trace_context();
-    reader_pool_->post([this, task_id, attempt, chunk, own_chunk, next,
-                        last, coeff, packet_bytes, ctx] {
-      telemetry::ScopedTraceContext adopt(ctx, id_);
-      chain_stream_head(task_id, attempt, chunk, own_chunk, next, last,
-                        coeff, packet_bytes);
-    });
-    return;
-  }
-
-  ChainState state;
-  state.attempt = msg.attempt;
-  state.hop = msg.hop;
-  state.next = next;
-  state.last = last;
-  state.chunk = msg.chunk;
-  state.coefficient = own.coefficient;
-  state.chunk_bytes = msg.chunk_bytes;
-  state.packet_bytes = msg.packet_bytes;
-  state.total_packets = static_cast<uint32_t>(
-      (msg.chunk_bytes + msg.packet_bytes - 1) / msg.packet_bytes);
-  // Read the whole helper chunk up front; per-packet disk time is
-  // charged as each slice folds, pipelined with the forwards.
-  auto content = store_.read_unthrottled(own.chunk);
-  if (!content.has_value()) {
-    report_failure(msg.task_id, msg.attempt,
-                   "read error on chain hop " + std::to_string(id_) +
-                       " for stripe " + std::to_string(own.chunk.stripe));
-    return;
-  }
-  FASTPR_CHECK(content->size() == msg.chunk_bytes);
-  state.own = std::move(*content);
-  state.forwarded.assign(state.total_packets, false);
-  state.window = std::make_shared<SendWindow>();
-  chain_tasks_[msg.task_id] = std::move(state);
-
-  // Drain any of our predecessor's packets that outran the command.
-  const auto early = chain_early_.find(msg.task_id);
-  if (early != chain_early_.end()) {
-    std::vector<Message> buffered = std::move(early->second);
-    chain_early_.erase(early);
-    for (auto& m : buffered) {
-      // Re-adopt each buffered packet's own context: its spans belong
-      // to the predecessor's stream, not to this command.
-      telemetry::ScopedTraceContext packet_ctx(m.trace, id_);
-      handle_chain_packet(std::move(m));
-    }
-  }
-}
-
-void Agent::handle_chain_packet(Message&& msg) {
-  static telemetry::Counter& rx_packets =
-      telemetry::MetricsRegistry::global().counter("agent.chain_packets_rx");
-  static telemetry::Counter& forwards =
-      telemetry::MetricsRegistry::global().counter("agent.chain_forwards");
-  static telemetry::Counter& stale_packets =
-      telemetry::MetricsRegistry::global().counter("agent.stale_packets");
-  static telemetry::Counter& dup_packets =
-      telemetry::MetricsRegistry::global().counter("agent.dup_packets");
-  static telemetry::Histogram& forward_ns =
-      telemetry::MetricsRegistry::global().histogram(
-          "agent.chain_forward_ns");
-  rx_packets.add();
-
-  const auto it = chain_tasks_.find(msg.task_id);
-  if (it == chain_tasks_.end()) {
-    const auto done_it = chain_done_.find(msg.task_id);
-    if (done_it != chain_done_.end() && done_it->second >= msg.attempt) {
-      // Straggling duplicate of a chain we already finished forwarding.
-      dup_packets.add();
-      return;
-    }
-    // Our kChainCmd may still be in flight (TCP orders frames per
-    // connection, not across them): park the packet until it lands.
-    auto& buffered = chain_early_[msg.task_id];
-    if (buffered.size() >= kChainEarlyCap) {
-      stale_packets.add();
-      return;
-    }
-    buffered.push_back(std::move(msg));
-    return;
-  }
-
-  ChainState& state = it->second;
-  if (msg.attempt != state.attempt || state.hop == 0) {
-    // Superseded attempt still draining (or a misrouted packet for a
-    // head slot, which never consumes packets).
-    stale_packets.add();
-    return;
-  }
-  FASTPR_CHECK(msg.packet_index < state.total_packets);
-  if (state.forwarded[msg.packet_index]) {
-    dup_packets.add();
-    return;
-  }
-  const uint64_t offset =
-      static_cast<uint64_t>(msg.packet_index) * state.packet_bytes;
-  const size_t len = msg.payload.size();
-  FASTPR_CHECK(offset + len <= state.own.size());
-
-#if FASTPR_TELEMETRY_ENABLED
-  const auto hop_start = telemetry::trace_now();
-#endif
-  {
-    FASTPR_TRACE_SPAN("agent.chain_forward", "agent",
+    if (pending.payloads.size() < state.streams) return;
+    const uint8_t* srcs[net::kMaxRepairStreams];
+    const size_t n = pending.payloads.size();
+    FASTPR_CHECK(n <= net::kMaxRepairStreams);  // validated at the command
+    for (size_t j = 0; j < n; ++j) srcs[j] = pending.payloads[j].data();
+    FASTPR_TRACE_SPAN("agent.accumulate", "agent",
                       static_cast<int64_t>(msg.task_id), "task");
-    store_.charge_io(static_cast<int64_t>(len));  // own-chunk read share
-    // Fold our scaled contribution into the running partial sum in
-    // place on the pooled payload — no copy, no allocation on the hop
-    // (single-source dot_region_xor = one fused multiply-XOR pass).
-    const uint8_t* own_slice = state.own.data() + offset;
-    gf::dot_region_xor(msg.payload.data(), &own_slice, &state.coefficient,
-                       1, len);
-
-    Message fwd;
-    fwd.from = id_;
-    fwd.to = state.next;
-    fwd.task_id = msg.task_id;
-    fwd.attempt = state.attempt;
-    fwd.chunk = state.chunk;
-    fwd.packet_index = msg.packet_index;
-    fwd.total_packets = state.total_packets;
-    fwd.chunk_bytes = state.chunk_bytes;
-    fwd.packet_bytes = state.packet_bytes;
-    fwd.trace = telemetry::current_trace_context();
-    if (state.last) {
-      // Completed partial sum: deliver as a plain store stream so the
-      // destination's existing lazy migration path absorbs it.
-      fwd.type = MessageType::kDataPacket;
-      fwd.mode = TransferMode::kStore;
-      fwd.coefficient = 1;
-    } else {
-      fwd.type = MessageType::kChainPacket;
-      fwd.mode = TransferMode::kDecode;
-      fwd.hop = state.hop + 1;
-    }
-    fwd.payload = std::move(msg.payload);
-    state.forwarded[msg.packet_index] = true;
-    ++state.forwarded_count;
-    // Send-window pipelining: up to pipeline_depth of this chain's
-    // forwards sit between the fold and the wire; the wait here is the
-    // hop's backpressure (a slow successor paces us, and through us the
-    // whole upstream chain).
-    enqueue_send(std::move(fwd), state.window);
+    gf::dot_region_xor(state.accumulator.data() + offset, srcs,
+                       pending.coeffs.data(), n, len);
+    pending.payloads.clear();  // recycles the pooled buffers
+    pending.coeffs.clear();
+    pending.senders.clear();
   }
-  forwards.add();
-#if FASTPR_TELEMETRY_ENABLED
-  forward_ns.observe(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         telemetry::trace_now() - hop_start)
-                         .count());
-#endif
 
-  if (state.forwarded_count == state.total_packets) {
-    chain_done_[msg.task_id] = state.attempt;
-    chain_tasks_.erase(it);
-  }
-}
-
-void Agent::chain_stream_head(uint64_t task_id, uint32_t attempt,
-                              ChunkRef chunk, ChunkRef own, NodeId next,
-                              bool last, uint8_t coefficient,
-                              uint64_t packet_bytes) {
-  FASTPR_CHECK(packet_bytes >= 1);
-  FASTPR_TRACE_SPAN("agent.chain_stream_head", "agent",
-                    static_cast<int64_t>(task_id), "task");
-  const auto content = store_.read_unthrottled(own);
-  if (!content.has_value()) {
-    report_failure(task_id, attempt,
-                   "read error on node " + std::to_string(id_) +
-                       " for stripe " + std::to_string(own.stripe));
-    return;
-  }
-  const uint64_t chunk_bytes = content->size();
-  const uint32_t total_packets = static_cast<uint32_t>(
-      (chunk_bytes + packet_bytes - 1) / packet_bytes);
-  const auto window = std::make_shared<SendWindow>();
-
-  for (uint32_t p = 0; p < total_packets; ++p) {
-    const uint64_t offset = static_cast<uint64_t>(p) * packet_bytes;
-    const uint64_t len = std::min(packet_bytes, chunk_bytes - offset);
-    store_.charge_io(static_cast<int64_t>(len));  // disk read time
-
-    Message packet;
-    if (last) {
-      // Single-hop chain: the seed IS the repaired chunk — ship it as
-      // a plain store stream (no forwarding, no hop overhead).
-      packet.type = MessageType::kDataPacket;
-      packet.mode = TransferMode::kStore;
-      packet.coefficient = 1;
-    } else {
-      packet.type = MessageType::kChainPacket;
-      packet.mode = TransferMode::kDecode;
-      packet.hop = 1;
-    }
-    packet.from = id_;
-    packet.to = next;
-    packet.task_id = task_id;
-    packet.attempt = attempt;
-    packet.chunk = chunk;
-    packet.packet_index = p;
-    packet.total_packets = total_packets;
-    packet.chunk_bytes = chunk_bytes;
-    packet.packet_bytes = packet_bytes;
-    packet.trace = telemetry::current_trace_context();
-    packet.payload.assign(content->data() + offset, len);
-    // Seed partial sum: scale by our own decode coefficient in place.
-    gf::mul_region(packet.payload.data(), packet.payload.data(),
-                   coefficient, len);
-
-    enqueue_send(std::move(packet), window);
-  }
-  telemetry::MetricsRegistry::global()
-      .counter("agent.chain_packets_tx")
-      .add(total_packets);
+  // This packet of the repaired chunk is final: write it out now
+  // (pipelined disk write), matching the paper's decode-as-you-go.
+  pending.done = true;
+  store_.charge_io(static_cast<int64_t>(len));
+  if (++state.packets_complete < state.total_packets) return;
+  FASTPR_TRACE_SPAN("agent.store_chunk", "agent",
+                    static_cast<int64_t>(msg.task_id), "task");
+  store_.write_unthrottled(state.chunk, std::move(state.accumulator));
+  Message done;
+  done.type = MessageType::kTaskDone;
+  done.from = id_;
+  done.to = options_.coordinator;
+  done.task_id = msg.task_id;
+  done.attempt = state.attempt;
+  done.chunk = state.chunk;
+  done.trace = telemetry::current_trace_context();
+  // Completion ack: the coordinator's pending map consumes it.
+  transport_.send(std::move(done));  // fastpr-lint: allow(ack-tracking)
+  retire(it);
 }
 
 }  // namespace fastpr::agent

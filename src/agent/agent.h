@@ -7,23 +7,25 @@
 // window, and a destination node decodes packets as they arrive so
 // reception, decoding and disk writes pipeline. Packet payloads are
 // pool-recycled (util/buffer_pool.h): a steady-state transfer reuses a
-// fixed working set of buffers instead of allocating per packet, and a
-// reconstruction fuses all k helper streams of a packet index into one
-// gf::dot_region_xor pass instead of k separate multiply-XOR sweeps.
+// fixed working set of buffers instead of allocating per packet.
 //
-// Roles an agent can play in a round, all concurrently:
-//  * helper  — answer kFetchRequest by streaming its chunk, scaled by
-//    the decode coefficient assigned by the destination;
-//  * STF     — answer kMigrateCmd by streaming a chunk to its new home;
-//  * dest    — drive a kReconstructCmd: request k helper streams,
-//    accumulate, store, ack the coordinator; or absorb a migration
-//    stream and ack;
-//  * chain hop — join a kChainCmd partial-sum chain: fold its own
-//    scaled chunk into each received packet in place (one fused
-//    multiply-XOR on the pooled payload, no copy) and forward it to the
-//    next hop under the same bounded send window, so every link of the
-//    chain streams concurrently and the whole repair approaches the
+// Every repair task — migration, fan-in reconstruction or chain — is one
+// transfer its destination drives (DESIGN.md §5b):
+//  * dest   — on kRepairCmd, register the task's state and send each
+//    source a kFetchRequest naming its source chain and slot (a fan-in
+//    source is a one-hop chain of its own; a migration is the fan-in of
+//    the STF's own chunk with coefficient 1). Fold the arriving streams
+//    — one fused gf::dot_region_xor per packet index across several
+//    streams, one mul_region for a single stream — store, ack.
+//  * hop 0  — read the chunk and stream it to the next hop (pre-scaled
+//    by its coefficient) or straight to the destination.
+//  * hop ≥1 — fold c·(own packet) into each received packet in place
+//    (one fused multiply-XOR on the pooled payload, no copy) and
+//    forward it under a bounded send window, so every link of a chain
+//    streams concurrently and the repair approaches the
 //    single-transfer bound (repair pipelining).
+// Every command and packet is validated on entry: malformed ones are
+// dropped and counted (agent.malformed_msgs), never trusted.
 #pragma once
 
 #include <atomic>
@@ -49,7 +51,7 @@ struct AgentOptions {
   /// task stalls once this many of its packets are queued or on the
   /// wire, which is what paces the disk against the network.
   size_t pipeline_depth = 4;
-  /// Persistent disk-reader tasks servicing fetch/migrate commands.
+  /// Persistent disk-reader tasks servicing fetch requests.
   size_t reader_threads = 4;
   /// Persistent network-sender workers draining the packet queue.
   /// More than one so a destination with a saturated downlink does not
@@ -102,25 +104,36 @@ class Agent {
     std::shared_ptr<SendWindow> window;
   };
 
-  /// Destination-side state of one in-flight repair task.
+  /// Per-task state of a node that receives the task's packets: its
+  /// destination, or a chain hop >= 1. Dispatcher-confined, so neither
+  /// role takes locks beyond the shared send machinery.
   struct TransferState {
-    cluster::ChunkRef chunk;  // chunk being repaired
-    net::TransferMode mode = net::TransferMode::kStore;
     /// Attempt this state belongs to. A command with a higher attempt
-    /// replaces the state wholesale; packets whose attempt mismatches
-    /// are stale (superseded retry) and dropped.
+    /// replaces the state wholesale; packets whose attempt or hop
+    /// mismatches are stale (superseded retry) and dropped.
     uint32_t attempt = 0;
-    int expected_streams = 1;
+    uint32_t hop = 0;  // this node's chain slot; 0 at the destination
+    cluster::ChunkRef chunk;  // destination: chunk being repaired
     uint64_t chunk_bytes = 0;
     uint64_t packet_bytes = 0;
     uint32_t total_packets = 0;
+    /// Destination: streams folded per packet index (one per fan-in
+    /// source, one for a chain) into the repaired chunk.
+    size_t streams = 1;
     std::vector<uint8_t> accumulator;
+    /// Hop: own chunk (read once), own coefficient, and where folded
+    /// packets go — the next hop, or the destination (next_hop 0).
+    std::vector<uint8_t> own;
+    uint8_t coefficient = 0;
+    cluster::NodeId next = cluster::kNoNode;
+    uint32_t next_hop = 0;
+    std::shared_ptr<SendWindow> window;
     /// Per packet index: the payloads+coefficients that have arrived so
-    /// far. Once all expected streams are in, one fused dot_region_xor
-    /// folds them into the accumulator and the buffers recycle.
-    /// `senders` mirrors `payloads` so a duplicated packet (flaky
-    /// network) cannot contribute the same stream twice; `done` rejects
-    /// any duplicate arriving after the fold.
+    /// far. Once all streams are in, one fused dot_region_xor folds them
+    /// into the accumulator and the buffers recycle. `senders` mirrors
+    /// `payloads` so a duplicated packet (flaky network) cannot
+    /// contribute the same stream twice; `done` rejects any duplicate
+    /// arriving after the fold (or, at a hop, the forward).
     struct Pending {
       std::vector<PooledBuffer> payloads;
       std::vector<uint8_t> coeffs;
@@ -131,42 +144,15 @@ class Agent {
     uint32_t packets_complete = 0;
   };
 
-  /// This node's slot in one partial-sum chain (packet-level repair
-  /// pipelining). Dispatcher-confined like tasks_, so the hop path
-  /// takes no locks of its own beyond the shared send machinery.
-  struct ChainState {
-    uint32_t attempt = 0;
-    uint32_t hop = 0;
-    /// Where folded packets go: the next hop, or the destination when
-    /// this is the last hop (which then sends a plain kStore stream).
-    cluster::NodeId next = cluster::kNoNode;
-    bool last = false;
-    cluster::ChunkRef chunk;    // chunk being repaired (forwarded refs)
-    uint8_t coefficient = 0;    // own decode coefficient
-    uint64_t chunk_bytes = 0;
-    uint64_t packet_bytes = 0;
-    uint32_t total_packets = 0;
-    /// Own helper chunk, read once at command time; each arriving
-    /// packet folds the matching slice into the received partial sum
-    /// in place (single-source dot_region_xor — no copy, no alloc).
-    std::vector<uint8_t> own;
-    std::vector<bool> forwarded;  // per-index duplicate rejection
-    uint32_t forwarded_count = 0;
-    std::shared_ptr<SendWindow> window;
-  };
-
-  /// Packets buffered by handle_chain_packet() for one chain whose
-  /// kChainCmd has not arrived yet (TCP delivers the predecessor's
-  /// stream and our command on unordered connections).
-  static constexpr size_t kChainEarlyCap = 64;
+  /// Packets parked for one task whose hop request has not arrived yet
+  /// (TCP delivers the predecessor's stream and our request on
+  /// unordered connections).
+  static constexpr size_t kEarlyCap = 64;
 
   void dispatch_loop();
-  void handle_reconstruct_cmd(const net::Message& msg);
-  void handle_migrate_cmd(const net::Message& msg);
+  void handle_repair_cmd(const net::Message& msg);
   void handle_fetch_request(const net::Message& msg);
   void handle_data_packet(net::Message&& msg);
-  void handle_chain_cmd(const net::Message& msg);
-  void handle_chain_packet(net::Message&& msg);
   void handle_cancel_task(const net::Message& msg);
   void handle_ping(const net::Message& msg);
   void handle_lease_grant(const net::Message& msg);
@@ -175,20 +161,20 @@ class Agent {
   /// stamps it into the message's lease-protocol fields.
   void stamp_pressure(net::Message& msg);
 
-  /// Runs as a reader task: hop 0 of a chain reads its chunk, scales
-  /// each packet by its own coefficient and streams the seed partial
-  /// sums down the chain (a kStore stream straight to the destination
-  /// when the chain has a single hop).
-  void chain_stream_head(uint64_t task_id, uint32_t attempt,
-                         cluster::ChunkRef chunk, cluster::ChunkRef own,
-                         cluster::NodeId next, bool last,
-                         uint8_t coefficient, uint64_t packet_bytes);
+  /// True when this node already holds or retired `attempt` (or a newer
+  /// one) of the task: the command is a duplicate or superseded.
+  bool stale_attempt(uint64_t task_id, uint32_t attempt) const;
 
-  /// Runs as a reader task: pipelined read→send of one chunk.
+  /// Erases a task's state, remembering its attempt as retired.
+  void retire(std::unordered_map<uint64_t, TransferState>::iterator it);
+
+  /// Runs as a reader task: hop 0 of a source chain reads `own` and
+  /// streams it to `next` in pipelined read→send packets — scaled by
+  /// `coefficient` in place when `next` is a hop (next_hop >= 1).
   void stream_chunk(uint64_t task_id, uint32_t attempt,
-                    cluster::ChunkRef chunk, cluster::NodeId dst,
-                    net::TransferMode mode, uint8_t coefficient,
-                    uint64_t packet_bytes);
+                    cluster::ChunkRef chunk, cluster::ChunkRef own,
+                    cluster::NodeId next, uint32_t next_hop,
+                    uint8_t coefficient, uint64_t packet_bytes);
 
   /// Blocks until the transfer's window has room, then queues the
   /// packet for the sender workers.
@@ -219,12 +205,11 @@ class Agent {
   std::vector<std::thread> senders_;
 
   std::unordered_map<uint64_t, TransferState> tasks_;  // dispatcher-only
-  std::unordered_map<uint64_t, ChainState> chain_tasks_;  // dispatcher-only
-  /// Chain packets that outran their kChainCmd (dispatcher-only).
-  std::unordered_map<uint64_t, std::vector<net::Message>> chain_early_;
-  /// Finished chain hops (task → attempt): a straggling duplicate of a
-  /// completed chain must be dropped, not parked in chain_early_.
-  std::unordered_map<uint64_t, uint32_t> chain_done_;  // dispatcher-only
+  /// Packets that outran their hop request (dispatcher-only).
+  std::unordered_map<uint64_t, std::vector<net::Message>> early_;
+  /// Highest attempt per task this node finished or had cancelled: its
+  /// stragglers are dropped, not parked in early_ (dispatcher-only).
+  std::unordered_map<uint64_t, uint32_t> retired_;
   std::atomic<bool> killed_{false};
   bool started_ = false;
 };

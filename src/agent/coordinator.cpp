@@ -48,132 +48,72 @@ Coordinator::Coordinator(NodeId id, net::Transport& transport,
 }
 
 void Coordinator::issue_task(uint64_t task_id, const PendingTask& task) {
+  // One command per attempt, to the destination: it drives the transfer
+  // (DESIGN.md §5b). A migration is the one-source fan-in of the STF's
+  // own chunk with coefficient 1.
+  Message cmd;
+  cmd.type = MessageType::kRepairCmd;
+  cmd.from = id_;
+  cmd.to = task.current_dst();
+  cmd.task_id = task_id;
+  cmd.attempt = task.attempt;
+  cmd.chunk = task.chunk();
+  cmd.dst = cmd.to;
+  cmd.chunk_bytes = options_.chunk_bytes;
+  cmd.packet_bytes = options_.packet_bytes;
+  cmd.trace = telemetry::current_trace_context();
   if (task.is_migration) {
-    issue_migration(task_id, task.attempt, task.mig);
+    cmd.sources.push_back(net::SourceSpec{task.mig.src, task.mig.chunk, 1});
   } else {
-    issue_reconstruction(task_id, task.attempt, task.recon);
-  }
-}
-
-void Coordinator::issue_reconstruction(uint64_t task_id, uint32_t attempt,
-                                       const core::ReconstructionTask& task) {
-  // A chain needs at least two hops to pipeline anything; a degenerate
-  // helper set (LRC local repair can shrink to one) runs as fan-in.
-  if (task.strategy == core::RepairStrategy::kChain &&
-      task.sources.size() >= 2) {
-    issue_chain(task_id, attempt, task);
-    return;
-  }
-  // Decode coefficients for this helper set.
-  std::vector<int> helper_indices;
-  helper_indices.reserve(task.sources.size());
-  for (const auto& src : task.sources) {
-    helper_indices.push_back(src.chunk.index);
-  }
-  const auto coeffs =
-      code_.repair_coefficients(task.chunk.index, helper_indices);
-  FASTPR_CHECK(coeffs.size() == task.sources.size());
-
-  Message cmd;
-  cmd.type = MessageType::kReconstructCmd;
-  cmd.from = id_;
-  cmd.to = task.dst;
-  cmd.task_id = task_id;
-  cmd.attempt = attempt;
-  cmd.chunk = task.chunk;
-  cmd.dst = task.dst;
-  cmd.chunk_bytes = options_.chunk_bytes;
-  cmd.packet_bytes = options_.packet_bytes;
-  cmd.trace = telemetry::current_trace_context();
-  for (size_t i = 0; i < task.sources.size(); ++i) {
-    cmd.sources.push_back(net::SourceSpec{task.sources[i].node,
-                                          task.sources[i].chunk, coeffs[i]});
+    // Decode coefficients for this helper set; a chain computes the same
+    // sum, just associated left-to-right down the hops.
+    std::vector<int> helper_indices;
+    helper_indices.reserve(task.recon.sources.size());
+    for (const auto& src : task.recon.sources) {
+      helper_indices.push_back(src.chunk.index);
+    }
+    const auto coeffs =
+        code_.repair_coefficients(task.recon.chunk.index, helper_indices);
+    FASTPR_CHECK(coeffs.size() == task.recon.sources.size());
+    for (size_t i = 0; i < coeffs.size(); ++i) {
+      cmd.sources.push_back(net::SourceSpec{task.recon.sources[i].node,
+                                            task.recon.sources[i].chunk,
+                                            coeffs[i]});
+    }
+    if (task.recon.strategy == core::RepairStrategy::kChain) {
+      cmd.shape = net::RepairShape::kChain;
+      coord_counter("coordinator.chain_tasks").add();
+    }
   }
   // fastpr-lint: allow(ack-tracking) — reply tracked via pending_;
   // non-acknowledgement is salvaged by round extensions + probes.
   transport_.send(std::move(cmd));
 }
 
-void Coordinator::issue_chain(uint64_t task_id, uint32_t attempt,
-                              const core::ReconstructionTask& task) {
-  // Decode coefficients, identical to the fan-in issue path — a chain
-  // computes the same sum, just associated left-to-right down the hops.
-  std::vector<int> helper_indices;
-  helper_indices.reserve(task.sources.size());
-  for (const auto& src : task.sources) {
-    helper_indices.push_back(src.chunk.index);
+void Coordinator::cancel_attempt(uint64_t task_id, const PendingTask& task,
+                                 NodeId keep_dst) {
+  // Chain hops hold per-task state (a fan-in source holds none), and a
+  // reissued chain re-picks its hop set, so every old hop is torn down
+  // along with a destination the task moved off.
+  std::vector<NodeId> nodes;
+  if (task.current_dst() != keep_dst) nodes.push_back(task.current_dst());
+  if (!task.is_migration &&
+      task.recon.strategy == core::RepairStrategy::kChain) {
+    for (const auto& src : task.recon.sources) nodes.push_back(src.node);
   }
-  const auto coeffs =
-      code_.repair_coefficients(task.chunk.index, helper_indices);
-  FASTPR_CHECK(coeffs.size() == task.sources.size());
-
-  // The full chain in hop order; every hop receives the same vector and
-  // indexes it with `hop` for its own chunk/coefficient and successor.
-  std::vector<net::SourceSpec> chain;
-  chain.reserve(task.sources.size());
-  for (size_t i = 0; i < task.sources.size(); ++i) {
-    chain.push_back(net::SourceSpec{task.sources[i].node,
-                                    task.sources[i].chunk, coeffs[i]});
+  for (NodeId node : nodes) {
+    if (node == cluster::kNoNode) continue;
+    Message msg;
+    msg.type = MessageType::kCancelTask;
+    msg.from = id_;
+    msg.to = node;
+    msg.task_id = task_id;
+    msg.attempt = task.attempt;
+    msg.trace = telemetry::current_trace_context();
+    // fastpr-lint: allow(ack-tracking) — best-effort tidy-up; superseded
+    // agent state also self-cleans via per-packet attempt checks.
+    transport_.send(std::move(msg));
   }
-
-  // One command per hop, sent last-hop-first: on the in-process
-  // transport (per-receiver FIFO, all sends from this thread) every
-  // hop's command is enqueued before its predecessor can start
-  // streaming into it; TCP cross-connection races are absorbed by the
-  // agents' early-packet buffer.
-  for (size_t i = chain.size(); i-- > 0;) {
-    Message cmd;
-    cmd.type = MessageType::kChainCmd;
-    cmd.from = id_;
-    cmd.to = chain[i].node;
-    cmd.task_id = task_id;
-    cmd.attempt = attempt;
-    cmd.chunk = task.chunk;
-    cmd.dst = task.dst;
-    cmd.hop = static_cast<uint32_t>(i);
-    cmd.chunk_bytes = options_.chunk_bytes;
-    cmd.packet_bytes = options_.packet_bytes;
-    cmd.sources = chain;
-    cmd.trace = telemetry::current_trace_context();
-    // fastpr-lint: allow(ack-tracking) — completion is acked by the
-    // destination (kTaskDone) via pending_; a stalled chain is salvaged
-    // by round extensions + probes over collect_task_nodes.
-    transport_.send(std::move(cmd));
-  }
-  coord_counter("coordinator.chain_tasks").add();
-}
-
-void Coordinator::issue_migration(uint64_t task_id, uint32_t attempt,
-                                  const core::MigrationTask& task) {
-  Message cmd;
-  cmd.type = MessageType::kMigrateCmd;
-  cmd.from = id_;
-  cmd.to = task.src;
-  cmd.task_id = task_id;
-  cmd.attempt = attempt;
-  cmd.chunk = task.chunk;
-  cmd.dst = task.dst;
-  cmd.chunk_bytes = options_.chunk_bytes;
-  cmd.packet_bytes = options_.packet_bytes;
-  cmd.trace = telemetry::current_trace_context();
-  // fastpr-lint: allow(ack-tracking) — reply tracked via pending_;
-  // non-acknowledgement is salvaged by round extensions + probes.
-  transport_.send(std::move(cmd));
-}
-
-void Coordinator::cancel_attempt(NodeId node, uint64_t task_id,
-                                 uint32_t attempt) {
-  if (node == cluster::kNoNode) return;
-  Message msg;
-  msg.type = MessageType::kCancelTask;
-  msg.from = id_;
-  msg.to = node;
-  msg.task_id = task_id;
-  msg.attempt = attempt;
-  msg.trace = telemetry::current_trace_context();
-  // fastpr-lint: allow(ack-tracking) — best-effort tidy-up; superseded
-  // agent state also self-cleans via per-packet attempt checks.
-  transport_.send(std::move(msg));
 }
 
 core::ReconstructionTask Coordinator::fallback_for(
@@ -382,17 +322,9 @@ void Coordinator::reissue_now(uint64_t task_id, ExecutionReport& report) {
     abandon(task_id, "attempts exhausted", report);
     return;
   }
-  const NodeId old_dst = task.current_dst();
-  const uint32_t old_attempt = task.attempt;
-  // Chain hops hold per-task state and a reissued chain re-picks its
-  // hop set, so tear every old hop down. Attempt-guarded: a cancel
-  // carrying the old attempt cannot kill the state a reused hop gets
-  // from the new command's higher attempt.
-  std::vector<NodeId> old_hops;
-  if (!task.is_migration &&
-      task.recon.strategy == core::RepairStrategy::kChain) {
-    for (const auto& src : task.recon.sources) old_hops.push_back(src.node);
-  }
+  // Attempt-guarded cancels: one carrying the old attempt cannot kill
+  // the state a reused node gets from the new attempt.
+  const PendingTask old = task;
   ++task.attempt;
   if (!rebuild_task(task, report)) {
     abandon(task_id, "no viable helper set or destination", report);
@@ -400,10 +332,7 @@ void Coordinator::reissue_now(uint64_t task_id, ExecutionReport& report) {
   }
   ++report.retries;
   coord_counter("coordinator.retries").add();
-  if (task.current_dst() != old_dst) {
-    cancel_attempt(old_dst, task_id, old_attempt);
-  }
-  for (NodeId hop : old_hops) cancel_attempt(hop, task_id, old_attempt);
+  cancel_attempt(task_id, old, task.current_dst());
   issue_task(task_id, task);
 }
 
@@ -416,14 +345,7 @@ void Coordinator::abandon(uint64_t task_id, const std::string& reason,
   report.errors.push_back("chunk " + chunk_str(chunk) +
                           " unrepaired: " + reason);
   coord_counter("coordinator.tasks_abandoned").add();
-  cancel_attempt(it->second.current_dst(), task_id, it->second.attempt);
-  const PendingTask& task = it->second;
-  if (!task.is_migration &&
-      task.recon.strategy == core::RepairStrategy::kChain) {
-    for (const auto& src : task.recon.sources) {
-      cancel_attempt(src.node, task_id, task.attempt);
-    }
-  }
+  cancel_attempt(task_id, it->second, cluster::kNoNode);
   pending_.erase(it);
 }
 

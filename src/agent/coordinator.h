@@ -1,9 +1,12 @@
 // The FastPR coordinator (§V): executes a RepairPlan round by round.
 //
-// Per round it issues kReconstructCmd / kMigrateCmd to the agents,
-// computes decode coefficients from the erasure code, then waits for all
-// acknowledgements before starting the next round. Execution is
-// fault-tolerant (DESIGN.md §7):
+// Per round it sends each task one kRepairCmd, to the task's
+// destination: the sources with their decode coefficients (from the
+// erasure code) and the shape — fan-in, chain, or a migration as the
+// one-source fan-in of the STF's own chunk. The destination drives the
+// transfer and acks; the coordinator waits for all acknowledgements
+// before starting the next round. Execution is fault-tolerant
+// (DESIGN.md §7):
 //
 //  * A failed or timed-out task is reissued (bounded attempts with
 //    exponential backoff) with the faulty nodes excluded — helpers are
@@ -269,19 +272,13 @@ class Coordinator {
     }
   };
 
+  /// Sends the task's current attempt as one kRepairCmd to its
+  /// destination, naming every source and the shape.
   void issue_task(uint64_t task_id, const PendingTask& task);
-  void issue_reconstruction(uint64_t task_id, uint32_t attempt,
-                            const core::ReconstructionTask& task);
-  /// Issues a kChain-strategy reconstruction: one kChainCmd per hop
-  /// (full chain in `sources`, the receiver's slot in `hop`), sent
-  /// last-hop-first so every hop's command is enqueued before its
-  /// predecessor can start streaming into it.
-  void issue_chain(uint64_t task_id, uint32_t attempt,
-                   const core::ReconstructionTask& task);
-  void issue_migration(uint64_t task_id, uint32_t attempt,
-                       const core::MigrationTask& task);
-  void cancel_attempt(cluster::NodeId node, uint64_t task_id,
-                      uint32_t attempt);
+  /// Cancels `task`'s attempt at its destination (unless it is
+  /// `keep_dst`) and, for a chain, at every hop.
+  void cancel_attempt(uint64_t task_id, const PendingTask& task,
+                      cluster::NodeId keep_dst);
 
   /// Registers and issues one planned task (rebuilding it first when it
   /// references nodes already known to have failed).

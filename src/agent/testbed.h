@@ -81,9 +81,9 @@ struct TestbedOptions {
   /// the cost model. Executions honor whatever the plan's rounds carry.
   core::StrategyChoice repair_strategy = core::StrategyChoice::kFanIn;
   /// Per-forward store-and-forward cost of a chain hop, charged by the
-  /// shaped transports on kChainPacket sends AND fed to the planners'
-  /// cost model, so kAuto decides on the numbers the execution shows.
-  /// The default approximates a receive→fuse→re-send turnaround on the
+  /// shaped transports on packets addressed to a hop >= 1 AND fed to
+  /// the planners' cost model, so kAuto decides on the numbers the
+  /// execution shows. The default approximates a receive→fuse→re-send turnaround on the
   /// scaled testbed; irrelevant while no chain runs.
   double chain_hop_overhead_seconds = 500e-6;
   std::chrono::milliseconds round_timeout{120000};

@@ -26,45 +26,38 @@ void InprocTransport::send(Message msg) {
 
   if (is_data_packet(msg.type)) {
     const auto bytes = static_cast<int64_t>(msg.encoded_size());
-    endpoints_[static_cast<size_t>(msg.from)]->data_tx.fetch_add(
-        bytes, std::memory_order_relaxed);
-    endpoints_[static_cast<size_t>(msg.to)]->data_rx.fetch_add(
-        bytes, std::memory_order_relaxed);
+    auto& from = *endpoints_[static_cast<size_t>(msg.from)];
+    auto& to = *endpoints_[static_cast<size_t>(msg.to)];
+    from.data_tx.fetch_add(bytes, std::memory_order_relaxed);
+    to.data_rx.fetch_add(bytes, std::memory_order_relaxed);
     if (options_.flow_monitor != nullptr) {
       options_.flow_monitor->on_tx(msg.from, msg.to, bytes,
                                    telemetry::trace_now_us());
     }
-  }
-  const bool shaped =
-      options_.shape_control_messages || is_data_packet(msg.type);
-  if (shaped) {
-    auto& tx = *endpoints_[static_cast<size_t>(msg.from)]->tx;
-    int64_t tx_bytes = static_cast<int64_t>(msg.encoded_size());
-    if (msg.type == MessageType::kChainPacket &&
-        options_.chain_hop_overhead_seconds > 0) {
+    int64_t tx_bytes = bytes;
+    if (msg.hop != 0 && options_.chain_hop_overhead_seconds > 0) {
       // Store-and-forward cost of the chain hop, as the byte-equivalent
       // of a fixed time at the hop's current uplink rate (0 when
       // unthrottled). This is the measured-side twin of
       // ModelParams.chain_hop_overhead_seconds.
       tx_bytes += static_cast<int64_t>(
-          options_.chain_hop_overhead_seconds * tx.rate());
+          options_.chain_hop_overhead_seconds * from.tx->rate());
     }
-    // Span duration ≈ time this packet waited on bandwidth shaping.
-    FASTPR_TRACE_SPAN("inproc.shape", "net", tx_bytes, "bytes");
-    // Sender's uplink first, then receiver's downlink: a saturated
-    // receiver back-pressures all of its senders, which is exactly the
-    // hot-standby bottleneck of Eq. (6).
-    tx.acquire(tx_bytes);
-    endpoints_[static_cast<size_t>(msg.to)]->rx->acquire(
-        static_cast<int64_t>(msg.encoded_size()));
-  }
-
-  // Delivery timestamp AFTER shaping: the flow monitor's rx samples
-  // measure the link's achieved rate, shaping included.
-  if (options_.flow_monitor != nullptr && is_data_packet(msg.type)) {
-    options_.flow_monitor->on_rx(msg.from, msg.to,
-                                 static_cast<int64_t>(msg.encoded_size()),
-                                 telemetry::trace_now_us());
+    {
+      // Span duration ≈ time this packet waited on bandwidth shaping.
+      FASTPR_TRACE_SPAN("inproc.shape", "net", tx_bytes, "bytes");
+      // Sender's uplink first, then receiver's downlink: a saturated
+      // receiver back-pressures all of its senders, which is exactly the
+      // hot-standby bottleneck of Eq. (6).
+      from.tx->acquire(tx_bytes);
+      to.rx->acquire(bytes);
+    }
+    // Delivery timestamp AFTER shaping: the flow monitor's rx samples
+    // measure the link's achieved rate, shaping included.
+    if (options_.flow_monitor != nullptr) {
+      options_.flow_monitor->on_rx(msg.from, msg.to, bytes,
+                                   telemetry::trace_now_us());
+    }
   }
 
   auto& ep = *endpoints_[static_cast<size_t>(msg.to)];

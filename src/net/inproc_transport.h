@@ -3,9 +3,9 @@
 // Each node has a TX bucket and an RX bucket refilling at the configured
 // per-node bandwidth bn. A send charges the sender's TX bucket and the
 // receiver's RX bucket for the message's encoded size, then delivers to
-// the receiver's inbox. Control messages can optionally ride for free
-// (the paper's model charges only chunk transfers; commands/acks are
-// negligible next to 64 MB chunks).
+// the receiver's inbox. Control messages ride for free (the paper's
+// model charges only chunk transfers; commands/acks are negligible next
+// to 64 MB chunks).
 #pragma once
 
 #include <atomic>
@@ -25,16 +25,13 @@ class InprocTransport final : public Transport {
  public:
   struct Options {
     double net_bytes_per_sec = 0;  // <=0: unlimited
-    /// Charge bandwidth only for payload-bearing data messages
-    /// (default), or for every message.
-    bool shape_control_messages = false;
     int64_t burst_bytes = 1 * kMiB;
-    /// Per-packet store-and-forward cost of a chain hop (kChainPacket
-    /// sends only): receive → fuse → re-send pays syscalls, interrupts
-    /// and cache traffic that a fan-in helper's sequential stream does
-    /// not. Charged deterministically as the byte-equivalent at the
-    /// sender's current NIC rate (a fixed TIME per forward, so it is
-    /// rate-independent), mirroring
+    /// Per-packet store-and-forward cost of a chain hop (data packets
+    /// addressed to a hop >= 1): receive → fuse → re-send pays
+    /// syscalls, interrupts and cache traffic that a fan-in helper's
+    /// sequential stream does not. Charged deterministically as the
+    /// byte-equivalent at the sender's current NIC rate (a fixed TIME
+    /// per forward, so it is rate-independent), mirroring
     /// ModelParams.chain_hop_overhead_seconds so measured chain rounds
     /// and the cost model see the same per-forward cost. No effect on
     /// unthrottled transports.
@@ -67,8 +64,8 @@ class InprocTransport final : public Transport {
   /// Total bytes ever accepted for delivery (testing/teardown aid).
   int64_t total_bytes_sent() const;
 
-  /// Bytes of payload-bearing (kDataPacket/kChainPacket) traffic sent
-  /// by / received by a node so far (repair-traffic accounting).
+  /// Bytes of payload-bearing (kDataPacket) traffic sent by / received
+  /// by a node so far (repair-traffic accounting).
   int64_t data_bytes_tx(cluster::NodeId node) const;
   int64_t data_bytes_rx(cluster::NodeId node) const;
 

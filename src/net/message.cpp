@@ -63,8 +63,7 @@ class Reader {
 /// of silently accepting or rejecting it via a magic numeric range.
 bool valid_message_type(uint8_t raw) {
   switch (static_cast<MessageType>(raw)) {
-    case MessageType::kReconstructCmd:
-    case MessageType::kMigrateCmd:
+    case MessageType::kRepairCmd:
     case MessageType::kFetchRequest:
     case MessageType::kDataPacket:
     case MessageType::kTaskDone:
@@ -73,8 +72,6 @@ bool valid_message_type(uint8_t raw) {
     case MessageType::kPing:
     case MessageType::kPong:
     case MessageType::kCancelTask:
-    case MessageType::kChainCmd:
-    case MessageType::kChainPacket:
     case MessageType::kLeaseGrant:
     case MessageType::kPressureReport:
       return true;
@@ -91,7 +88,7 @@ constexpr size_t kFixedHeaderBytes =
                         //        origin_ts_us
     4 + 4 +             // chunk.stripe, chunk.index
     4 +                 // dst
-    1 + 1 +             // mode, coefficient
+    1 + 1 +             // shape, coefficient
     4 + 4 +             // packet_index, total_packets
     4 +                 // hop
     8 + 8 +             // chunk_bytes, packet_bytes
@@ -112,7 +109,7 @@ void write_message(uint8_t* out, const Message& msg) {
   w.put<int32_t>(msg.chunk.stripe);
   w.put<int32_t>(msg.chunk.index);
   w.put<int32_t>(msg.dst);
-  w.put<uint8_t>(static_cast<uint8_t>(msg.mode));
+  w.put<uint8_t>(static_cast<uint8_t>(msg.shape));
   w.put<uint8_t>(msg.coefficient);
   w.put<uint32_t>(msg.packet_index);
   w.put<uint32_t>(msg.total_packets);
@@ -149,7 +146,7 @@ Message Message::clone() const {
   copy.trace = trace;
   copy.chunk = chunk;
   copy.dst = dst;
-  copy.mode = mode;
+  copy.shape = shape;
   copy.coefficient = coefficient;
   copy.packet_index = packet_index;
   copy.total_packets = total_packets;
@@ -177,7 +174,7 @@ PooledBuffer serialize_pooled(const Message& msg) {
 std::optional<Message> deserialize(std::span<const uint8_t> bytes) {
   Reader reader(bytes);
   Message msg;
-  uint8_t type = 0, mode = 0;
+  uint8_t type = 0, shape = 0;
   uint32_t num_sources = 0, error_len = 0, payload_len = 0;
   if (!reader.read(type) || !reader.read(msg.from) || !reader.read(msg.to) ||
       !reader.read(msg.task_id) || !reader.read(msg.attempt) ||
@@ -187,7 +184,7 @@ std::optional<Message> deserialize(std::span<const uint8_t> bytes) {
       !reader.read(msg.trace.origin_ts_us) ||
       !reader.read(msg.chunk.stripe) ||
       !reader.read(msg.chunk.index) || !reader.read(msg.dst) ||
-      !reader.read(mode) || !reader.read(msg.coefficient) ||
+      !reader.read(shape) || !reader.read(msg.coefficient) ||
       !reader.read(msg.packet_index) || !reader.read(msg.total_packets) ||
       !reader.read(msg.hop) ||
       !reader.read(msg.chunk_bytes) || !reader.read(msg.packet_bytes) ||
@@ -197,8 +194,8 @@ std::optional<Message> deserialize(std::span<const uint8_t> bytes) {
   }
   if (!valid_message_type(type)) return std::nullopt;
   msg.type = static_cast<MessageType>(type);
-  if (mode > 1) return std::nullopt;
-  msg.mode = static_cast<TransferMode>(mode);
+  if (shape > static_cast<uint8_t>(RepairShape::kChain)) return std::nullopt;
+  msg.shape = static_cast<RepairShape>(shape);
 
   // Bound the declared sizes by the actual frame length before any
   // allocation — corrupted counts must not trigger huge resizes.

@@ -21,18 +21,15 @@
 namespace fastpr::net {
 
 enum class MessageType : uint8_t {
-  kReconstructCmd = 1,  // coordinator → destination agent
-  kMigrateCmd = 2,      // coordinator → STF agent
-  kFetchRequest = 3,    // destination agent → helper agent
-  kDataPacket = 4,      // helper/STF agent → destination agent
+  kRepairCmd = 1,       // coordinator → destination agent (one per attempt)
+  kFetchRequest = 3,    // destination agent → every source of the task
+  kDataPacket = 4,      // source/hop agent → next hop or destination
   kTaskDone = 5,        // destination agent → coordinator
   kTaskFailed = 6,      // any agent → coordinator
   kShutdown = 7,        // coordinator → agent
   kPing = 8,            // coordinator → agent (liveness probe)
   kPong = 9,            // agent → coordinator (probe reply)
   kCancelTask = 10,     // coordinator → agent (drop a stale attempt)
-  kChainCmd = 11,       // coordinator → chain hop (join a partial-sum chain)
-  kChainPacket = 12,    // chain hop → next hop (running partial sum)
   /// Repair-bandwidth lease (coordinator → agent, DESIGN.md §10).
   /// Field reuse, no new wire fields: task_id = lease sequence number
   /// (globally monotonic; agents apply only seq-increasing grants, so a
@@ -50,23 +47,29 @@ enum class MessageType : uint8_t {
 /// Payload-bearing repair traffic: what the transports shape against the
 /// network budget and count as repair bytes. Everything else is control.
 constexpr bool is_data_packet(MessageType t) {
-  return t == MessageType::kDataPacket || t == MessageType::kChainPacket;
+  return t == MessageType::kDataPacket;
 }
 
-/// How a destination handles incoming data packets of a task.
-enum class TransferMode : uint8_t {
-  kStore = 0,   // migration: write payload verbatim
-  kDecode = 1,  // reconstruction: multiply by coeff and XOR-accumulate
+/// How a kRepairCmd's sources reach its destination. Every source is a
+/// hop of a source chain: hop 0 streams its chunk, each later hop folds
+/// c·(own packet) into every packet it receives and forwards the sum.
+/// kFanIn gives each source a one-hop chain of its own, so the
+/// destination folds one stream per source; a migration is the fan-in
+/// of one source, the STF's own chunk with coefficient 1. kChain runs
+/// all sources as one chain in the given order (repair pipelining).
+enum class RepairShape : uint8_t {
+  kFanIn = 0,
+  kChain = 1,
 };
 
-/// Upper bound on concurrent helper streams feeding one reconstruction
-/// (paper configs top out at k = 12 for RS(12,4); headroom beyond that).
+/// Upper bound on the sources of one repair task (paper configs top out
+/// at k = 12 for RS(12,4); headroom beyond that).
 constexpr size_t kMaxRepairStreams = 32;
 
-/// One helper source of a reconstruction task.
+/// One source of a repair task.
 struct SourceSpec {
   cluster::NodeId node = cluster::kNoNode;
-  cluster::ChunkRef chunk;   // helper chunk on that node
+  cluster::ChunkRef chunk;   // the source's chunk on that node
   uint8_t coefficient = 0;   // GF(256) decode coefficient
 };
 
@@ -87,21 +90,22 @@ struct Message {
   /// clock-sync sample on kPing/kPong probes. All-zero when tracing is
   /// off or compiled out — the wire layout never changes.
   telemetry::TraceContext trace;
-  cluster::ChunkRef chunk;       // the chunk being repaired / fetched
-  cluster::NodeId dst = cluster::kNoNode;  // final destination (commands)
-  TransferMode mode = TransferMode::kStore;
-  uint8_t coefficient = 0;       // decode coefficient (packets)
+  cluster::ChunkRef chunk;       // the chunk being repaired
+  cluster::NodeId dst = cluster::kNoNode;  // the task's destination
+  RepairShape shape = RepairShape::kFanIn;  // kRepairCmd only
+  /// kDataPacket: what the destination multiplies the payload by (1
+  /// for a chain's folded sum).
+  uint8_t coefficient = 0;
   uint32_t packet_index = 0;
   uint32_t total_packets = 0;
-  /// Chain position (0-based). kChainCmd: the receiver's slot in the
-  /// hop order carried by `sources`; kChainPacket: the slot of the hop
-  /// the packet is addressed to. 0 elsewhere.
+  /// Chain position. kFetchRequest: the receiver's slot in `sources`.
+  /// kDataPacket: the slot of the hop the packet is addressed to, 0 when
+  /// it goes to the destination (hop 0 never receives packets).
   uint32_t hop = 0;
   uint64_t chunk_bytes = 0;
   uint64_t packet_bytes = 0;
-  /// kReconstructCmd: the fan-in helper set. kChainCmd: the FULL chain
-  /// in hop order (every hop receives the same vector and indexes it
-  /// with `hop` for its own chunk/coefficient and successor).
+  /// kRepairCmd: every source of the task. kFetchRequest: the
+  /// receiver's source chain in hop order.
   std::vector<SourceSpec> sources;
   std::string error;                 // kTaskFailed only
   /// kDataPacket only. Pool-recycled: steady-state packet traffic reuses

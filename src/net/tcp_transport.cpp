@@ -128,15 +128,15 @@ void TcpTransport::reader_loop(int node, int fd) {
       LOG_WARN("tcp: malformed frame dropped on node " << node);
       continue;
     }
-    const bool shaped = options_.shape_control_messages ||
-                        is_data_packet(msg->type);
-    if (shaped) ep.rx->acquire(static_cast<int64_t>(frame.size()));
-    // Delivery timestamp AFTER rx shaping, so the flow monitor sees the
-    // link's achieved (shaped) rate.
-    if (options_.flow_monitor != nullptr && is_data_packet(msg->type)) {
-      options_.flow_monitor->on_rx(msg->from, msg->to,
-                                   static_cast<int64_t>(frame.size()),
-                                   telemetry::trace_now_us());
+    if (is_data_packet(msg->type)) {
+      ep.rx->acquire(static_cast<int64_t>(frame.size()));
+      // Delivery timestamp AFTER rx shaping, so the flow monitor sees
+      // the link's achieved (shaped) rate.
+      if (options_.flow_monitor != nullptr) {
+        options_.flow_monitor->on_rx(msg->from, msg->to,
+                                     static_cast<int64_t>(frame.size()),
+                                     telemetry::trace_now_us());
+      }
     }
     {
       MutexLock lock(ep.mutex);
@@ -182,22 +182,19 @@ void TcpTransport::send(Message msg) {
   auto& ep = *endpoints_[static_cast<size_t>(msg.from)];
 
   const auto frame = serialize_pooled(msg);
-  const bool shaped = options_.shape_control_messages ||
-                      is_data_packet(msg.type);
-  if (shaped) {
+  if (is_data_packet(msg.type)) {
     int64_t tx_bytes = static_cast<int64_t>(frame.size());
-    if (msg.type == MessageType::kChainPacket &&
-        options_.chain_hop_overhead_seconds > 0) {
+    if (msg.hop != 0 && options_.chain_hop_overhead_seconds > 0) {
       // Chain-hop store-and-forward cost, mirroring InprocTransport.
       tx_bytes += static_cast<int64_t>(
           options_.chain_hop_overhead_seconds * ep.tx->rate());
     }
     ep.tx->acquire(tx_bytes);
-  }
-  if (options_.flow_monitor != nullptr && is_data_packet(msg.type)) {
-    options_.flow_monitor->on_tx(msg.from, msg.to,
-                                 static_cast<int64_t>(frame.size()),
-                                 telemetry::trace_now_us());
+    if (options_.flow_monitor != nullptr) {
+      options_.flow_monitor->on_tx(msg.from, msg.to,
+                                   static_cast<int64_t>(frame.size()),
+                                   telemetry::trace_now_us());
+    }
   }
 
   static telemetry::Counter& tx_frames =

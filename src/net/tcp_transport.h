@@ -27,12 +27,11 @@ class TcpTransport final : public Transport {
  public:
   struct Options {
     double net_bytes_per_sec = 0;  // <=0: unlimited
-    bool shape_control_messages = false;
     int64_t burst_bytes = 1 * kMiB;
-    /// Per-packet store-and-forward cost of a chain hop (kChainPacket
-    /// sends only), charged as byte-equivalent time at the sender's NIC
-    /// rate — see InprocTransport::Options for the full rationale. No
-    /// effect on unthrottled transports.
+    /// Per-packet store-and-forward cost of a chain hop (data packets
+    /// addressed to a hop >= 1), charged as byte-equivalent time at the
+    /// sender's NIC rate — see InprocTransport::Options for the full
+    /// rationale. No effect on unthrottled transports.
     double chain_hop_overhead_seconds = 0;
     /// When set, every data packet's transmit/delivery is reported to
     /// this monitor as per-link flow samples. Not owned; must outlive

@@ -32,15 +32,21 @@ TestbedOptions small_options(uint64_t seed) {
 
 struct Param {
   core::Scenario scenario;
+  core::StrategyChoice repair;  // how reconstructions move their bytes
   const char* strategy;
 };
 
 class TestbedExecutionTest : public ::testing::TestWithParam<Param> {};
 
+constexpr auto kFanIn = core::StrategyChoice::kFanIn;
+constexpr auto kChain = core::StrategyChoice::kChain;
+
 TEST_P(TestbedExecutionTest, ExecutesAndVerifies) {
   const auto p = GetParam();
   ec::RsCode code(6, 4);
-  Testbed tb(small_options(21), code);
+  auto opts = small_options(21);
+  opts.repair_strategy = p.repair;
+  Testbed tb(opts, code);
   tb.flag_stf();
   auto planner = tb.make_planner(p.scenario);
 
@@ -53,6 +59,12 @@ TEST_P(TestbedExecutionTest, ExecutesAndVerifies) {
     plan = planner.plan_migration_only();
   }
   validate_plan(plan, tb.layout(), tb.cluster(), 4);
+  for (const auto& round : plan.rounds) {
+    if (round.reconstructions.empty()) continue;
+    EXPECT_EQ(round.strategy, p.repair == core::StrategyChoice::kChain
+                                  ? core::RepairStrategy::kChain
+                                  : core::RepairStrategy::kFanIn);
+  }
 
   const auto report = tb.execute(plan);
   EXPECT_TRUE(report.success) << (report.errors.empty()
@@ -65,17 +77,23 @@ TEST_P(TestbedExecutionTest, ExecutesAndVerifies) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, TestbedExecutionTest,
-    ::testing::Values(Param{core::Scenario::kScattered, "fastpr"},
-                      Param{core::Scenario::kScattered, "reconstruction"},
-                      Param{core::Scenario::kScattered, "migration"},
-                      Param{core::Scenario::kHotStandby, "fastpr"},
-                      Param{core::Scenario::kHotStandby, "reconstruction"},
-                      Param{core::Scenario::kHotStandby, "migration"}),
+    ::testing::Values(
+        Param{core::Scenario::kScattered, kFanIn, "fastpr"},
+        Param{core::Scenario::kScattered, kFanIn, "reconstruction"},
+        Param{core::Scenario::kScattered, kFanIn, "migration"},
+        Param{core::Scenario::kHotStandby, kFanIn, "fastpr"},
+        Param{core::Scenario::kHotStandby, kFanIn, "reconstruction"},
+        Param{core::Scenario::kHotStandby, kFanIn, "migration"},
+        Param{core::Scenario::kScattered, kChain, "fastpr"},
+        Param{core::Scenario::kScattered, kChain, "reconstruction"},
+        Param{core::Scenario::kHotStandby, kChain, "fastpr"},
+        Param{core::Scenario::kHotStandby, kChain, "reconstruction"}),
     [](const auto& info) {
       return std::string(info.param.scenario == core::Scenario::kScattered
                              ? "scattered_"
                              : "hotstandby_") +
-             info.param.strategy;
+             info.param.strategy +
+             (info.param.repair == kChain ? "_chain" : "");
     });
 
 TEST(Testbed, LrcPlansExecuteWithLocalRepairFanIn) {
@@ -181,8 +199,8 @@ TEST(Testbed, ChainLrcExecutesAndVerifies) {
 
 TEST(Testbed, ChainOverTcpEndToEnd) {
   // The chain protocol tolerates TCP's lack of cross-connection
-  // ordering (packets can beat the kChainCmd; the early buffer absorbs
-  // them).
+  // ordering (packets can beat a hop's fetch request; the early buffer
+  // absorbs them).
   ec::RsCode code(6, 4);
   auto opts = small_options(55);
   opts.use_tcp = true;

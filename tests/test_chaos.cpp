@@ -78,17 +78,32 @@ bool contains_node(const std::vector<cluster::NodeId>& nodes,
   return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
 }
 
-TEST(Chaos, HelperCrashMidStreamRecovers) {
+/// True when some round of `plan` reconstructs through chains — the
+/// chain variants below must really exercise the hop protocol.
+bool runs_chains(const core::RepairPlan& plan) {
+  return std::any_of(plan.rounds.begin(), plan.rounds.end(),
+                     [](const core::RepairRound& round) {
+                       return round.strategy == core::RepairStrategy::kChain &&
+                              !round.reconstructions.empty();
+                     });
+}
+
+// The scenarios below run once per reconstruction strategy: fan-in
+// (the paper's) and partial-sum chains.
+
+void helper_crash_mid_stream_recovers(core::StrategyChoice strategy) {
   ec::RsCode code(6, 4);
   for (int i = 0; i < kNumSeeds; ++i) {
     const uint64_t seed = seed_base() + static_cast<uint64_t>(i);
     SCOPED_TRACE("seed " + std::to_string(seed));
     auto opts = chaos_options(seed);
+    opts.repair_strategy = strategy;
 
     const auto scouted =
         scout_plan(opts, code, core::Scenario::kScattered);
     ASSERT_FALSE(scouted.rounds.empty());
     ASSERT_FALSE(scouted.rounds[0].reconstructions.empty());
+    // A fan-in helper, or the head of a chain.
     const auto victim = scouted.rounds[0].reconstructions[0].sources[0].node;
 
     // The helper dies two data packets into its very first stream.
@@ -97,6 +112,7 @@ TEST(Chaos, HelperCrashMidStreamRecovers) {
     Testbed tb(opts, code);
     tb.flag_stf();
     const auto plan = tb.make_planner(core::Scenario::kScattered).plan_fastpr();
+    EXPECT_EQ(runs_chains(plan), strategy == core::StrategyChoice::kChain);
 
 #if FASTPR_TELEMETRY_ENABLED
     const int64_t retries_before = telemetry::MetricsRegistry::global()
@@ -114,6 +130,14 @@ TEST(Chaos, HelperCrashMidStreamRecovers) {
               retries_before);
 #endif
   }
+}
+
+TEST(Chaos, HelperCrashMidStreamRecovers) {
+  helper_crash_mid_stream_recovers(core::StrategyChoice::kFanIn);
+}
+
+TEST(Chaos, HelperCrashMidStreamRecoversOnChain) {
+  helper_crash_mid_stream_recovers(core::StrategyChoice::kChain);
 }
 
 TEST(Chaos, MidChainHopCrashRecovers) {
@@ -169,12 +193,14 @@ TEST(Chaos, MidChainHopCrashRecovers) {
   }
 }
 
-TEST(Chaos, DestinationCrashRecoversOntoAlternate) {
+void destination_crash_recovers_onto_alternate(
+    core::StrategyChoice strategy) {
   ec::RsCode code(6, 4);
   for (int i = 0; i < kNumSeeds; ++i) {
     const uint64_t seed = seed_base() + static_cast<uint64_t>(i);
     SCOPED_TRACE("seed " + std::to_string(seed));
     auto opts = chaos_options(seed);
+    opts.repair_strategy = strategy;
 
     const auto scouted =
         scout_plan(opts, code, core::Scenario::kHotStandby);
@@ -191,6 +217,7 @@ TEST(Chaos, DestinationCrashRecoversOntoAlternate) {
     tb.flag_stf();
     const auto plan =
         tb.make_planner(core::Scenario::kHotStandby).plan_fastpr();
+    EXPECT_EQ(runs_chains(plan), strategy == core::StrategyChoice::kChain);
 
     const auto report = tb.execute(plan);
     expect_full_recovery(tb, plan, report);
@@ -203,12 +230,22 @@ TEST(Chaos, DestinationCrashRecoversOntoAlternate) {
   }
 }
 
-TEST(Chaos, StfCrashMidRepairDegradesToReactive) {
+TEST(Chaos, DestinationCrashRecoversOntoAlternate) {
+  destination_crash_recovers_onto_alternate(core::StrategyChoice::kFanIn);
+}
+
+TEST(Chaos, DestinationCrashRecoversOntoAlternateOnChain) {
+  destination_crash_recovers_onto_alternate(core::StrategyChoice::kChain);
+}
+
+void stf_crash_mid_repair_degrades_to_reactive(
+    core::StrategyChoice strategy) {
   ec::RsCode code(6, 4);
   for (int i = 0; i < kNumSeeds; ++i) {
     const uint64_t seed = seed_base() + static_cast<uint64_t>(i);
     SCOPED_TRACE("seed " + std::to_string(seed));
     auto opts = chaos_options(seed);
+    opts.repair_strategy = strategy;
 
     // The STF node goes silent 1.5 chunks into its migration traffic;
     // the stalled round's probe detects the death and the rest of the
@@ -220,6 +257,7 @@ TEST(Chaos, StfCrashMidRepairDegradesToReactive) {
     const auto plan =
         tb.make_planner(core::Scenario::kScattered).plan_fastpr();
     ASSERT_GE(plan.total_migrated(), 2);  // the crash threshold must trip
+    EXPECT_EQ(runs_chains(plan), strategy == core::StrategyChoice::kChain);
 
     const auto report = tb.execute(plan);
     expect_full_recovery(tb, plan, report);
@@ -230,6 +268,14 @@ TEST(Chaos, StfCrashMidRepairDegradesToReactive) {
     EXPECT_TRUE(contains_node(report.failed_nodes, stf));
     EXPECT_EQ(report.repair.degraded_at_round, report.degraded_at_round);
   }
+}
+
+TEST(Chaos, StfCrashMidRepairDegradesToReactive) {
+  stf_crash_mid_repair_degrades_to_reactive(core::StrategyChoice::kFanIn);
+}
+
+TEST(Chaos, StfCrashMidRepairDegradesToReactiveOnChain) {
+  stf_crash_mid_repair_degrades_to_reactive(core::StrategyChoice::kChain);
 }
 
 TEST(Chaos, StfReadErrorsDegradeToReactive) {
@@ -269,12 +315,14 @@ TEST(Chaos, StfReadErrorsDegradeToReactive) {
   }
 }
 
-TEST(Chaos, FlakyNetworkStaysLiveWithinBudgets) {
+void flaky_network_stays_live_within_budgets(
+    core::StrategyChoice strategy) {
   ec::RsCode code(6, 4);
   for (int i = 0; i < kNumSeeds; ++i) {
     const uint64_t seed = seed_base() + static_cast<uint64_t>(i);
     SCOPED_TRACE("seed " + std::to_string(seed));
     auto opts = chaos_options(seed);
+    opts.repair_strategy = strategy;
     // Bounded budgets keep liveness provable: at most 3 drops, and the
     // coordinator has 5 extensions per round plus 6 attempts per task —
     // strictly more salvage capacity than the faults can consume.
@@ -287,10 +335,19 @@ TEST(Chaos, FlakyNetworkStaysLiveWithinBudgets) {
     tb.flag_stf();
     const auto plan =
         tb.make_planner(core::Scenario::kScattered).plan_fastpr();
+    EXPECT_EQ(runs_chains(plan), strategy == core::StrategyChoice::kChain);
 
     const auto report = tb.execute(plan);
     expect_full_recovery(tb, plan, report);
   }
+}
+
+TEST(Chaos, FlakyNetworkStaysLiveWithinBudgets) {
+  flaky_network_stays_live_within_budgets(core::StrategyChoice::kFanIn);
+}
+
+TEST(Chaos, FlakyNetworkStaysLiveWithinBudgetsOnChain) {
+  flaky_network_stays_live_within_budgets(core::StrategyChoice::kChain);
 }
 
 TEST(Chaos, InjectedDelaysDoNotFlagPhantomStragglers) {

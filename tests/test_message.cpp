@@ -11,9 +11,18 @@
 namespace fastpr::net {
 namespace {
 
+constexpr MessageType kAllTypes[] = {
+    MessageType::kRepairCmd,  MessageType::kFetchRequest,
+    MessageType::kDataPacket, MessageType::kTaskDone,
+    MessageType::kTaskFailed, MessageType::kShutdown,
+    MessageType::kPing,       MessageType::kPong,
+    MessageType::kCancelTask, MessageType::kLeaseGrant,
+    MessageType::kPressureReport,
+};
+
 Message sample_message() {
   Message m;
-  m.type = MessageType::kReconstructCmd;
+  m.type = MessageType::kRepairCmd;
   m.from = 3;
   m.to = 9;
   m.task_id = 0xDEADBEEFCAFEULL;
@@ -24,7 +33,7 @@ Message sample_message() {
   m.trace.origin_ts_us = 123456789;
   m.chunk = {42, 7};
   m.dst = 9;
-  m.mode = TransferMode::kDecode;
+  m.shape = RepairShape::kChain;
   m.coefficient = 0x1D;
   m.packet_index = 5;
   m.total_packets = 16;
@@ -45,7 +54,7 @@ bool equal(const Message& a, const Message& b) {
       a.trace.origin_node != b.trace.origin_node ||
       a.trace.origin_ts_us != b.trace.origin_ts_us ||
       !(a.chunk == b.chunk) || a.dst != b.dst ||
-      a.mode != b.mode || a.coefficient != b.coefficient ||
+      a.shape != b.shape || a.coefficient != b.coefficient ||
       a.packet_index != b.packet_index ||
       a.total_packets != b.total_packets || a.hop != b.hop ||
       a.chunk_bytes != b.chunk_bytes || a.packet_bytes != b.packet_bytes ||
@@ -73,23 +82,21 @@ TEST(Message, RoundTrip) {
 }
 
 TEST(Message, RoundTripAllTypes) {
-  for (int t = 1; t <= 12; ++t) {
+  for (const MessageType t : kAllTypes) {
     Message m = sample_message();
-    m.type = static_cast<MessageType>(t);
+    m.type = t;
     const auto parsed = deserialize(serialize(m));
-    ASSERT_TRUE(parsed.has_value()) << "type " << t;
+    ASSERT_TRUE(parsed.has_value()) << "type " << static_cast<int>(t);
     EXPECT_TRUE(equal(m, *parsed));
   }
 }
 
 TEST(Message, DataPacketPredicate) {
-  // The payload-bearing streaming types — and only those — are shaped
-  // and pooled as data packets.
-  for (int t = 1; t <= 12; ++t) {
-    const auto type = static_cast<MessageType>(t);
-    const bool expected = type == MessageType::kDataPacket ||
-                          type == MessageType::kChainPacket;
-    EXPECT_EQ(is_data_packet(type), expected) << "type " << t;
+  // The payload-bearing streaming type — and only that — is shaped and
+  // pooled as a data packet.
+  for (const MessageType t : kAllTypes) {
+    EXPECT_EQ(is_data_packet(t), t == MessageType::kDataPacket)
+        << "type " << static_cast<int>(t);
   }
 }
 
@@ -134,6 +141,18 @@ TEST(Message, BadTypeOrModeRejected) {
   EXPECT_FALSE(deserialize(bytes).has_value());
   bytes = serialize(sample_message());
   bytes[0] = 99;  // type above range
+  EXPECT_FALSE(deserialize(bytes).has_value());
+  for (const uint8_t unassigned : {2, 11, 12}) {  // gaps in the enum
+    bytes = serialize(sample_message());
+    bytes[0] = unassigned;
+    EXPECT_FALSE(deserialize(bytes).has_value()) << int{unassigned};
+  }
+  // The shape byte follows type, from, to, task_id, attempt, the 28-byte
+  // trace context, chunk and dst.
+  constexpr size_t kShapeOffset = 1 + 4 + 4 + 8 + 4 + 28 + 8 + 4;
+  bytes = serialize(sample_message());
+  ASSERT_EQ(bytes[kShapeOffset], static_cast<uint8_t>(RepairShape::kChain));
+  bytes[kShapeOffset] = 2;  // shape above range
   EXPECT_FALSE(deserialize(bytes).has_value());
 }
 

@@ -177,12 +177,22 @@ TEST(TracePropagation, ChainHopsStayInTheCommandTrace) {
   ASSERT_NE(root, nullptr);
 
   // The chain actually ran: head streams and mid-chain forwards both
-  // recorded, and every hop's span links back through the chain command
-  // to the coordinator root.
+  // recorded, and every hop's span links back through the repair
+  // command to the coordinator root. A head streams like any hop-0
+  // source, so its span is agent.stream_chunk on a chain head's node.
+  std::set<int32_t> heads;
+  for (const auto& round : plan.rounds) {
+    for (const auto& task : round.reconstructions) {
+      heads.insert(static_cast<int32_t>(task.sources.front().node));
+    }
+  }
   bool saw_head = false;
   bool saw_forward = false;
   for (const auto& ev : events) {
-    if (std::string(ev.name) == "agent.chain_stream_head") saw_head = true;
+    if (std::string(ev.name) == "agent.stream_chunk" &&
+        heads.count(ev.node) != 0) {
+      saw_head = true;
+    }
     if (std::string(ev.name) == "agent.chain_forward") saw_forward = true;
   }
   EXPECT_TRUE(saw_head);
