@@ -57,7 +57,6 @@ ReconRun run_recon(const agent::TestbedOptions& base,
   // physics the bench is after. A singleton subset of a valid round is
   // still valid.
   core::RepairPlan isolated;
-  isolated.stf_node = plan.stf_node;
   isolated.stf_nodes = plan.stf_nodes;
   for (auto& round : plan.rounds) {
     for (auto& task : round.reconstructions) {

@@ -96,7 +96,7 @@ SweepPoint run_sweep_point(core::Scenario scenario, double oversub,
   const auto rack_plan = plan_with(&topo);
   // The rack-aware plan must satisfy the failure-domain invariant.
   core::validate_plan(rack_plan, layout, state, code.repair_fetch_count(0),
-                      &code, 1, &topo);
+                      &code, &topo);
 
   SweepPoint out;
   out.flat_total = simulate_with(flat_plan).total_time;
@@ -211,8 +211,7 @@ int run_smoke() {
     const auto plan =
         tb.make_planner(core::Scenario::kScattered).plan_fastpr();
     core::validate_plan(plan, tb.layout(), tb.cluster(),
-                        code.repair_fetch_count(0), &code, 1,
-                        tb.topology());
+                        code.repair_fetch_count(0), &code, tb.topology());
     const auto report = tb.execute(plan);
     if (!report.success || !tb.verify(report, plan)) {
       std::printf("bench_topology --smoke: FAIL (racked execute)\n");

@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "agent/testbed.h"
-#include "core/repair_plan.h"
 #include "ec/rs_code.h"
 #include "util/logging.h"
 #include "util/units.h"
@@ -56,8 +55,6 @@ int main() {
   }
 
   // 4. Reconstruct each damaged chunk from its healthy peers, in place.
-  core::RepairPlan plan;
-  plan.stf_node = 0;
   for (const auto& chunk : damaged) {
     // Pretend the chunk is lost: read k peers and decode.
     const auto& nodes = tb.layout().stripe_nodes(chunk.stripe);

@@ -17,6 +17,17 @@ using net::MessageType;
 
 namespace {
 
+/// Bounded per-transfer read→send window (pipeline slack): a reader task
+/// stalls once this many of its packets are queued or on the wire, which
+/// is what paces the disk against the network.
+constexpr size_t kPipelineDepth = 4;
+/// Persistent disk-reader tasks servicing fetch requests.
+constexpr size_t kReaderThreads = 4;
+/// Persistent network-sender workers draining the packet queue. More
+/// than one so a destination with a saturated downlink does not
+/// head-of-line block streams this node sends to other destinations.
+constexpr size_t kSenderThreads = 4;
+
 telemetry::Counter& agent_counter(const char* name) {
   return telemetry::MetricsRegistry::global().counter(name);
 }
@@ -44,9 +55,6 @@ Agent::Agent(NodeId id, net::Transport& transport, ChunkStore& store,
              const AgentOptions& options)
     : id_(id), transport_(transport), store_(store), options_(options) {
   FASTPR_CHECK(options.coordinator != cluster::kNoNode);
-  FASTPR_CHECK(options.pipeline_depth >= 1);
-  FASTPR_CHECK(options.reader_threads >= 1);
-  FASTPR_CHECK(options.sender_threads >= 1);
 }
 
 Agent::~Agent() { stop(); }
@@ -58,9 +66,9 @@ void Agent::start() {
     MutexLock lock(send_mutex_);
     send_closed_ = false;
   }
-  reader_pool_ = std::make_unique<ThreadPool>(options_.reader_threads);
-  senders_.reserve(options_.sender_threads);
-  for (size_t i = 0; i < options_.sender_threads; ++i) {
+  reader_pool_ = std::make_unique<ThreadPool>(kReaderThreads);
+  senders_.reserve(kSenderThreads);
+  for (size_t i = 0; i < kSenderThreads; ++i) {
     senders_.emplace_back([this] { sender_loop(); });
   }
   dispatcher_ = std::thread([this] { dispatch_loop(); });
@@ -366,7 +374,7 @@ void Agent::enqueue_send(Message&& msg,
   {
     MutexLock lock(window->mutex);
     const auto has_room = [&]() FASTPR_REQUIRES(window->mutex) {
-      return window->in_flight < options_.pipeline_depth;
+      return window->in_flight < kPipelineDepth;
     };
     window->cv.wait(window->mutex, has_room);
     ++window->in_flight;
@@ -437,7 +445,7 @@ void Agent::stream_chunk(uint64_t task_id, uint32_t attempt, ChunkRef chunk,
 
   // Paper §V multi-threading: this reader task paces the disk and feeds
   // the persistent sender workers; the window keeps at most
-  // pipeline_depth of this transfer's packets between disk and wire.
+  // kPipelineDepth of this transfer's packets between disk and wire.
   const auto window = std::make_shared<SendWindow>();
 
   for (uint32_t p = 0; p < total_packets; ++p) {
@@ -549,7 +557,7 @@ void Agent::handle_data_packet(Message&& msg) {
       msg.trace = telemetry::current_trace_context();
       pending.done = true;
       ++state.packets_complete;
-      // Send-window pipelining: up to pipeline_depth of this chain's
+      // Send-window pipelining: up to kPipelineDepth of this chain's
       // forwards sit between the fold and the wire; the wait here is the
       // hop's backpressure (a slow successor paces us, and through us
       // the whole upstream chain).

@@ -47,16 +47,6 @@ namespace fastpr::agent {
 
 struct AgentOptions {
   cluster::NodeId coordinator = cluster::kNoNode;  // ack target
-  /// Bounded per-transfer read→send window (pipeline slack): a reader
-  /// task stalls once this many of its packets are queued or on the
-  /// wire, which is what paces the disk against the network.
-  size_t pipeline_depth = 4;
-  /// Persistent disk-reader tasks servicing fetch requests.
-  size_t reader_threads = 4;
-  /// Persistent network-sender workers draining the packet queue.
-  /// More than one so a destination with a saturated downlink does not
-  /// head-of-line block streams this node sends to other destinations.
-  size_t sender_threads = 4;
   /// Coordinator-leased repair-bandwidth enforcement (DESIGN.md §10).
   /// When set, every outgoing repair data packet blocks on this budget
   /// before it touches the NIC, and kLeaseGrant messages re-rate it.

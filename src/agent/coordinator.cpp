@@ -481,12 +481,9 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan) {
   failed_nodes_.clear();
   extra_dst_load_.clear();
   stragglers_.clear();
-  stf_ = plan.stf_node;
-  stf_batch_ = plan.stf_nodes.empty()
-                   ? std::vector<NodeId>{plan.stf_node}
-                   : plan.stf_nodes;
-  FASTPR_CHECK_MSG(stf_batch_.front() == stf_,
-                   "stf_node must be the first batch member");
+  FASTPR_CHECK_MSG(!plan.stf_nodes.empty(), "plan names no STF node");
+  stf_batch_ = plan.stf_nodes;
+  stf_ = stf_batch_.front();
   stf_set_.clear();
   stf_set_.insert(stf_batch_.begin(), stf_batch_.end());
   stf_dead_set_.clear();

@@ -346,8 +346,8 @@ class Coordinator {
   /// execution, so repeated retargeting keeps spreading load.
   std::unordered_map<cluster::NodeId, int> extra_dst_load_;
   cluster::NodeId stf_ = cluster::kNoNode;  // first batch member
-  /// The STF batch being executed (plan.stf_nodes, or {plan.stf_node}
-  /// for single-STF plans) and its membership set.
+  /// The STF batch being executed (plan.stf_nodes) and its membership
+  /// set.
   std::vector<cluster::NodeId> stf_batch_;
   std::unordered_set<cluster::NodeId> stf_set_;
   std::unordered_set<cluster::NodeId> stf_dead_set_;

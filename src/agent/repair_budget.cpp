@@ -4,9 +4,16 @@
 
 namespace fastpr::agent {
 
+namespace {
+
+/// Bucket burst. Small relative to repair packets so re-leases take
+/// effect within a packet or two.
+constexpr int64_t kBurstBytes = 256 * kKiB;
+
+}  // namespace
+
 RepairBudget::RepairBudget(const Options& options)
-    : options_(options),
-      bucket_(options.floor_bytes_per_sec, options.burst_bytes) {
+    : options_(options), bucket_(options.floor_bytes_per_sec, kBurstBytes) {
   FASTPR_CHECK(options.floor_bytes_per_sec > 0);
 }
 

@@ -70,9 +70,6 @@ class RepairBudget {
     /// grant arrives). Keep small: this is the partitioned-agent
     /// trickle, not a working share.
     double floor_bytes_per_sec = 64 * kKiB;
-    /// Bucket burst. Small relative to repair packets so re-leases take
-    /// effect within a packet or two.
-    int64_t burst_bytes = 256 * kKiB;
   };
 
   explicit RepairBudget(const Options& options);

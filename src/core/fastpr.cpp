@@ -216,7 +216,6 @@ const std::vector<std::vector<ChunkRef>>& FastPrPlanner::recon_sets() {
 
 RepairPlan FastPrPlanner::empty_plan() const {
   RepairPlan plan;
-  plan.stf_node = batch_.front();
   plan.stf_nodes = batch_;
   return plan;
 }
@@ -234,8 +233,7 @@ RepairPlan FastPrPlanner::place(const std::vector<ScheduledRound>& rounds,
     plan.rounds.push_back(assign_round(
         layout_, batch_, sources, dests, options_.scenario,
         options_.k_repair, round, &standby_cursor, options_.code,
-        options_.balance_destinations, &placed,
-        options_.recon.helper_reads_per_node, options_.topology,
+        options_.balance_destinations, &placed, options_.topology,
         deprioritized));
   }
   return plan;
@@ -400,8 +398,7 @@ ReactiveResult FastPrPlanner::plan_reactive(
     out.plan.rounds.push_back(assign_round(
         layout_, dead, live, dests, options_.scenario, options_.k_repair,
         round, &standby_cursor, options_.code,
-        /*balance_destinations=*/false, &placed,
-        options_.recon.helper_reads_per_node));
+        /*balance_destinations=*/false, &placed));
   }
 
   // Degraded chunks: one dedicated round each (their helper sets are

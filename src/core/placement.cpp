@@ -74,11 +74,9 @@ RepairRound assign_round(const StripeLayout& layout,
                          const ScheduledRound& round, int* standby_cursor,
                          const ec::ErasureCode* code,
                          bool balance_destinations, PlacedOverlay* placed,
-                         int helper_reads_per_node,
                          const net::Topology* topology,
                          const std::vector<NodeId>* deprioritized) {
   FASTPR_CHECK(!stf_batch.empty());
-  FASTPR_CHECK(helper_reads_per_node >= 1);
   const bool rack_aware = topology != nullptr && !topology->is_flat();
   std::unordered_set<NodeId> avoid;
   if (deprioritized != nullptr) {
@@ -98,8 +96,7 @@ RepairRound assign_round(const StripeLayout& layout,
     return code != nullptr ? code->repair_fetch_count(chunk.index)
                            : k_repair;
   };
-  matching::IncrementalMatcher matcher(
-      static_cast<int>(source_nodes.size()), helper_reads_per_node);
+  matching::IncrementalMatcher matcher(static_cast<int>(source_nodes.size()));
   std::deque<std::vector<int>> adjacency_store;  // stable for the matcher
   // Rack-aware helper bias (DESIGN.md §11): the matcher prefers earlier
   // adjacency entries, so listing candidates from lightly-read racks

@@ -85,8 +85,8 @@ cluster::NodeId next_spare(const std::vector<cluster::NodeId>& spares,
 /// Every node in `stf_batch` (the STF batch, or every dead node for a
 /// reactive round) is excluded from sources and destinations, and each
 /// migration reads its chunk off the member disk that stores it.
-/// `source_nodes`: healthy nodes eligible for helper reads; each may
-/// serve `helper_reads_per_node` reads.
+/// `source_nodes`: healthy nodes eligible for helper reads; each serves
+/// at most one read per round.
 /// `dest_nodes`: scattered → healthy storage nodes; hot-standby → spares.
 /// `standby_cursor`: round-robin state across rounds (hot-standby only).
 /// When `code` is given, per-chunk helper counts and candidate indices
@@ -122,7 +122,6 @@ RepairRound assign_round(
     int k_repair, const ScheduledRound& round, int* standby_cursor,
     const ec::ErasureCode* code = nullptr,
     bool balance_destinations = false, PlacedOverlay* placed = nullptr,
-    int helper_reads_per_node = 1,
     const net::Topology* topology = nullptr,
     const std::vector<cluster::NodeId>* deprioritized = nullptr);
 

@@ -22,18 +22,16 @@ class MatchContext {
  public:
   MatchContext(const StripeLayout& layout,
                const std::vector<NodeId>& healthy, int k_repair,
-               int max_set_size, int helper_reads_per_node,
-               ReconSetStats* stats, const ec::ErasureCode* code,
+               int max_set_size, ReconSetStats* stats,
+               const ec::ErasureCode* code,
                const net::Topology* topology = nullptr,
                const std::vector<NodeId>* deprioritized = nullptr)
       : layout_(layout),
         k_(k_repair),
         max_set_size_(max_set_size),
-        reads_(helper_reads_per_node),
         stats_(stats),
         code_(code),
         healthy_(healthy) {
-    FASTPR_CHECK(helper_reads_per_node >= 1);
     left_of_node_.reserve(healthy.size());
     for (size_t i = 0; i < healthy.size(); ++i) {
       left_of_node_[healthy[i]] = static_cast<int>(i);
@@ -47,10 +45,9 @@ class MatchContext {
 
   bool is_source(NodeId node) const { return left_of_node_.count(node) > 0; }
 
-  /// Fresh matcher over the source nodes with the configured per-node
-  /// helper-read capacity.
+  /// Fresh matcher over the source nodes, one helper read each.
   IncrementalMatcher make_matcher() const {
-    return IncrementalMatcher(left_count_, reads_);
+    return IncrementalMatcher(left_count_);
   }
 
   /// Helper chunks this particular chunk's repair fetches.
@@ -58,12 +55,11 @@ class MatchContext {
     return code_ != nullptr ? code_->repair_fetch_count(chunk.index) : k_;
   }
 
-  /// Max chunks any reconstruction set can hold: floor(slots/k) where
-  /// slots = sources × reads-per-node (the paper's floor((M-1)/k) at one
-  /// read per node), further capped by the planner's
+  /// Max chunks any reconstruction set can hold: floor(sources/k) (the
+  /// paper's floor((M-1)/k)), further capped by the planner's
   /// destination-feasibility bound.
   int capacity() const {
-    const int matching_cap = left_count_ * reads_ / k_;
+    const int matching_cap = left_count_ / k_;
     return max_set_size_ > 0 ? std::min(matching_cap, max_set_size_)
                              : matching_cap;
   }
@@ -116,15 +112,15 @@ class MatchContext {
 
  private:
   /// Counts one MATCH call and answers the provable failures without
-  /// augmenting: no room left for k' more helper reads, or fewer than k'
-  /// free slots reachable by alternating paths (the k' augmenting paths
-  /// would need k' distinct ones). Returns the chunk's adjacency when
-  /// the matcher must decide, nullptr when MATCH fails.
+  /// augmenting: fewer than k' source nodes left unmatched, or fewer
+  /// than k' free nodes reachable by alternating paths (the k'
+  /// augmenting paths would need k' distinct ones). Returns the chunk's
+  /// adjacency when the matcher must decide, nullptr when MATCH fails.
   const std::vector<int>* screen(IncrementalMatcher& matcher,
                                  ChunkRef chunk) {
     if (stats_ != nullptr) ++stats_->match_calls;
     const int k_this = fetch_count(chunk);
-    if (matcher.right_count() + k_this > matcher.total_capacity()) {
+    if (matcher.right_count() + k_this > matcher.left_count()) {
       return nullptr;
     }
     const std::vector<int>& adj = slot_adjacency(chunk);
@@ -177,7 +173,6 @@ class MatchContext {
   const StripeLayout& layout_;
   int k_;
   int max_set_size_;
-  int reads_;
   ReconSetStats* stats_;
   const ec::ErasureCode* code_;
   std::vector<NodeId> healthy_;
@@ -378,8 +373,7 @@ std::vector<std::vector<ChunkRef>> find_reconstruction_sets_for(
                    "need at least k healthy source nodes");
 
   MatchContext ctx(layout, healthy_sources, k_repair, options.max_set_size,
-                   options.helper_reads_per_node, stats, code,
-                   options.topology, &options.deprioritized);
+                   stats, code, options.topology, &options.deprioritized);
   for (ChunkRef c : all_chunks) {
     FASTPR_CHECK_MSG(!ctx.is_source(layout.node_of(c)),
                      "node " << layout.node_of(c)
@@ -413,12 +407,10 @@ bool is_valid_reconstruction_set(const StripeLayout& layout, NodeId stf,
                                  const std::vector<NodeId>& healthy,
                                  int k_repair,
                                  const std::vector<ChunkRef>& set,
-                                 const ec::ErasureCode* code,
-                                 int helper_reads_per_node) {
+                                 const ec::ErasureCode* code) {
   FASTPR_CHECK(std::find(healthy.begin(), healthy.end(), stf) ==
                healthy.end());
-  MatchContext ctx(layout, healthy, k_repair, 0, helper_reads_per_node,
-                   nullptr, code);
+  MatchContext ctx(layout, healthy, k_repair, 0, nullptr, code);
   IncrementalMatcher matcher = ctx.make_matcher();
   for (ChunkRef c : set) {
     if (!ctx.try_match(matcher, c)) return false;

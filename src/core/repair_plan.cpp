@@ -26,7 +26,11 @@ int RepairPlan::total_reconstructed() const {
 
 std::string RepairPlan::to_string() const {
   std::ostringstream os;
-  os << "plan{stf=" << stf_node << ", rounds=" << rounds.size()
+  os << "plan{stf=";
+  for (size_t i = 0; i < stf_nodes.size(); ++i) {
+    os << (i == 0 ? "" : ",") << stf_nodes[i];
+  }
+  os << ", rounds=" << rounds.size()
      << ", migrated=" << total_migrated()
      << ", reconstructed=" << total_reconstructed() << "}";
   return os.str();
@@ -35,19 +39,14 @@ std::string RepairPlan::to_string() const {
 void validate_plan(const RepairPlan& plan,
                    const cluster::StripeLayout& layout,
                    const cluster::ClusterState& cluster, int k_repair,
-                   const ec::ErasureCode* code, int helper_reads_per_node,
+                   const ec::ErasureCode* code,
                    const net::Topology* topology) {
   using cluster::ChunkRef;
   using cluster::ChunkRefHash;
   using cluster::NodeId;
 
-  FASTPR_CHECK(helper_reads_per_node >= 1);
-  const NodeId stf = plan.stf_node;
-  FASTPR_CHECK(stf != cluster::kNoNode);
-  std::vector<NodeId> batch = plan.stf_nodes;
-  if (batch.empty()) batch.push_back(stf);
-  FASTPR_CHECK_MSG(batch.front() == stf,
-                   "stf_node must be the first batch member");
+  const std::vector<NodeId>& batch = plan.stf_nodes;
+  FASTPR_CHECK_MSG(!batch.empty(), "plan names no STF node");
   const std::unordered_set<NodeId> stf_set(batch.begin(), batch.end());
   FASTPR_CHECK_MSG(stf_set.size() == batch.size(),
                    "duplicate node in STF batch");
@@ -93,7 +92,7 @@ void validate_plan(const RepairPlan& plan,
   };
 
   for (const auto& round : plan.rounds) {
-    std::unordered_map<NodeId, int> round_source_reads;
+    std::unordered_set<NodeId> round_sources;
     std::unordered_set<NodeId> round_destinations;
 
     for (const auto& task : round.migrations) {
@@ -136,9 +135,8 @@ void validate_plan(const RepairPlan& plan,
                          "helper equals the lost chunk");
         FASTPR_CHECK_MSG(layout.node_of(src.chunk) == src.node,
                          "helper not stored on claimed node");
-        FASTPR_CHECK_MSG(++round_source_reads[src.node] <=
-                             helper_reads_per_node,
-                         "node reads too many chunks in one round");
+        FASTPR_CHECK_MSG(round_sources.insert(src.node).second,
+                         "node reads twice in one round");
       }
       FASTPR_CHECK(stf_set.count(task.dst) == 0 &&
                    task.dst != cluster::kNoNode);
@@ -159,68 +157,6 @@ void validate_plan(const RepairPlan& plan,
   for (const ChunkRef& c : seen) {
     FASTPR_CHECK_MSG(expected.count(c) == 1, "plan repairs a foreign chunk");
   }
-}
-
-void validate_reactive_plan(const ReactiveResult& result,
-                            const cluster::StripeLayout& layout,
-                            const cluster::ClusterState& cluster,
-                            const std::vector<cluster::NodeId>& failed) {
-  using cluster::ChunkRef;
-  using cluster::NodeId;
-  const std::unordered_set<NodeId> failed_set(failed.begin(), failed.end());
-
-  std::unordered_set<ChunkRef, cluster::ChunkRefHash> expected;
-  for (NodeId node : failed) {
-    for (ChunkRef c : layout.chunks_on(node)) expected.insert(c);
-  }
-  for (ChunkRef c : result.unrepairable) {
-    FASTPR_CHECK_MSG(expected.erase(c) == 1,
-                     "unrepairable chunk was not actually lost");
-  }
-
-  std::unordered_set<ChunkRef, cluster::ChunkRefHash> seen;
-  std::unordered_map<cluster::StripeId, std::unordered_set<NodeId>> landed;
-  for (const auto& round : result.plan.rounds) {
-    FASTPR_CHECK_MSG(round.migrations.empty(),
-                     "reactive repair cannot migrate from dead nodes");
-    std::unordered_set<NodeId> round_sources;
-    std::unordered_set<NodeId> round_dests;
-    for (const auto& task : round.reconstructions) {
-      FASTPR_CHECK_MSG(failed_set.count(layout.node_of(task.chunk)) == 1,
-                       "repaired chunk was not lost");
-      FASTPR_CHECK_MSG(seen.insert(task.chunk).second,
-                       "chunk repaired twice");
-      FASTPR_CHECK(!task.sources.empty());
-      for (const auto& src : task.sources) {
-        FASTPR_CHECK_MSG(failed_set.count(src.node) == 0,
-                         "helper read from a failed node");
-        FASTPR_CHECK(cluster.health(src.node) ==
-                     cluster::NodeHealth::kHealthy);
-        FASTPR_CHECK(src.chunk.stripe == task.chunk.stripe);
-        FASTPR_CHECK(src.chunk.index != task.chunk.index);
-        FASTPR_CHECK(layout.node_of(src.chunk) == src.node);
-        FASTPR_CHECK_MSG(round_sources.insert(src.node).second,
-                         "node reads twice in one round");
-      }
-      FASTPR_CHECK(task.dst != cluster::kNoNode);
-      FASTPR_CHECK(failed_set.count(task.dst) == 0);
-      FASTPR_CHECK_MSG(landed[task.chunk.stripe].insert(task.dst).second,
-                       "two repaired chunks of stripe "
-                           << task.chunk.stripe << " land on node "
-                           << task.dst);
-      if (!cluster.is_hot_standby(task.dst)) {
-        FASTPR_CHECK_MSG(
-            !layout.stripe_uses_node(task.chunk.stripe, task.dst),
-            "destination breaks stripe distinctness");
-        FASTPR_CHECK_MSG(round_dests.insert(task.dst).second,
-                         "scattered destination reused in round");
-      }
-    }
-  }
-  FASTPR_CHECK_MSG(seen.size() == expected.size(),
-                   "plan repairs " << seen.size() << " of "
-                                   << expected.size()
-                                   << " recoverable chunks");
 }
 
 }  // namespace fastpr::core

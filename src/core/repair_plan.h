@@ -54,10 +54,12 @@ struct RepairRound {
 };
 
 struct RepairPlan {
+  /// Former single-STF field, kept only because the repair benchmark
+  /// (repairbench/) still assigns it. Nothing else reads or writes it;
+  /// delete it once the benchmark stops.
   cluster::NodeId stf_node = cluster::kNoNode;
-  /// Every STF node the plan covers (DESIGN.md §8), with stf_node ==
-  /// stf_nodes.front(). Consumers treat an empty list as a batch of
-  /// {stf_node}.
+  /// Every STF node the plan covers (DESIGN.md §8): the batch, at least
+  /// one node.
   std::vector<cluster::NodeId> stf_nodes;
   std::vector<RepairRound> rounds;
 
@@ -74,8 +76,7 @@ struct RepairPlan {
 ///  * migration sources are the STF node storing the chunk;
 ///    reconstruction sources are k distinct healthy non-STF nodes
 ///    holding chunks of the right stripe;
-///  * within a round, no healthy node serves more than
-///    `helper_reads_per_node` source reads;
+///  * within a round, no healthy node serves more than one source read;
 ///  * scattered destinations do not already hold a chunk of the stripe
 ///    and are used at most once per round; hot-standby destinations are
 ///    spare nodes; across the WHOLE plan no destination receives two
@@ -91,7 +92,6 @@ void validate_plan(const RepairPlan& plan,
                    const cluster::StripeLayout& layout,
                    const cluster::ClusterState& cluster, int k_repair,
                    const ec::ErasureCode* code = nullptr,
-                   int helper_reads_per_node = 1,
                    const net::Topology* topology = nullptr);
 
 /// Reactive repair (DESIGN.md §7): reconstruction-only rounds for the
@@ -105,14 +105,5 @@ struct ReactiveResult {
   /// rebuilt through global parities).
   int degraded_repairs = 0;
 };
-
-/// Validation for reactive plans: every recoverable lost chunk (on the
-/// `failed` nodes) repaired exactly once from surviving nodes, no node
-/// reading twice in a round, and — as in validate_plan — no destination
-/// receiving two repaired chunks of one stripe anywhere in the plan.
-void validate_reactive_plan(const ReactiveResult& result,
-                            const cluster::StripeLayout& layout,
-                            const cluster::ClusterState& cluster,
-                            const std::vector<cluster::NodeId>& failed);
 
 }  // namespace fastpr::core

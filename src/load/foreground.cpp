@@ -14,6 +14,9 @@ using cluster::NodeId;
 
 namespace {
 
+/// Latency samples each window (global and per node) keeps.
+constexpr size_t kWindowCapacity = 1 << 14;
+
 /// Exponential inter-arrival gap (µs) for a Poisson process at `rate`.
 int64_t exp_gap_us(Rng& rng, double rate_per_sec) {
   const double u = rng.uniform_real(1e-12, 1.0);
@@ -46,7 +49,7 @@ ForegroundWorkload::ForegroundWorkload(agent::Testbed& testbed,
       options_(options),
       chunks_(chunk_universe(testbed.layout(), options.seed)),
       zipf_(chunks_.size(), options.zipf_theta),
-      global_(options.window_capacity) {
+      global_(kWindowCapacity) {
   FASTPR_CHECK(options.ops_per_sec > 0);
   FASTPR_CHECK(options.read_fraction >= 0 && options.read_fraction <= 1);
   FASTPR_CHECK(options.op_bytes > 0);
@@ -62,7 +65,7 @@ ForegroundWorkload::ForegroundWorkload(agent::Testbed& testbed,
   const int num_nodes = layout.num_nodes();
   nodes_.reserve(static_cast<size_t>(num_nodes));
   for (int n = 0; n < num_nodes; ++n) {
-    nodes_.push_back(std::make_unique<PerNode>(options.window_capacity));
+    nodes_.push_back(std::make_unique<PerNode>(kWindowCapacity));
   }
 }
 

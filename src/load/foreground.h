@@ -50,7 +50,6 @@ struct WorkloadOptions {
   /// Degraded reads actually decode and byte-check against the oracle
   /// (slower); false charges the helper I/O without moving data.
   bool verify_degraded = true;
-  size_t window_capacity = 1 << 14;
 };
 
 struct WorkloadStats {

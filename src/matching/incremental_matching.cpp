@@ -8,30 +8,10 @@
 namespace fastpr::matching {
 
 IncrementalMatcher::IncrementalMatcher(int left_count)
-    : IncrementalMatcher(left_count, 1) {}
-
-IncrementalMatcher::IncrementalMatcher(int left_count, int capacity)
     : left_count_(left_count) {
   FASTPR_CHECK(left_count >= 0);
-  FASTPR_CHECK(capacity >= 1);
-  slot_offset_.resize(static_cast<size_t>(left_count) + 1);
-  for (int l = 0; l <= left_count; ++l) {
-    slot_offset_[static_cast<size_t>(l)] = l * capacity;
-  }
-  slots_.assign(static_cast<size_t>(left_count) * capacity, -1);
+  match_l_.assign(static_cast<size_t>(left_count), -1);
   visit_stamp_.assign(static_cast<size_t>(left_count), 0);
-}
-
-IncrementalMatcher::IncrementalMatcher(const std::vector<int>& capacities)
-    : left_count_(static_cast<int>(capacities.size())) {
-  slot_offset_.resize(capacities.size() + 1);
-  slot_offset_[0] = 0;
-  for (size_t l = 0; l < capacities.size(); ++l) {
-    FASTPR_CHECK_MSG(capacities[l] >= 1, "left capacity must be >= 1");
-    slot_offset_[l + 1] = slot_offset_[l] + capacities[l];
-  }
-  slots_.assign(static_cast<size_t>(slot_offset_.back()), -1);
-  visit_stamp_.assign(capacities.size(), 0);
 }
 
 void IncrementalMatcher::begin_visit() {
@@ -57,32 +37,17 @@ void IncrementalMatcher::check_adjacency(
   }
 }
 
-void IncrementalMatcher::place(int r, int l, int slot) {
-  slots_[static_cast<size_t>(slot)] = r;
-  match_r_[static_cast<size_t>(r)] = l;
-}
-
 bool IncrementalMatcher::augment(int r) {
   for (int l : *right_adj_[static_cast<size_t>(r)]) {
     if (!visit(l)) continue;
-    const int begin = slot_offset_[static_cast<size_t>(l)];
-    const int end = slot_offset_[static_cast<size_t>(l) + 1];
-    // Free slot: take it.
-    for (int s = begin; s < end; ++s) {
-      if (slots_[static_cast<size_t>(s)] == -1) {
-        place(r, l, s);
-        return true;
-      }
-    }
-    // All slots taken: try to reroute one occupant elsewhere. A
-    // successful recursive augment reseats the occupant (writing its new
-    // slot itself), so its old slot here is simply overwritten with r.
-    for (int s = begin; s < end; ++s) {
-      const int occupant = slots_[static_cast<size_t>(s)];
-      if (augment(occupant)) {
-        place(r, l, s);
-        return true;
-      }
+    // A free left vertex takes r; a taken one must reroute its occupant
+    // elsewhere. A successful recursive augment reseats the occupant
+    // (writing its new left vertex itself), so l is simply handed to r.
+    const int occupant = match_l_[static_cast<size_t>(l)];
+    if (occupant == -1 || augment(occupant)) {
+      match_l_[static_cast<size_t>(l)] = r;
+      match_r_[static_cast<size_t>(r)] = l;
+      return true;
     }
   }
   return false;
@@ -95,8 +60,8 @@ bool IncrementalMatcher::try_add_group(const std::vector<int>& adjacency,
   masks_ = Masks::kStale;
   // A failed single augmentation leaves the matching untouched, so a
   // failure after t successes only needs the t successes undone — the
-  // truncated match_r_ fully describes the matching, and the slot
-  // occupancy is re-derived from it.
+  // truncated match_r_ fully describes the matching, and match_l_ is
+  // re-derived from it.
   const size_t saved_right = right_adj_.size();
   for (int copy = 0; copy < copies; ++copy) {
     right_adj_.push_back(&adjacency);
@@ -105,7 +70,11 @@ bool IncrementalMatcher::try_add_group(const std::vector<int>& adjacency,
     if (!augment(right_count() - 1)) {
       right_adj_.resize(saved_right);
       match_r_.resize(saved_right);
-      refill_slots();
+      std::fill(match_l_.begin(), match_l_.end(), -1);
+      for (size_t kept = 0; kept < saved_right; ++kept) {
+        match_l_[static_cast<size_t>(match_r_[kept])] =
+            static_cast<int>(kept);
+      }
       return false;
     }
   }
@@ -122,59 +91,52 @@ int IncrementalMatcher::reachable_free_slots(
     for (int l : adjacency) reached |= reach_masks_[static_cast<size_t>(l)];
     return std::min(std::popcount(reached), limit);
   }
-  // Too many free slots for the masks — a state far from saturation,
-  // where most groups find `limit` slots within a few steps. BFS over
-  // left vertices: from a reached left vertex, an alternating path
-  // continues through each occupant of its slots to that occupant's
+  // Too many free left vertices for the masks — a state far from
+  // saturation, where most groups find `limit` of them within a few
+  // steps. BFS over left vertices: from a reached, taken left vertex, an
+  // alternating path continues through its occupant to that occupant's
   // other candidates.
   begin_visit();
   queue_.clear();
   for (int l : adjacency) {
     if (visit(l)) queue_.push_back(l);
   }
-  int free_slots = 0;
-  for (size_t head = 0; head < queue_.size() && free_slots < limit; ++head) {
-    const size_t l = static_cast<size_t>(queue_[head]);
-    for (int s = slot_offset_[l]; s < slot_offset_[l + 1]; ++s) {
-      const int occupant = slots_[static_cast<size_t>(s)];
-      if (occupant == -1) {
-        ++free_slots;
-        continue;
-      }
-      for (int next : *right_adj_[static_cast<size_t>(occupant)]) {
-        if (visit(next)) queue_.push_back(next);
-      }
+  int free_lefts = 0;
+  for (size_t head = 0; head < queue_.size() && free_lefts < limit; ++head) {
+    const int occupant = match_l_[static_cast<size_t>(queue_[head])];
+    if (occupant == -1) {
+      ++free_lefts;
+      continue;
+    }
+    for (int next : *right_adj_[static_cast<size_t>(occupant)]) {
+      if (visit(next)) queue_.push_back(next);
     }
   }
-  return std::min(free_slots, limit);
+  return std::min(free_lefts, limit);
 }
 
 void IncrementalMatcher::build_reach_masks() {
-  // Each left vertex reaches its own free slots...
+  // A free left vertex reaches itself...
   const size_t lefts = static_cast<size_t>(left_count_);
   reach_masks_.assign(lefts, 0);
   int bit = 0;
   for (size_t l = 0; l < lefts; ++l) {
-    for (int s = slot_offset_[l]; s < slot_offset_[l + 1]; ++s) {
-      if (slots_[static_cast<size_t>(s)] != -1) continue;
-      if (bit == 64) {
-        masks_ = Masks::kTooManyFree;
-        return;
-      }
-      reach_masks_[l] |= uint64_t{1} << bit++;
+    if (match_l_[l] != -1) continue;
+    if (bit == 64) {
+      masks_ = Masks::kTooManyFree;
+      return;
     }
+    reach_masks_[l] = uint64_t{1} << bit++;
   }
-  // ...and everything reachable from the candidates of its occupants.
-  // One alternating step runs l → x for each candidate x of an
-  // occupant of l; index those steps by x (counting sort).
+  // ...and a taken one everything reachable from its occupant's
+  // candidates. One alternating step runs l → x for each candidate x of
+  // l's occupant; index those steps by x (counting sort).
   const auto for_each_step = [&](auto&& step) {
     for (size_t l = 0; l < lefts; ++l) {
-      for (int s = slot_offset_[l]; s < slot_offset_[l + 1]; ++s) {
-        const int occupant = slots_[static_cast<size_t>(s)];
-        if (occupant == -1) continue;
-        for (int x : *right_adj_[static_cast<size_t>(occupant)]) {
-          step(static_cast<int>(l), static_cast<size_t>(x));
-        }
+      const int occupant = match_l_[l];
+      if (occupant == -1) continue;
+      for (int x : *right_adj_[static_cast<size_t>(occupant)]) {
+        step(static_cast<int>(l), static_cast<size_t>(x));
       }
     }
   };
@@ -215,43 +177,16 @@ void IncrementalMatcher::build_reach_masks() {
   masks_ = Masks::kReady;
 }
 
-void IncrementalMatcher::refill_slots() {
-  std::fill(slots_.begin(), slots_.end(), -1);
-  for (size_t r = 0; r < match_r_.size(); ++r) {
-    const int l = match_r_[r];
-    if (l < 0) continue;
-    const int begin = slot_offset_[static_cast<size_t>(l)];
-    const int end = slot_offset_[static_cast<size_t>(l) + 1];
-    for (int s = begin; s < end; ++s) {
-      if (slots_[static_cast<size_t>(s)] == -1) {
-        slots_[static_cast<size_t>(s)] = static_cast<int>(r);
-        break;
-      }
-    }
-  }
-}
-
 int IncrementalMatcher::matched_left(int r) const {
   FASTPR_CHECK(r >= 0 && r < right_count());
   return match_r_[static_cast<size_t>(r)];
-}
-
-int IncrementalMatcher::matched_count(int l) const {
-  FASTPR_CHECK(l >= 0 && l < left_count_);
-  int count = 0;
-  const int begin = slot_offset_[static_cast<size_t>(l)];
-  const int end = slot_offset_[static_cast<size_t>(l) + 1];
-  for (int s = begin; s < end; ++s) {
-    if (slots_[static_cast<size_t>(s)] != -1) ++count;
-  }
-  return count;
 }
 
 void IncrementalMatcher::reset() {
   masks_ = Masks::kStale;
   right_adj_.clear();
   match_r_.clear();
-  std::fill(slots_.begin(), slots_.end(), -1);
+  std::fill(match_l_.begin(), match_l_.end(), -1);
 }
 
 }  // namespace fastpr::matching

@@ -12,9 +12,9 @@ InprocTransport::InprocTransport(int num_nodes, const Options& options)
   for (int i = 0; i < num_nodes; ++i) {
     auto ep = std::make_unique<Endpoint>();
     ep->tx = std::make_unique<TokenBucket>(options.net_bytes_per_sec,
-                                           options.burst_bytes);
+                                           kNicBurstBytes);
     ep->rx = std::make_unique<TokenBucket>(options.net_bytes_per_sec,
-                                           options.burst_bytes);
+                                           kNicBurstBytes);
     endpoints_.push_back(std::move(ep));
   }
 }

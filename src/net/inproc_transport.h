@@ -17,7 +17,6 @@
 #include "telemetry/flow_monitor.h"
 #include "util/mutex.h"
 #include "util/token_bucket.h"
-#include "util/units.h"
 
 namespace fastpr::net {
 
@@ -25,7 +24,6 @@ class InprocTransport final : public Transport {
  public:
   struct Options {
     double net_bytes_per_sec = 0;  // <=0: unlimited
-    int64_t burst_bytes = 1 * kMiB;
     /// Per-packet store-and-forward cost of a chain hop (data packets
     /// addressed to a hop >= 1): receive → fuse → re-send pays
     /// syscalls, interrupts and cache traffic that a fan-in helper's

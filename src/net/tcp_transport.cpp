@@ -54,9 +54,9 @@ TcpTransport::TcpTransport(int num_nodes, const Options& options)
   for (int i = 0; i < num_nodes; ++i) {
     auto ep = std::make_unique<Endpoint>();
     ep->tx = std::make_unique<TokenBucket>(options.net_bytes_per_sec,
-                                           options.burst_bytes);
+                                           kNicBurstBytes);
     ep->rx = std::make_unique<TokenBucket>(options.net_bytes_per_sec,
-                                           options.burst_bytes);
+                                           kNicBurstBytes);
 
     ep->listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
     FASTPR_CHECK_MSG(ep->listen_fd >= 0, "socket() failed");

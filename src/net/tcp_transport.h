@@ -19,7 +19,6 @@
 #include "telemetry/flow_monitor.h"
 #include "util/mutex.h"
 #include "util/token_bucket.h"
-#include "util/units.h"
 
 namespace fastpr::net {
 
@@ -27,7 +26,6 @@ class TcpTransport final : public Transport {
  public:
   struct Options {
     double net_bytes_per_sec = 0;  // <=0: unlimited
-    int64_t burst_bytes = 1 * kMiB;
     /// Per-packet store-and-forward cost of a chain hop (data packets
     /// addressed to a hop >= 1), charged as byte-equivalent time at the
     /// sender's NIC rate — see InprocTransport::Options for the full

@@ -9,12 +9,17 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <optional>
 
 #include "cluster/types.h"
 #include "net/message.h"
+#include "util/units.h"
 
 namespace fastpr::net {
+
+/// Burst of every shaped endpoint's tx and rx token bucket.
+inline constexpr int64_t kNicBurstBytes = 1 * kMiB;
 
 class Transport {
  public:

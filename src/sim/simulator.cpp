@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_map>
 
 #include "util/check.h"
@@ -12,59 +11,16 @@ namespace {
 
 using cluster::NodeId;
 
-/// Round time under the paper's §III decomposition.
-double paper_round_time(const core::RepairRound& round,
-                        const SimParams& p) {
-  const double c = p.chunk_bytes;
-  const double tm = c / p.disk_bw + c / p.net_bw + c / p.disk_bw;
-  // Migrations off distinct STF disks stream in parallel; the round is
-  // paced by the busiest source (single-source: count · tm, unchanged).
+/// Migrations off distinct STF disks stream in parallel, so a round's
+/// migrations take as long as its busiest source's share (a single
+/// source: all of them).
+int busiest_source_migrations(const core::RepairRound& round) {
   std::unordered_map<NodeId, int> per_src;
-  int slowest_src = 0;
+  int busiest = 0;
   for (const auto& task : round.migrations) {
-    slowest_src = std::max(slowest_src, ++per_src[task.src]);
+    busiest = std::max(busiest, ++per_src[task.src]);
   }
-  const double migration_time = static_cast<double>(slowest_src) * tm;
-
-  double recon_time = 0;
-  if (!round.reconstructions.empty() &&
-      round.strategy == core::RepairStrategy::kChain) {
-    // Chain (repair pipelining): expression-identical to
-    // CostModel::tr_chain so simulated rounds equal the model's
-    // predictions bit-for-bit (the differential tests assert ==).
-    // Chains move whole chunks (RS/LRC), so helper_bytes_fraction does
-    // not apply.
-    FASTPR_CHECK(p.packet_bytes > 0);
-    const double pkt = std::min(p.packet_bytes, c);
-    const double k = p.k_repair;
-    const double o = p.chain_hop_overhead_seconds;
-    const double packets = std::ceil(c / pkt);
-    const double overhead =
-        p.k_repair >= 2 ? (packets + k - 1.0) * o : 0.0;
-    if (p.scenario == core::Scenario::kScattered) {
-      recon_time = c / p.disk_bw + c / p.net_bw +
-                   (k - 1.0) * pkt / p.net_bw + overhead + c / p.disk_bw;
-    } else {
-      const double g = static_cast<double>(round.reconstructions.size());
-      const double h = p.hot_standby;
-      recon_time = c / p.disk_bw + g * c / (h * p.net_bw) +
-                   (k - 1.0) * pkt / p.net_bw + overhead +
-                   g * c / (h * p.disk_bw);
-    }
-  } else if (!round.reconstructions.empty()) {
-    const double k = p.k_repair * p.helper_bytes_fraction;
-    if (p.scenario == core::Scenario::kScattered) {
-      // Eq. (5): parallel reads, k chunks into each destination NIC.
-      recon_time = c / p.disk_bw + k * c / p.net_bw + c / p.disk_bw;
-    } else {
-      // Eq. (6): cr·k transmissions and cr writes funnel into h spares.
-      const double g = static_cast<double>(round.reconstructions.size());
-      const double h = p.hot_standby;
-      recon_time = c / p.disk_bw + g * k * c / (h * p.net_bw) +
-                   g * c / (h * p.disk_bw);
-    }
-  }
-  return std::max(migration_time, recon_time);
+  return busiest;
 }
 
 /// Round time under per-node resource accounting.
@@ -182,16 +138,14 @@ double rack_round_time(const core::RepairRound& round, const SimParams& p) {
 }  // namespace
 
 SimResult simulate(const core::RepairPlan& plan, const SimParams& raw) {
-  FASTPR_CHECK(raw.chunk_bytes > 0);
-  FASTPR_CHECK(raw.disk_bw > 0 && raw.net_bw > 0);
-  FASTPR_CHECK(raw.k_repair >= 1);
-  FASTPR_CHECK(raw.repair_bw_fraction > 0 && raw.repair_bw_fraction <= 1.0);
+  // The paper model is the cost model itself; its constructor also
+  // checks every input the other two models share.
+  const core::CostModel model(raw);
   FASTPR_CHECK(raw.topo_racks >= 1);
-  FASTPR_CHECK(raw.oversubscription >= 1.0);
   if (raw.topo_racks > 1) FASTPR_CHECK(raw.topo_nodes_per_rack >= 1);
 
-  // Throttling scales every network term and nothing else, so fold it
-  // into the effective NIC rate once — both timing models inherit it.
+  // Throttling scales every network term and nothing else, so the
+  // resource and rack models fold it into the effective NIC rate once.
   SimParams params = raw;
   params.net_bw *= params.repair_bw_fraction;
   params.repair_bw_fraction = 1.0;
@@ -202,18 +156,21 @@ SimResult simulate(const core::RepairPlan& plan, const SimParams& raw) {
 
   SimResult result;
   for (const auto& round : plan.rounds) {
+    const int cr = static_cast<int>(round.reconstructions.size());
     double t = params.model == TimingModel::kPaperModel
-                   ? paper_round_time(round, params)
+                   ? model.round_time(cr, busiest_source_migrations(round),
+                                      round.strategy)
                    : resource_round_time(round, params);
     if (racked) t = std::max(t, rack_round_time(round, params));
     result.round_times.push_back(t);
     result.total_time += t;
     result.migrated += static_cast<int>(round.migrations.size());
-    result.reconstructed += static_cast<int>(round.reconstructions.size());
-    // Traffic: one chunk per migration, k per reconstruction.
+    result.reconstructed += cr;
     result.repair_traffic_chunks +=
-        static_cast<long>(round.migrations.size()) +
-        static_cast<long>(round.reconstructions.size()) * params.k_repair;
+        static_cast<long>(round.migrations.size());
+    for (const auto& task : round.reconstructions) {
+      result.repair_traffic_chunks += static_cast<long>(task.sources.size());
+    }
   }
   return result;
 }

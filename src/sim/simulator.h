@@ -5,9 +5,11 @@
 // replaced by computed execution times from the input bandwidths.
 //
 // Two timing models:
-//  * kPaperModel — the §III decomposition exactly: a round costs
-//    max(migrations·tm, tr), with tr from Eq. (5)/(6). This is what the
-//    paper's simulator computes and what Figures 8–10 plot.
+//  * kPaperModel — the §III decomposition exactly: each round costs
+//    core::CostModel::round_time(cr, busiest source's migrations,
+//    strategy), i.e. max(migrations·tm, tr) with tr from Eq. (5)/(6) or
+//    the chain form. This is what the paper's simulator computes and
+//    what Figures 8–10 plot.
 //  * kResourceModel — per-node accounting: every node's disk moves
 //    (reads+writes)/bd and its NIC max(tx,rx)/bn; a round lasts as long
 //    as its busiest resource (plus the single-chunk pipeline floor).
@@ -19,32 +21,17 @@
 
 #include "core/cost_model.h"
 #include "core/repair_plan.h"
-#include "net/topology.h"
 
 namespace fastpr::sim {
 
 enum class TimingModel { kPaperModel, kResourceModel };
 
-struct SimParams {
-  double chunk_bytes = 0;
-  double disk_bw = 0;
-  double net_bw = 0;
-  int k_repair = 0;
-  /// Per-helper traffic fraction (1.0 RS/LRC; 1/(d-k+1) for MSR).
-  double helper_bytes_fraction = 1.0;
-  int hot_standby = 1;          // h (hot-standby only)
-  core::Scenario scenario = core::Scenario::kScattered;
+/// The §III model inputs plus what only the simulator needs. The
+/// ModelParams fields mean what they mean to core::CostModel, which
+/// also validates them; num_nodes, stf_chunks and batch do not affect a
+/// round's time.
+struct SimParams : core::ModelParams {
   TimingModel model = TimingModel::kPaperModel;
-  /// Packet size of chain (repair-pipelining) rounds. Required (> 0)
-  /// when a round carries RepairStrategy::kChain; ignored for fan-in.
-  double packet_bytes = 0;
-  /// Per-forward store-and-forward cost of a chain hop (see
-  /// core::ModelParams::chain_hop_overhead_seconds).
-  double chain_hop_overhead_seconds = 0;
-  /// Fraction of net_bw repair may use under SLO-aware throttling (see
-  /// core::ModelParams::repair_bw_fraction). Scales every network term
-  /// of both timing models; disk terms are unscaled.
-  double repair_bw_fraction = 1.0;
   /// Rack topology (DESIGN.md §11). With topo_racks > 1 and
   /// oversubscription > 1, each round additionally pays for the busiest
   /// rack uplink/downlink: all cross-rack bytes of a rack share
@@ -55,7 +42,6 @@ struct SimParams {
   /// bit-identical to the flat simulator.
   int topo_racks = 1;
   int topo_nodes_per_rack = 0;
-  double oversubscription = net::Oversub(1.0);
 };
 
 struct SimResult {
@@ -63,7 +49,9 @@ struct SimResult {
   std::vector<double> round_times;
   int migrated = 0;
   int reconstructed = 0;
-  long repair_traffic_chunks = 0;  // chunks moved over the network
+  /// Chunks moved over the network: one per migration, one per helper
+  /// read of each reconstruction.
+  long repair_traffic_chunks = 0;
 
   int repaired() const { return migrated + reconstructed; }
   double per_chunk() const {

@@ -1,7 +1,5 @@
 #include "sim/strategies.h"
 
-#include <algorithm>
-
 #include "cluster/cluster_state.h"
 #include "cluster/stripe_layout.h"
 #include "util/check.h"
@@ -16,22 +14,6 @@ cluster::NodeId most_loaded_node(const cluster::StripeLayout& layout) {
     if (layout.load(node) > layout.load(best)) best = node;
   }
   return best;
-}
-
-/// The `count` most-loaded nodes, most-loaded first, ties to lower id.
-std::vector<cluster::NodeId> most_loaded_nodes(
-    const cluster::StripeLayout& layout, int count) {
-  std::vector<cluster::NodeId> nodes(
-      static_cast<size_t>(layout.num_nodes()));
-  for (cluster::NodeId node = 0; node < layout.num_nodes(); ++node) {
-    nodes[static_cast<size_t>(node)] = node;
-  }
-  std::stable_sort(nodes.begin(), nodes.end(),
-                   [&layout](cluster::NodeId a, cluster::NodeId b) {
-                     return layout.load(a) > layout.load(b);
-                   });
-  nodes.resize(static_cast<size_t>(count));
-  return nodes;
 }
 
 }  // namespace
@@ -74,55 +56,6 @@ StrategyTimes run_experiment(const ExperimentConfig& config) {
       simulate(planner.plan_reconstruction_only(), sim_params).per_chunk();
   out.migration_only =
       simulate(planner.plan_migration_only(), sim_params).per_chunk();
-  out.optimum = planner.cost_model().predictive_time_per_chunk();
-  return out;
-}
-
-MultiStrategyTimes run_multi_experiment(const ExperimentConfig& config) {
-  FASTPR_CHECK(config.k >= 1 && config.n > config.k);
-  FASTPR_CHECK(config.stf_batch >= 1);
-  Rng rng(config.seed);
-
-  auto layout = cluster::StripeLayout::random(config.num_nodes, config.n,
-                                              config.num_stripes, rng);
-  cluster::BandwidthProfile bw{config.disk_bw, config.net_bw};
-  cluster::ClusterState state(config.num_nodes, config.hot_standby, bw);
-  for (cluster::NodeId stf :
-       most_loaded_nodes(layout, config.stf_batch)) {
-    state.set_health(stf, cluster::NodeHealth::kSoonToFail);
-  }
-
-  core::PlannerOptions options;
-  options.scenario = config.scenario;
-  options.k_repair = config.k;
-  options.chunk_bytes = config.chunk_bytes;
-  core::FastPrPlanner planner(layout, state, options);
-
-  SimParams sim_params;
-  sim_params.chunk_bytes = config.chunk_bytes;
-  sim_params.disk_bw = config.disk_bw;
-  sim_params.net_bw = config.net_bw;
-  sim_params.k_repair = config.k;
-  sim_params.hot_standby = config.hot_standby;
-  sim_params.scenario = config.scenario;
-  sim_params.model = config.model;
-
-  MultiStrategyTimes out;
-  for (cluster::NodeId stf : planner.batch()) {
-    out.total_chunks += static_cast<int>(layout.chunks_on(stf).size());
-  }
-
-  const auto joint_plan = planner.plan_fastpr();
-  const auto joint_sim = simulate(joint_plan, sim_params);
-  out.joint = joint_sim.per_chunk();
-  out.joint_rounds = static_cast<int>(joint_plan.rounds.size());
-
-  const auto sequential_plan = planner.plan_sequential();
-  const auto sequential_sim = simulate(sequential_plan, sim_params);
-  out.sequential = sequential_sim.per_chunk();
-  out.sequential_rounds =
-      static_cast<int>(sequential_plan.rounds.size());
-
   out.optimum = planner.cost_model().predictive_time_per_chunk();
   return out;
 }

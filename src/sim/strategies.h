@@ -24,9 +24,6 @@ struct ExperimentConfig {
   core::Scenario scenario = core::Scenario::kScattered;
   TimingModel model = TimingModel::kPaperModel;
   uint64_t seed = 1;
-  /// Soon-to-fail nodes repaired as one batch (DESIGN.md §8). Only
-  /// run_multi_experiment consults values above 1.
-  int stf_batch = 1;
 };
 
 /// Per-chunk repair times of all four approaches on one random layout.
@@ -46,23 +43,5 @@ StrategyTimes run_experiment(const ExperimentConfig& config);
 
 /// Averages `runs` experiments over different seeds (seed, seed+1, ...).
 StrategyTimes run_averaged(const ExperimentConfig& config, int runs);
-
-/// Per-chunk repair times for a batch of STF nodes repaired together
-/// (DESIGN.md §8). No paper baseline exists for batch > 1; `sequential`
-/// — each member planned alone, plans executed back to back — is the
-/// in-repo reference the joint planner must beat.
-struct MultiStrategyTimes {
-  double joint = 0;         // FastPrPlanner::plan_fastpr
-  double sequential = 0;    // FastPrPlanner::plan_sequential
-  double optimum = 0;       // Eq. (2) generalized, batch cost model
-  int total_chunks = 0;     // U = union of all members' chunks
-  int joint_rounds = 0;
-  int sequential_rounds = 0;
-};
-
-/// Builds a random layout from `config.seed`, flags the
-/// `config.stf_batch` most-loaded nodes as one STF batch, and simulates
-/// the joint plan against the sequential baseline.
-MultiStrategyTimes run_multi_experiment(const ExperimentConfig& config);
 
 }  // namespace fastpr::sim

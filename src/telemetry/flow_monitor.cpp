@@ -6,6 +6,26 @@ namespace fastpr::telemetry {
 
 #if FASTPR_TELEMETRY_ENABLED
 
+namespace {
+
+/// Minimum active (injection-corrected) time before a window closes into
+/// the EWMA; short windows alias packet gaps into the rate.
+constexpr double kWindowSeconds = 0.02;
+constexpr double kEwmaAlpha = 0.3;
+/// A link is a straggler when its EWMA estimate runs below
+/// kStragglerFactor * expected rate (and both are known).
+constexpr double kStragglerFactor = 0.5;
+/// A receive gap longer than this is idle time (the link simply had
+/// nothing scheduled — e.g. the round barrier between repair rounds),
+/// excluded from the window's active duration like injected delay.
+/// Without it a bursty-but-healthy link reads as a straggler:
+/// bytes / (burst + idle) can fall arbitrarily far below the plan rate.
+/// Must sit above the slowest plausible genuine packet interval — a
+/// truly degraded link's gaps stay active.
+constexpr double kIdleGapSeconds = 0.1;
+
+}  // namespace
+
 FlowMonitor::Link& FlowMonitor::link(int src, int dst) {
   const std::pair<int, int> key{src, dst};
   auto it = std::lower_bound(
@@ -23,7 +43,7 @@ void FlowMonitor::fold_window(Link& l, int64_t now_us) {
   if (l.window_start_us < 0) return;
   const int64_t active_us =
       now_us - l.window_start_us - l.window_injected_us;
-  if (active_us < static_cast<int64_t>(options_.window_seconds * 1e6)) {
+  if (active_us < static_cast<int64_t>(kWindowSeconds * 1e6)) {
     return;  // window still open
   }
   if (active_us > 0 && l.window_bytes > 0) {
@@ -32,8 +52,7 @@ void FlowMonitor::fold_window(Link& l, int64_t now_us) {
     l.ewma_bytes_per_sec =
         l.ewma_bytes_per_sec == 0
             ? rate
-            : options_.ewma_alpha * rate +
-                  (1.0 - options_.ewma_alpha) * l.ewma_bytes_per_sec;
+            : kEwmaAlpha * rate + (1.0 - kEwmaAlpha) * l.ewma_bytes_per_sec;
   }
   l.window_start_us = now_us;
   l.window_bytes = 0;
@@ -57,7 +76,7 @@ void FlowMonitor::on_rx(int src, int dst, int64_t bytes, int64_t now_us) {
     // between rounds) are excluded from active time exactly like
     // injected delay — only sub-gap pacing counts toward the rate.
     const int64_t gap_us = now_us - l.last_rx_us;
-    if (gap_us > static_cast<int64_t>(options_.idle_gap_seconds * 1e6)) {
+    if (gap_us > static_cast<int64_t>(kIdleGapSeconds * 1e6)) {
       l.window_injected_us += gap_us;
     }
   }
@@ -102,7 +121,7 @@ std::vector<LinkStats> FlowMonitor::snapshot() const {
     s.straggler = s.ewma_bytes_per_sec > 0 &&
                   s.expected_bytes_per_sec > 0 &&
                   s.ewma_bytes_per_sec <
-                      options_.straggler_factor * s.expected_bytes_per_sec;
+                      kStragglerFactor * s.expected_bytes_per_sec;
     out.push_back(s);
   }
   return out;

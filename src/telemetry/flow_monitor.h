@@ -4,7 +4,7 @@
 // FlowMonitor as (src, dst, bytes, timestamp). The monitor accumulates
 // receives into per-link windows; each time a window closes it folds
 // the window's observed rate into an EWMA bytes/sec estimate for that
-// directed link. Links whose EWMA runs a configurable factor below the
+// directed link. Links whose EWMA runs a fixed factor below the
 // round's plan rate are flagged as stragglers — the live sensor the
 // adaptive throttler (ROADMAP item 1) and mid-repair replanning
 // (item 3) consume.
@@ -38,34 +38,13 @@ struct LinkStats {
   double ewma_bytes_per_sec = 0;       // 0 until the first window closes
   double expected_bytes_per_sec = 0;   // the round's plan rate; 0 = unknown
   int64_t injected_delay_us = 0;       // fault-plan time excluded from rate
-  bool straggler = false;  // ewma < straggler_factor * expected
+  bool straggler = false;  // ewma < kStragglerFactor * expected
 };
 
 #if FASTPR_TELEMETRY_ENABLED
 
 class FlowMonitor {
  public:
-  struct Options {
-    /// Minimum active (injection-corrected) time before a window closes
-    /// into the EWMA; short windows alias packet gaps into the rate.
-    double window_seconds = 0.02;
-    double ewma_alpha = 0.3;
-    /// A link is a straggler when its EWMA estimate runs below
-    /// straggler_factor * expected rate (and both are known).
-    double straggler_factor = 0.5;
-    /// A receive gap longer than this is idle time (the link simply had
-    /// nothing scheduled — e.g. the round barrier between repair
-    /// rounds), excluded from the window's active duration like
-    /// injected delay. Without it a bursty-but-healthy link reads as a
-    /// straggler: bytes / (burst + idle) can fall arbitrarily far below
-    /// the plan rate. Must sit above the slowest plausible genuine
-    /// packet interval — a truly degraded link's gaps stay active.
-    double idle_gap_seconds = 0.1;
-  };
-
-  FlowMonitor() = default;
-  explicit FlowMonitor(const Options& options) : options_(options) {}
-
   void on_tx(int src, int dst, int64_t bytes, int64_t now_us);
   void on_rx(int src, int dst, int64_t bytes, int64_t now_us);
 
@@ -101,7 +80,6 @@ class FlowMonitor {
   Link& link(int src, int dst) FASTPR_REQUIRES(mutex_);
   void fold_window(Link& l, int64_t now_us) FASTPR_REQUIRES(mutex_);
 
-  const Options options_;
   mutable Mutex mutex_{lock_order::kTelemetryFlow};
   /// Directed links keyed (src, dst), kept sorted for snapshot order.
   std::vector<std::pair<std::pair<int, int>, Link>> links_
@@ -113,16 +91,6 @@ class FlowMonitor {
 
 class FlowMonitor {
  public:
-  struct Options {
-    double window_seconds = 0.02;
-    double ewma_alpha = 0.3;
-    double straggler_factor = 0.5;
-    double idle_gap_seconds = 0.1;
-  };
-
-  FlowMonitor() = default;
-  explicit FlowMonitor(const Options&) {}
-
   void on_tx(int, int, int64_t, int64_t) {}
   void on_rx(int, int, int64_t, int64_t) {}
   void on_injected_delay(int, int, int64_t) {}

@@ -162,21 +162,6 @@ TEST(FastPrPlanner, ReconStatsPopulated) {
   EXPECT_EQ(replanner.recon_stats().swaps, full.swaps);
 }
 
-TEST(FastPrPlanner, HelperCapacityTwoPlansArePlaceable) {
-  // Algorithm 1 packs sets for two helper reads per node; placement must
-  // match them at the same capacity, or a packed set is unmatchable.
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    auto w = make_world(40, 8, 300, Scenario::kScattered, seed);
-    PlannerOptions opts = options_for(Scenario::kScattered, 6);
-    opts.recon.helper_reads_per_node = 2;
-    FastPrPlanner planner(w.layout, w.state, opts);
-    const auto plan = planner.plan_fastpr();
-    validate_plan(plan, w.layout, w.state, 6, nullptr, 2);
-    EXPECT_EQ(plan.total_repaired(), w.layout.load(w.stf));
-  }
-}
-
 TEST(FastPrPlanner, CostModelReflectsCluster) {
   auto w = make_world(40, 9, 300, Scenario::kScattered, 17);
   FastPrPlanner planner(w.layout, w.state,

@@ -129,7 +129,7 @@ TEST(FlowMonitor, InjectedDelayIsExcludedFromRate) {
 }
 
 TEST(FlowMonitor, IdleGapsAreExcludedFromActiveTime) {
-  // A receive gap longer than idle_gap_seconds (default 0.1 s) means
+  // A receive gap longer than the idle threshold (0.1 s) means
   // the link had nothing scheduled — the round barrier, not slowness —
   // and is credited like injected delay. Two 40000-byte bursts, each
   // paced at 2 MB/s, separated by half a second of idle: the folded

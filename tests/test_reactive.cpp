@@ -5,12 +5,14 @@
 
 #include <map>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "core/fastpr.h"
-
 #include "ec/lrc_code.h"
 #include "ec/rs_code.h"
 #include "sim/simulator.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -52,6 +54,72 @@ ReactiveResult plan_reactive(const StripeLayout& layout,
                              const PlannerOptions& options) {
   FastPrPlanner planner(layout, state, options);
   return planner.plan_reactive({}, {});
+}
+
+/// Checks a reactive plan: every recoverable lost chunk (on the
+/// `failed` nodes) repaired exactly once from surviving nodes, no node
+/// reading twice in a round, and — as in validate_plan — no destination
+/// receiving two repaired chunks of one stripe anywhere in the plan.
+/// Throws CheckFailure on a violation.
+void validate_reactive_plan(const ReactiveResult& result,
+                            const StripeLayout& layout,
+                            const ClusterState& cluster,
+                            const std::vector<NodeId>& failed) {
+  using cluster::ChunkRef;
+  const std::unordered_set<NodeId> failed_set(failed.begin(), failed.end());
+
+  std::unordered_set<ChunkRef, cluster::ChunkRefHash> expected;
+  for (NodeId node : failed) {
+    for (ChunkRef c : layout.chunks_on(node)) expected.insert(c);
+  }
+  for (ChunkRef c : result.unrepairable) {
+    FASTPR_CHECK_MSG(expected.erase(c) == 1,
+                     "unrepairable chunk was not actually lost");
+  }
+
+  std::unordered_set<ChunkRef, cluster::ChunkRefHash> seen;
+  std::unordered_map<cluster::StripeId, std::unordered_set<NodeId>> landed;
+  for (const auto& round : result.plan.rounds) {
+    FASTPR_CHECK_MSG(round.migrations.empty(),
+                     "reactive repair cannot migrate from dead nodes");
+    std::unordered_set<NodeId> round_sources;
+    std::unordered_set<NodeId> round_dests;
+    for (const auto& task : round.reconstructions) {
+      FASTPR_CHECK_MSG(failed_set.count(layout.node_of(task.chunk)) == 1,
+                       "repaired chunk was not lost");
+      FASTPR_CHECK_MSG(seen.insert(task.chunk).second,
+                       "chunk repaired twice");
+      FASTPR_CHECK(!task.sources.empty());
+      for (const auto& src : task.sources) {
+        FASTPR_CHECK_MSG(failed_set.count(src.node) == 0,
+                         "helper read from a failed node");
+        FASTPR_CHECK(cluster.health(src.node) ==
+                     cluster::NodeHealth::kHealthy);
+        FASTPR_CHECK(src.chunk.stripe == task.chunk.stripe);
+        FASTPR_CHECK(src.chunk.index != task.chunk.index);
+        FASTPR_CHECK(layout.node_of(src.chunk) == src.node);
+        FASTPR_CHECK_MSG(round_sources.insert(src.node).second,
+                         "node reads twice in one round");
+      }
+      FASTPR_CHECK(task.dst != cluster::kNoNode);
+      FASTPR_CHECK(failed_set.count(task.dst) == 0);
+      FASTPR_CHECK_MSG(landed[task.chunk.stripe].insert(task.dst).second,
+                       "two repaired chunks of stripe "
+                           << task.chunk.stripe << " land on node "
+                           << task.dst);
+      if (!cluster.is_hot_standby(task.dst)) {
+        FASTPR_CHECK_MSG(
+            !layout.stripe_uses_node(task.chunk.stripe, task.dst),
+            "destination breaks stripe distinctness");
+        FASTPR_CHECK_MSG(round_dests.insert(task.dst).second,
+                         "scattered destination reused in round");
+      }
+    }
+  }
+  FASTPR_CHECK_MSG(seen.size() == expected.size(),
+                   "plan repairs " << seen.size() << " of "
+                                   << expected.size()
+                                   << " recoverable chunks");
 }
 
 /// Stripes with two repaired chunks on one destination (§IV-A).

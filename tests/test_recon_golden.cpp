@@ -170,17 +170,6 @@ TEST(ReconSetsGolden, ChunkGroups) {
   }
 }
 
-TEST(ReconSetsGolden, HelperCapacityTwo) {
-  core::ReconSetOptions options;
-  options.helper_reads_per_node = 2;
-  for (const Golden g : {Golden{1, 6250764983743333658ULL},
-                         Golden{2, 13946101346427084740ULL},
-                         Golden{3, 14118983303754341701ULL}}) {
-    SCOPED_TRACE("seed " + std::to_string(g.seed));
-    EXPECT_EQ(single_stf_digest(40, 8, 6, 300, g.seed, options), g.digest);
-  }
-}
-
 TEST(ReconSetsGolden, Deprioritized) {
   for (const Golden g : {Golden{1, 17336436423706366530ULL},
                          Golden{2, 3718806013930837382ULL},

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster_state.h"
+#include "cluster/stripe_layout.h"
+#include "core/fastpr.h"
+#include "ec/lrc_code.h"
 #include "util/check.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace fastpr::sim {
@@ -45,7 +50,7 @@ core::RepairRound round_with(int reconstructions, int migrations) {
 TEST(Simulator, MigrationOnlyRoundTimeIsCountTimesTm) {
   const auto p = paper_params(core::Scenario::kScattered);
   core::RepairPlan plan;
-  plan.stf_node = 0;
+  plan.stf_nodes = {0};
   plan.rounds.push_back(round_with(0, 7));
   const auto result = simulate(plan, p);
   const double tm = 0.64 + 64.0 * (1 << 20) / (1e9 / 8) + 0.64;
@@ -57,7 +62,7 @@ TEST(Simulator, MigrationOnlyRoundTimeIsCountTimesTm) {
 TEST(Simulator, ScatteredReconstructionRoundTimeIsTr) {
   const auto p = paper_params(core::Scenario::kScattered);
   core::RepairPlan plan;
-  plan.stf_node = 0;
+  plan.stf_nodes = {0};
   plan.rounds.push_back(round_with(5, 0));
   const auto result = simulate(plan, p);
   const double c_bn = 64.0 * (1 << 20) / (1e9 / 8);
@@ -68,7 +73,7 @@ TEST(Simulator, ScatteredReconstructionRoundTimeIsTr) {
 TEST(Simulator, CoupledRoundTakesMaxOfStreams) {
   const auto p = paper_params(core::Scenario::kScattered);
   core::RepairPlan plan;
-  plan.stf_node = 0;
+  plan.stf_nodes = {0};
   plan.rounds.push_back(round_with(3, 10));  // migration dominates
   const auto result = simulate(plan, p);
   const double tm = 0.64 + 64.0 * (1 << 20) / (1e9 / 8) + 0.64;
@@ -78,7 +83,7 @@ TEST(Simulator, CoupledRoundTakesMaxOfStreams) {
 TEST(Simulator, HotStandbyRoundScalesWithGroupSize) {
   const auto p = paper_params(core::Scenario::kHotStandby);
   core::RepairPlan plan;
-  plan.stf_node = 0;
+  plan.stf_nodes = {0};
   plan.rounds.push_back(round_with(9, 0));
   const auto result = simulate(plan, p);
   const double c_bn = 64.0 * (1 << 20) / (1e9 / 8);
@@ -89,7 +94,7 @@ TEST(Simulator, HotStandbyRoundScalesWithGroupSize) {
 TEST(Simulator, RoundTimesAccumulate) {
   const auto p = paper_params(core::Scenario::kScattered);
   core::RepairPlan plan;
-  plan.stf_node = 0;
+  plan.stf_nodes = {0};
   plan.rounds.push_back(round_with(2, 0));
   plan.rounds.push_back(round_with(0, 3));
   const auto result = simulate(plan, p);
@@ -99,30 +104,18 @@ TEST(Simulator, RoundTimesAccumulate) {
 }
 
 TEST(Simulator, ChainRoundTimesMatchCostModelExactly) {
-  // Simulated chain rounds and CostModel::round_time(.., kChain) use the
-  // same closed form — the agreement must be bit-exact, not approximate,
-  // so predicted-vs-simulated diffs stay clean.
+  // A paper-model round is CostModel::round_time on the same parameters,
+  // so simulated chain rounds equal the model's predictions bit for bit
+  // and predicted-vs-simulated diffs stay clean.
   for (auto scenario :
        {core::Scenario::kScattered, core::Scenario::kHotStandby}) {
     auto p = paper_params(scenario);
     p.packet_bytes = static_cast<double>(256 * kKiB);
     p.chain_hop_overhead_seconds = 500e-6;
-
-    core::ModelParams mp;
-    mp.num_nodes = 100;
-    mp.stf_chunks = 100;
-    mp.chunk_bytes = p.chunk_bytes;
-    mp.disk_bw = p.disk_bw;
-    mp.net_bw = p.net_bw;
-    mp.k_repair = p.k_repair;
-    mp.hot_standby = p.hot_standby;
-    mp.scenario = scenario;
-    mp.packet_bytes = p.packet_bytes;
-    mp.chain_hop_overhead_seconds = p.chain_hop_overhead_seconds;
-    const core::CostModel model(mp);
+    const core::CostModel model(p);
 
     core::RepairPlan plan;
-    plan.stf_node = 0;
+    plan.stf_nodes = {0};
     const std::vector<std::pair<int, int>> rounds = {
         {5, 0}, {3, 4}, {1, 9}};
     for (const auto& [cr, cm] : rounds) {
@@ -133,19 +126,61 @@ TEST(Simulator, ChainRoundTimesMatchCostModelExactly) {
     const auto result = simulate(plan, p);
     ASSERT_EQ(result.round_times.size(), rounds.size());
     for (size_t i = 0; i < rounds.size(); ++i) {
-      EXPECT_DOUBLE_EQ(
-          result.round_times[i],
-          model.round_time(rounds[i].first, rounds[i].second,
-                           core::RepairStrategy::kChain))
+      EXPECT_EQ(result.round_times[i],
+                model.round_time(rounds[i].first, rounds[i].second,
+                                 core::RepairStrategy::kChain))
           << "scenario=" << core::to_string(scenario) << " round=" << i;
     }
   }
 }
 
+TEST(Simulator, TrafficCountsEachTasksHelperReads) {
+  // LRC(12,2,2) rebuilds a data or local parity chunk from k' = 6
+  // helpers, but a global parity from all 12 data chunks. Traffic is one
+  // chunk per migration plus each reconstruction's own helper reads, so
+  // the global-parity repairs count in full.
+  const ec::LrcCode code(12, /*l=*/2, /*g=*/2);
+  Rng rng(5);
+  const auto layout = cluster::StripeLayout::random(40, code.n(), 200, rng);
+  cluster::ClusterState state(
+      40, 3, cluster::BandwidthProfile{MBps(100), Gbps(1)});
+  cluster::NodeId stf = 0;
+  for (cluster::NodeId n = 1; n < 40; ++n) {
+    if (layout.load(n) > layout.load(stf)) stf = n;
+  }
+  state.set_health(stf, cluster::NodeHealth::kSoonToFail);
+  core::PlannerOptions options;
+  options.k_repair = code.repair_fetch_count(0);
+  options.chunk_bytes = static_cast<double>(MB(64));
+  options.code = &code;
+  core::FastPrPlanner planner(layout, state, options);
+
+  auto p = paper_params(core::Scenario::kScattered);
+  p.k_repair = options.k_repair;
+  int global_rebuilds = 0;
+  for (const auto& plan :
+       {planner.plan_fastpr(), planner.plan_reconstruction_only()}) {
+    long expected = 0;
+    for (const auto& round : plan.rounds) {
+      expected += static_cast<long>(round.migrations.size());
+      for (const auto& task : round.reconstructions) {
+        expected += static_cast<long>(task.sources.size());
+        if (code.group_of(task.chunk.index) < 0) {
+          ++global_rebuilds;
+          EXPECT_EQ(task.sources.size(), 12u);
+        }
+      }
+    }
+    EXPECT_EQ(simulate(plan, p).repair_traffic_chunks, expected);
+  }
+  // Reconstruction-only rebuilds every global parity on the STF node.
+  EXPECT_GT(global_rebuilds, 0);
+}
+
 TEST(Simulator, ChainRoundRequiresPacketBytes) {
   auto p = paper_params(core::Scenario::kScattered);  // packet_bytes = 0
   core::RepairPlan plan;
-  plan.stf_node = 0;
+  plan.stf_nodes = {0};
   auto round = round_with(2, 0);
   round.strategy = core::RepairStrategy::kChain;
   plan.rounds.push_back(std::move(round));
@@ -157,7 +192,7 @@ TEST(Simulator, ResourceModelNotSlowerThanPaperForMigrations) {
   // can only be faster than the serial per-chunk paper model.
   auto p = paper_params(core::Scenario::kScattered);
   core::RepairPlan plan;
-  plan.stf_node = 0;
+  plan.stf_nodes = {0};
   plan.rounds.push_back(round_with(0, 8));
   const auto paper = simulate(plan, p);
   p.model = TimingModel::kResourceModel;
@@ -218,7 +253,7 @@ TEST(Simulator, RepairBwFractionEqualsScaledNetBw) {
   // so a throttled run must be bit-identical to an unthrottled run at
   // the scaled bandwidth — under BOTH timing models.
   core::RepairPlan plan;
-  plan.stf_node = 0;
+  plan.stf_nodes = {0};
   plan.rounds.push_back(round_with(5, 3));
   plan.rounds.push_back(round_with(2, 6));
   for (const auto model :
@@ -246,7 +281,7 @@ TEST(Simulator, RepairBwFractionEqualsScaledNetBw) {
 
 TEST(Simulator, RejectsBadRepairBwFraction) {
   core::RepairPlan plan;
-  plan.stf_node = 0;
+  plan.stf_nodes = {0};
   plan.rounds.push_back(round_with(1, 1));
   auto p = paper_params(core::Scenario::kScattered);
   p.repair_bw_fraction = 0;

@@ -144,7 +144,7 @@ TEST(TopologyCostModel, CrossRackTrafficIsChargedThePenalty) {
 void expect_plans_identical(const core::RepairPlan& a,
                             const core::RepairPlan& b) {
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  EXPECT_EQ(a.stf_node, b.stf_node);
+  EXPECT_EQ(a.stf_nodes, b.stf_nodes);
   for (size_t r = 0; r < a.rounds.size(); ++r) {
     SCOPED_TRACE("round " + std::to_string(r));
     const auto& ra = a.rounds[r];
@@ -286,8 +286,7 @@ TEST(TopologyDifferential, MultiRackPlanSatisfiesRackInvariant) {
   const auto plan = planner.plan_fastpr();
   EXPECT_EQ(plan.total_repaired(), layout.load(stf));
   // Throws CheckFailure if any rack ends up with two chunks of a stripe.
-  core::validate_plan(plan, layout, state, options.k_repair, &code, 1,
-                      &topo);
+  core::validate_plan(plan, layout, state, options.k_repair, &code, &topo);
 }
 
 int reads_on(const core::RepairPlan& plan,
@@ -340,8 +339,7 @@ TEST(BandwidthReplanPlanning, DeprioritizedHelpersServeZeroReads) {
   const auto plan = planner.plan_fastpr_remaining({}, stragglers);
 
   EXPECT_EQ(plan.total_repaired(), layout.load(stf));
-  core::validate_plan(plan, layout, state, options.k_repair, &code, 1,
-                      &topo);
+  core::validate_plan(plan, layout, state, options.k_repair, &code, &topo);
   EXPECT_EQ(reads_on(plan, stragglers), 0);
   // Sanity: the normal plan DOES read from those heavily-loaded nodes,
   // so zero above reflects the plan-around, not a vacuous layout.

@@ -361,7 +361,7 @@ int cmd_plan(const Spec& spec) {
   auto planner = make_planner(spec, w);
   const auto plan = planner.plan_fastpr();
   core::validate_plan(plan, w.layout, w.state,
-                      spec.code->repair_fetch_count(0), spec.code.get(), 1,
+                      spec.code->repair_fetch_count(0), spec.code.get(),
                       spec.topology_ptr());
   std::printf("STF node %d holds %d chunks; %s\n\n", w.stf,
               w.layout.load(w.stf), plan.to_string().c_str());
