@@ -173,9 +173,9 @@ FlapRun run_flap(bool replanning, uint64_t chunk_bytes, int num_stripes,
               << ")");
     return out;
   }
-  out.total_seconds = report.total_seconds;
+  out.total_seconds = report.repair.total_seconds;
   out.bandwidth_replans = report.bandwidth_replans;
-  out.rounds = static_cast<int>(report.round_seconds.size());
+  out.rounds = static_cast<int>(report.repair.rounds.size());
   return out;
 }
 

@@ -104,7 +104,7 @@ int main() {
   const auto plan = planner.plan_fastpr();
   const auto report = tb.execute(plan);
   std::printf("testbed LRC repair: %d chunks in %.2f s — %s\n",
-              report.repaired(), report.total_seconds,
+              report.repaired(), report.repair.total_seconds,
               report.success && tb.verify(plan)
                   ? "all chunks byte-verified"
                   : "FAILED");

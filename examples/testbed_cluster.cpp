@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
           "%-15s stf=%2d U=%2d rounds=%2zu migrated=%2d reconstructed=%2d "
           "time=%6.2fs per-chunk=%5.3fs %s\n",
           strategy, stf, tb.layout().load(stf), plan.rounds.size(),
-          report.migrated, report.reconstructed, report.total_seconds,
+          report.migrated, report.reconstructed, report.repair.total_seconds,
           report.per_chunk(),
           report.success && verified ? "VERIFIED" : "FAILED");
     }

@@ -120,7 +120,6 @@ void Agent::dispatch_loop() {
     auto msg = transport_.recv(id_);
     if (!msg.has_value()) return;  // transport shut down
     if (msg->type == MessageType::kShutdown) return;
-    if (killed_.load()) continue;  // crashed node: drop silently
 
     // Adopt the sender's causal context for the whole handler: spans
     // opened below (and contexts captured into reader/sender tasks)

@@ -28,7 +28,6 @@
 // dropped and counted (agent.malformed_msgs), never trusted.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -71,10 +70,6 @@ class Agent {
 
   /// Graceful: drains the dispatcher, reader tasks and sender workers.
   void stop();
-
-  /// Failure injection: the agent silently stops acting on messages
-  /// (simulates a crashed DataNode — the coordinator sees a timeout).
-  void kill() { killed_.store(true); }
 
   cluster::NodeId id() const { return id_; }
 
@@ -200,7 +195,6 @@ class Agent {
   /// Highest attempt per task this node finished or had cancelled: its
   /// stragglers are dropped, not parked in early_ (dispatcher-only).
   std::unordered_map<uint64_t, uint32_t> retired_;
-  std::atomic<bool> killed_{false};
   bool started_ = false;
 };
 

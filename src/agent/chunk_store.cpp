@@ -1,8 +1,5 @@
 #include "agent/chunk_store.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/check.h"
@@ -11,19 +8,8 @@
 namespace fastpr::agent {
 
 ChunkStore::ChunkStore(const Options& options, const ChunkOracle* oracle)
-    : options_(options),
-      oracle_(oracle),
-      disk_(std::make_unique<TokenBucket>(options.disk_bytes_per_sec)) {
-  if (options_.directory.has_value()) {
-    std::filesystem::create_directories(*options_.directory);
-  }
-}
-
-std::filesystem::path ChunkStore::path_for(cluster::ChunkRef chunk) const {
-  std::ostringstream name;
-  name << "s" << chunk.stripe << "_i" << chunk.index << ".chunk";
-  return *options_.directory / name.str();
-}
+    : oracle_(oracle),
+      disk_(std::make_unique<TokenBucket>(options.disk_bytes_per_sec)) {}
 
 void ChunkStore::write(cluster::ChunkRef chunk, std::vector<uint8_t> data) {
   FASTPR_TRACE_SPAN("store.write", "store");
@@ -41,26 +27,6 @@ std::optional<std::vector<uint8_t>> ChunkStore::read_unthrottled(
     if (it != chunks_.end()) materialized = it->second;
   }
   if (materialized.has_value()) return materialized;
-
-  // File-backed?
-  if (options_.directory.has_value()) {
-    bool present;
-    {
-      MutexLock lock(mutex_);
-      present = on_disk_.count(chunk) != 0;
-    }
-    if (present) {
-      std::ifstream in(path_for(chunk), std::ios::binary | std::ios::ate);
-      FASTPR_CHECK_MSG(in.good(), "chunk file disappeared");
-      const auto size = static_cast<size_t>(in.tellg());
-      in.seekg(0);
-      std::vector<uint8_t> data(size);
-      in.read(reinterpret_cast<char*>(data.data()),
-              static_cast<std::streamsize>(size));
-      FASTPR_CHECK(in.good());
-      return data;
-    }
-  }
   // Synthesized content.
   if (oracle_ != nullptr) return oracle_->generate(chunk);
   return std::nullopt;
@@ -79,21 +45,8 @@ std::optional<std::vector<uint8_t>> ChunkStore::read(
 void ChunkStore::write_unthrottled(cluster::ChunkRef chunk,
                                    std::vector<uint8_t> data) {
   const uint32_t checksum = crc32c(data);
-  {
-    MutexLock lock(mutex_);
-    checksums_[chunk] = checksum;
-  }
-  if (options_.directory.has_value()) {
-    std::ofstream out(path_for(chunk), std::ios::binary | std::ios::trunc);
-    FASTPR_CHECK_MSG(out.good(), "cannot open chunk file for write");
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size()));
-    FASTPR_CHECK(out.good());
-    MutexLock lock(mutex_);
-    on_disk_.insert(chunk);
-    return;
-  }
   MutexLock lock(mutex_);
+  checksums_[chunk] = checksum;
   chunks_[chunk] = std::move(data);
 }
 
@@ -109,13 +62,13 @@ void ChunkStore::charge_io(int64_t bytes) const {
 
 bool ChunkStore::has_materialized(cluster::ChunkRef chunk) const {
   MutexLock lock(mutex_);
-  return chunks_.count(chunk) != 0 || on_disk_.count(chunk) != 0;
+  return chunks_.count(chunk) != 0;
 }
 
 bool ChunkStore::contains(cluster::ChunkRef chunk) const {
   {
     MutexLock lock(mutex_);
-    if (chunks_.count(chunk) != 0 || on_disk_.count(chunk) != 0) return true;
+    if (chunks_.count(chunk) != 0) return true;
   }
   if (oracle_ != nullptr) {
     return oracle_->generate(chunk).has_value();
@@ -127,9 +80,6 @@ void ChunkStore::erase(cluster::ChunkRef chunk) {
   MutexLock lock(mutex_);
   chunks_.erase(chunk);
   checksums_.erase(chunk);
-  if (on_disk_.erase(chunk) != 0) {
-    std::filesystem::remove(path_for(chunk));
-  }
 }
 
 void ChunkStore::inject_read_error(cluster::ChunkRef chunk) {
@@ -146,7 +96,7 @@ void ChunkStore::corrupt(cluster::ChunkRef chunk, size_t byte_index) {
   MutexLock lock(mutex_);
   const auto it = chunks_.find(chunk);
   FASTPR_CHECK_MSG(it != chunks_.end(),
-                   "can only corrupt an in-memory materialized chunk");
+                   "can only corrupt a materialized chunk");
   FASTPR_CHECK(byte_index < it->second.size());
   it->second[byte_index] ^= 0x01;
 }
@@ -165,7 +115,7 @@ std::vector<cluster::ChunkRef> ChunkStore::scrub() const {
 
 size_t ChunkStore::materialized_count() const {
   MutexLock lock(mutex_);
-  return chunks_.size() + on_disk_.size();
+  return chunks_.size();
 }
 
 }  // namespace fastpr::agent

@@ -1,17 +1,15 @@
 // Per-node chunk storage with throttled I/O.
 //
 // A token bucket prices every read and write at the node's disk
-// bandwidth bd — the testbed's stand-in for a real spindle. Contents can
-// come from three places:
-//  * explicitly written chunks (repaired data) — always materialized;
+// bandwidth bd — the testbed's stand-in for a real spindle. Contents
+// come from two places:
+//  * explicitly written chunks (repaired data), materialized in memory;
 //  * an optional ChunkOracle that synthesizes unwritten chunks
 //    deterministically (so a 100-node cluster of multi-GB "data" costs
-//    no RAM — source reads regenerate content on the fly);
-//  * an optional spill directory for file-backed persistence.
+//    no RAM — source reads regenerate content on the fly).
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -37,8 +35,6 @@ class ChunkStore {
  public:
   struct Options {
     double disk_bytes_per_sec = 0;  // <=0: unthrottled
-    /// If set, written chunks are persisted as files here instead of RAM.
-    std::optional<std::filesystem::path> directory;
   };
 
   ChunkStore(const Options& options, const ChunkOracle* oracle = nullptr);
@@ -46,8 +42,8 @@ class ChunkStore {
   /// Writes a whole chunk (throttled).
   void write(cluster::ChunkRef chunk, std::vector<uint8_t> data);
 
-  /// Reads a whole chunk (throttled); nullopt if absent everywhere or an
-  /// injected read error fires.
+  /// Reads a whole chunk (throttled); nullopt if absent or an injected
+  /// read error fires.
   std::optional<std::vector<uint8_t>> read(cluster::ChunkRef chunk) const;
 
   /// Charges the disk bucket without moving data. Pipelined transfers
@@ -94,9 +90,6 @@ class ChunkStore {
   size_t materialized_count() const;
 
  private:
-  std::filesystem::path path_for(cluster::ChunkRef chunk) const;
-
-  Options options_;
   const ChunkOracle* oracle_;
   mutable std::unique_ptr<TokenBucket> disk_;
   mutable Mutex mutex_{lock_order::kStoreChunks};
@@ -105,8 +98,6 @@ class ChunkStore {
       chunks_ FASTPR_GUARDED_BY(mutex_);
   std::unordered_map<cluster::ChunkRef, uint32_t, cluster::ChunkRefHash>
       checksums_ FASTPR_GUARDED_BY(mutex_);
-  std::unordered_set<cluster::ChunkRef, cluster::ChunkRefHash> on_disk_
-      FASTPR_GUARDED_BY(mutex_);
   std::unordered_set<cluster::ChunkRef, cluster::ChunkRefHash> read_errors_
       FASTPR_GUARDED_BY(mutex_);
 };

@@ -49,41 +49,37 @@ Coordinator::Coordinator(NodeId id, net::Transport& transport,
 
 void Coordinator::issue_task(uint64_t task_id, const PendingTask& task) {
   // One command per attempt, to the destination: it drives the transfer
-  // (DESIGN.md §5b). A migration is the one-source fan-in of the STF's
-  // own chunk with coefficient 1.
+  // (DESIGN.md §5b).
+  const core::ReconstructionTask& t = task.transfer;
   Message cmd;
   cmd.type = MessageType::kRepairCmd;
   cmd.from = id_;
-  cmd.to = task.current_dst();
+  cmd.to = t.dst;
   cmd.task_id = task_id;
   cmd.attempt = task.attempt;
-  cmd.chunk = task.chunk();
+  cmd.chunk = t.chunk;
   cmd.dst = cmd.to;
   cmd.chunk_bytes = options_.chunk_bytes;
   cmd.packet_bytes = options_.packet_bytes;
   cmd.trace = telemetry::current_trace_context();
-  if (task.is_migration) {
-    cmd.sources.push_back(net::SourceSpec{task.mig.src, task.mig.chunk, 1});
-  } else {
-    // Decode coefficients for this helper set; a chain computes the same
-    // sum, just associated left-to-right down the hops.
+  // A migration copies the STF's own chunk at coefficient 1. Otherwise
+  // the code supplies decode coefficients for this helper set; a chain
+  // computes the same sum, just associated left-to-right down the hops.
+  std::vector<uint8_t> coeffs{1};
+  if (!task.migration) {
     std::vector<int> helper_indices;
-    helper_indices.reserve(task.recon.sources.size());
-    for (const auto& src : task.recon.sources) {
-      helper_indices.push_back(src.chunk.index);
-    }
-    const auto coeffs =
-        code_.repair_coefficients(task.recon.chunk.index, helper_indices);
-    FASTPR_CHECK(coeffs.size() == task.recon.sources.size());
-    for (size_t i = 0; i < coeffs.size(); ++i) {
-      cmd.sources.push_back(net::SourceSpec{task.recon.sources[i].node,
-                                            task.recon.sources[i].chunk,
-                                            coeffs[i]});
-    }
-    if (task.recon.strategy == core::RepairStrategy::kChain) {
-      cmd.shape = net::RepairShape::kChain;
-      coord_counter("coordinator.chain_tasks").add();
-    }
+    helper_indices.reserve(t.sources.size());
+    for (const auto& src : t.sources) helper_indices.push_back(src.chunk.index);
+    coeffs = code_.repair_coefficients(t.chunk.index, helper_indices);
+  }
+  FASTPR_CHECK(coeffs.size() == t.sources.size());
+  for (size_t i = 0; i < coeffs.size(); ++i) {
+    cmd.sources.push_back(
+        net::SourceSpec{t.sources[i].node, t.sources[i].chunk, coeffs[i]});
+  }
+  if (t.strategy == core::RepairStrategy::kChain) {
+    cmd.shape = net::RepairShape::kChain;
+    coord_counter("coordinator.chain_tasks").add();
   }
   // fastpr-lint: allow(ack-tracking) — reply tracked via pending_;
   // non-acknowledgement is salvaged by round extensions + probes.
@@ -96,10 +92,9 @@ void Coordinator::cancel_attempt(uint64_t task_id, const PendingTask& task,
   // reissued chain re-picks its hop set, so every old hop is torn down
   // along with a destination the task moved off.
   std::vector<NodeId> nodes;
-  if (task.current_dst() != keep_dst) nodes.push_back(task.current_dst());
-  if (!task.is_migration &&
-      task.recon.strategy == core::RepairStrategy::kChain) {
-    for (const auto& src : task.recon.sources) nodes.push_back(src.node);
+  if (task.transfer.dst != keep_dst) nodes.push_back(task.transfer.dst);
+  if (task.transfer.strategy == core::RepairStrategy::kChain) {
+    for (const auto& src : task.transfer.sources) nodes.push_back(src.node);
   }
   for (NodeId node : nodes) {
     if (node == cluster::kNoNode) continue;
@@ -116,30 +111,18 @@ void Coordinator::cancel_attempt(uint64_t task_id, const PendingTask& task,
   }
 }
 
-core::ReconstructionTask Coordinator::fallback_for(
-    const core::MigrationTask& task, NodeId stf,
-    const std::unordered_set<NodeId>& failed) const {
-  core::ReconstructionTask recon;
-  recon.chunk = task.chunk;
-  recon.dst = task.dst;
-  recon.sources = pick_sources(task.chunk, task.dst, stf, failed);
-  return recon;
-}
-
 std::vector<core::SourceRead> Coordinator::pick_sources(
-    ChunkRef chunk, NodeId dst, NodeId stf,
+    ChunkRef chunk, NodeId dst,
     const std::unordered_set<NodeId>& exclude) const {
-  // k helpers from the stripe's other nodes. We cannot use an STF node
-  // (it is being retired or its read just failed) or any known-failed
-  // node; beyond that any k suffice for RS, and the code object picks
-  // valid helpers for LRC (local group first, global parities when the
-  // group is depleted). During a batch execution every batch member is
-  // off-limits, not just the caller's `stf`.
+  // k helpers from the stripe's other nodes. We cannot use an STF batch
+  // member (it is being retired or its read just failed) or any
+  // known-failed node; beyond that any k suffice for RS, and the code
+  // object picks valid helpers for LRC (local group first, global
+  // parities when the group is depleted).
   const auto& nodes = layout_.stripe_nodes(chunk.stripe);
   std::vector<bool> available(nodes.size(), false);
   for (size_t i = 0; i < nodes.size(); ++i) {
-    available[i] = nodes[i] != stf && nodes[i] != dst &&
-                   stf_set_.count(nodes[i]) == 0 &&
+    available[i] = nodes[i] != dst && stf_set_.count(nodes[i]) == 0 &&
                    exclude.count(nodes[i]) == 0 &&
                    static_cast<int>(i) != chunk.index;
   }
@@ -153,16 +136,15 @@ std::vector<core::SourceRead> Coordinator::pick_sources(
   return sources;
 }
 
+// A dead STF node is also in failed_nodes_, so "bad" covers both.
 bool Coordinator::needs_rebuild(const PendingTask& task) const {
   const auto bad = [&](NodeId n) {
     return failed_nodes_.count(n) != 0 || task.excluded.count(n) != 0;
   };
-  if (task.is_migration) {
-    return stf_node_dead(task.mig.src) || bad(task.mig.src) ||
-           bad(task.mig.dst);
+  if (task.transfer.dst == cluster::kNoNode || bad(task.transfer.dst)) {
+    return true;
   }
-  if (task.recon.dst == cluster::kNoNode || bad(task.recon.dst)) return true;
-  for (const auto& src : task.recon.sources) {
+  for (const auto& src : task.transfer.sources) {
     if (bad(src.node)) return true;
   }
   return false;
@@ -172,46 +154,38 @@ bool Coordinator::rebuild_task(PendingTask& task, ExecutionReport& report) {
   const auto bad = [&](NodeId n) {
     return failed_nodes_.count(n) != 0 || task.excluded.count(n) != 0;
   };
-  if (task.is_migration) {
-    const bool stf_gone = stf_node_dead(task.mig.src) || bad(task.mig.src);
-    if (!stf_gone) {
-      if (bad(task.mig.dst)) {
-        const NodeId dst = choose_destination(task.mig.chunk.stripe, task);
-        if (dst == cluster::kNoNode) return false;
-        task.mig.dst = dst;
-      }
-      return true;
-    }
+  core::ReconstructionTask& t = task.transfer;
+  if (task.migration && bad(t.sources.front().node)) {
     // Predictive migration degrades in place to a fallback
     // reconstruction (same task_id, next attempt).
-    task.is_migration = false;
+    task.migration = false;
     ++report.fallback_reconstructions;
     coord_counter("coordinator.fallbacks").add();
-    task.recon.chunk = task.mig.chunk;
-    task.recon.dst = task.mig.dst;
-    task.recon.sources.clear();
   }
-  ChunkRef chunk = task.recon.chunk;
-  NodeId dst = task.recon.dst;
+  NodeId dst = t.dst;
   if (dst == cluster::kNoNode || bad(dst)) {
-    dst = choose_destination(chunk.stripe, task);
+    dst = choose_destination(t.chunk.stripe, task);
     if (dst == cluster::kNoNode) return false;
   }
-  std::unordered_set<NodeId> exclude = task.excluded;
-  exclude.insert(failed_nodes_.begin(), failed_nodes_.end());
-  try {
-    task.recon.sources = pick_sources(chunk, dst, stf_, exclude);
-  } catch (const CheckFailure&) {
-    return false;  // fewer than k viable chunks left in the stripe
+  // A live STF keeps serving its own chunk; a reconstruction re-picks
+  // helpers around every known-bad node.
+  if (!task.migration) {
+    std::unordered_set<NodeId> exclude = task.excluded;
+    exclude.insert(failed_nodes_.begin(), failed_nodes_.end());
+    try {
+      t.sources = pick_sources(t.chunk, dst, exclude);
+    } catch (const CheckFailure&) {
+      return false;  // fewer than k viable chunks left in the stripe
+    }
   }
-  task.recon.dst = dst;
+  t.dst = dst;
   return true;
 }
 
 NodeId Coordinator::choose_destination(cluster::StripeId stripe,
                                        const PendingTask& task) {
   std::unordered_set<NodeId> in_use;
-  for (const auto& [id, p] : pending_) in_use.insert(p.current_dst());
+  for (const auto& [id, p] : pending_) in_use.insert(p.transfer.dst);
 
   std::vector<NodeId> pool = options_.dest_candidates;
   if (pool.empty()) {
@@ -243,8 +217,8 @@ NodeId Coordinator::choose_destination(cluster::StripeId stripe,
 void Coordinator::start_task(PendingTask task, ExecutionReport& report) {
   const uint64_t id = next_task_id_++;
   if (needs_rebuild(task) && !rebuild_task(task, report)) {
-    report.unrepaired.push_back(task.chunk());
-    report.errors.push_back("chunk " + chunk_str(task.chunk()) +
+    report.unrepaired.push_back(task.transfer.chunk);
+    report.errors.push_back("chunk " + chunk_str(task.transfer.chunk) +
                             " unrepaired: no viable helper set");
     coord_counter("coordinator.tasks_abandoned").add();
     return;
@@ -254,26 +228,23 @@ void Coordinator::start_task(PendingTask task, ExecutionReport& report) {
   issue_task(id, it->second);
 }
 
-void Coordinator::handle_task_done(const Message& msg,
-                                   ExecutionReport& report) {
+const CompletedRepair* Coordinator::handle_task_done(
+    const Message& msg, ExecutionReport& report) {
   const auto it = pending_.find(msg.task_id);
   if (it == pending_.end() || it->second.attempt != msg.attempt) {
     coord_counter("coordinator.stale_acks").add();
-    return;
+    return nullptr;
   }
   const PendingTask& task = it->second;
-  CompletedRepair done;
-  done.chunk = task.chunk();
-  done.dst = msg.from;
-  done.migrated = task.is_migration;
-  done.attempts = static_cast<int>(task.attempt);
-  report.completions.push_back(done);
-  if (task.is_migration) {
-    ++report.migrated;
-  } else {
-    ++report.reconstructed;
+  if (options_.throttler != nullptr) {
+    options_.throttler->on_progress(send_bytes(task.transfer.sources.size()));
   }
+  report.completions.push_back(CompletedRepair{task.transfer.chunk, msg.from,
+                                               task.migration,
+                                               static_cast<int>(task.attempt)});
+  ++(task.migration ? report.migrated : report.reconstructed);
   pending_.erase(it);
+  return &report.completions.back();
 }
 
 void Coordinator::handle_task_failed(const Message& msg,
@@ -289,12 +260,12 @@ void Coordinator::handle_task_failed(const Message& msg,
   LOG_INFO("coordinator: task " << msg.task_id << " attempt "
                                 << msg.attempt << " failed ('" << msg.error
                                 << "')");
-  if (task.is_migration) {
+  if (task.migration) {
     // A migration failure is an STF read failure: fall back to
     // reconstruction immediately (the reactive path reads other disks,
     // so no backoff), and count it toward declaring THAT member dead —
     // each batch member's disk fails independently.
-    const NodeId src = task.mig.src;
+    const NodeId src = task.transfer.sources.front().node;
     const int failures = ++stf_failures_by_[src];
     task.excluded.insert(src);
     if (!stf_node_dead(src) &&
@@ -332,7 +303,7 @@ void Coordinator::reissue_now(uint64_t task_id, ExecutionReport& report) {
   }
   ++report.retries;
   coord_counter("coordinator.retries").add();
-  cancel_attempt(task_id, old, task.current_dst());
+  cancel_attempt(task_id, old, task.transfer.dst);
   issue_task(task_id, task);
 }
 
@@ -340,7 +311,7 @@ void Coordinator::abandon(uint64_t task_id, const std::string& reason,
                           ExecutionReport& report) {
   const auto it = pending_.find(task_id);
   if (it == pending_.end()) return;
-  const ChunkRef chunk = it->second.chunk();
+  const ChunkRef chunk = it->second.transfer.chunk;
   report.unrepaired.push_back(chunk);
   report.errors.push_back("chunk " + chunk_str(chunk) +
                           " unrepaired: " + reason);
@@ -402,7 +373,6 @@ void Coordinator::finish_probe(ExecutionReport& report) {
 
 void Coordinator::declare_stf_dead(NodeId node, ExecutionReport& report) {
   if (stf_node_dead(node)) return;
-  stf_dead_set_.insert(node);
   stf_death_round_[node] = current_round_;
   failed_nodes_.insert(node);
   if (!report.degraded_to_reactive) {
@@ -410,7 +380,7 @@ void Coordinator::declare_stf_dead(NodeId node, ExecutionReport& report) {
     // later deaths only extend the dead set (surviving members keep
     // their predictive schedule).
     report.degraded_to_reactive = true;
-    report.degraded_at_round = current_round_;
+    report.repair.degraded_at_round = current_round_;
     coord_counter("coordinator.degraded_executions").add();
     if (options_.bandwidth_trigger != nullptr) {
       // The predictive schedule this trigger was watching is being
@@ -425,13 +395,12 @@ void Coordinator::declare_stf_dead(NodeId node, ExecutionReport& report) {
            << node << " dead; predictive repair degrades to reactive");
 }
 
-double Coordinator::task_send_bytes(const PendingTask& task) const {
-  // Migration streams the chunk once; a reconstruction (fan-in or
-  // chain, which forwards once per hop) moves ~|sources| chunks.
-  const double chunk = static_cast<double>(options_.chunk_bytes);
-  if (task.is_migration) return chunk;
-  return chunk * static_cast<double>(std::max<size_t>(
-                     1, task.recon.sources.size()));
+double Coordinator::send_bytes(size_t sources) const {
+  // Every source streams the chunk once: a migration is one source, a
+  // reconstruction (fan-in, or a chain forwarding once per hop) moves
+  // ~|sources| chunks.
+  return static_cast<double>(options_.chunk_bytes) *
+         static_cast<double>(std::max<size_t>(1, sources));
 }
 
 void Coordinator::lease_tick() {
@@ -457,16 +426,12 @@ void Coordinator::lease_tick() {
 
 void Coordinator::collect_task_nodes(
     const PendingTask& task, std::unordered_set<NodeId>& out) const {
-  if (task.is_migration) {
-    out.insert(task.mig.src);
-    out.insert(task.mig.dst);
-    return;
-  }
-  out.insert(task.recon.dst);
-  for (const auto& src : task.recon.sources) out.insert(src.node);
+  out.insert(task.transfer.dst);
+  for (const auto& src : task.transfer.sources) out.insert(src.node);
 }
 
-ExecutionReport Coordinator::execute(const core::RepairPlan& plan) {
+ExecutionReport Coordinator::execute(const core::RepairPlan& plan,
+                                     const ReplanFn& replan) {
   using Clock = telemetry::TraceClock;
   // One causal trace per execution: the root context minted here rides
   // in every outgoing command header, so every agent span on every node
@@ -482,39 +447,38 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan) {
   extra_dst_load_.clear();
   stragglers_.clear();
   FASTPR_CHECK_MSG(!plan.stf_nodes.empty(), "plan names no STF node");
-  stf_batch_ = plan.stf_nodes;
-  stf_ = stf_batch_.front();
   stf_set_.clear();
-  stf_set_.insert(stf_batch_.begin(), stf_batch_.end());
-  stf_dead_set_.clear();
+  stf_set_.insert(plan.stf_nodes.begin(), plan.stf_nodes.end());
   stf_death_round_.clear();
   stf_failures_by_.clear();
   probe_active_ = false;
+  // Replanning re-derives the whole tail, so only a single-STF execution
+  // replans: in a batch, one member's death or a slow link must not
+  // reshuffle the other members' still-valid rounds — only the dead
+  // member's tasks convert (via rebuild_task) as their rounds come up.
+  const bool may_replan = replan && plan.stf_nodes.size() == 1;
+  const NodeId stf = plan.stf_nodes.front();
 
-  // The tail of the schedule is mutable: when the STF dies mid-repair,
-  // the replan hook replaces the remaining rounds with a reactive plan.
+  // The tail of the schedule is mutable: the replan hook replaces the
+  // rounds after the current one.
   std::vector<core::RepairRound> rounds = plan.rounds;
-  bool replanned = false;
+  bool replanned_reactive = false;
 
   // Estimated repair send bytes of a schedule tail — the denominator of
   // the throttler's finish-time (panic) estimate.
-  const auto rounds_send_bytes = [&](const std::vector<core::RepairRound>& rs,
-                                     size_t from_idx) {
+  const auto rounds_send_bytes = [&](size_t from_idx) {
     double bytes = 0;
-    const double chunk = static_cast<double>(options_.chunk_bytes);
-    for (size_t i = from_idx; i < rs.size(); ++i) {
-      for (const auto& t : rs[i].reconstructions) {
-        bytes += chunk * static_cast<double>(
-                             std::max<size_t>(1, t.sources.size()));
+    for (size_t i = from_idx; i < rounds.size(); ++i) {
+      for (const auto& t : rounds[i].reconstructions) {
+        bytes += send_bytes(t.sources.size());
       }
-      bytes += chunk * static_cast<double>(rs[i].migrations.size());
+      bytes += send_bytes(1) * static_cast<double>(rounds[i].migrations.size());
     }
     return bytes;
   };
 
   if (options_.throttler != nullptr) {
-    options_.throttler->reset(telemetry::trace_now_us(),
-                              rounds_send_bytes(rounds, 0));
+    options_.throttler->reset(telemetry::trace_now_us(), rounds_send_bytes(0));
     if (options_.stf_deadline_seconds > 0) {
       options_.throttler->set_deadline(
           telemetry::trace_now_us() +
@@ -526,7 +490,6 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan) {
   }
 
   for (size_t round_idx = 0; round_idx < rounds.size(); ++round_idx) {
-    const core::RepairRound round = rounds[round_idx];
     current_round_ = static_cast<int>(round_idx) + 1;
     FASTPR_TRACE_SPAN("coordinator.round", "coordinator",
                       static_cast<int64_t>(current_round_), "round");
@@ -544,16 +507,16 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan) {
     double round_tm = 0;
     retries_due_.clear();
 
-    for (const auto& task : round.reconstructions) {
+    for (const auto& task : rounds[round_idx].reconstructions) {
       PendingTask pending;
-      pending.is_migration = false;
-      pending.recon = task;
+      pending.transfer = task;
       start_task(std::move(pending), report);
     }
-    for (const auto& task : round.migrations) {
+    // A migration is the one-source transfer of the STF's own chunk.
+    for (const auto& mig : rounds[round_idx].migrations) {
       PendingTask pending;
-      pending.is_migration = true;
-      pending.mig = task;
+      pending.transfer = {mig.chunk, {{mig.src, mig.chunk}}, mig.dst};
+      pending.migration = true;
       start_task(std::move(pending), report);
     }
 
@@ -634,23 +597,13 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan) {
       if (!msg.has_value()) continue;  // timeout tick; loop re-checks
 
       switch (msg->type) {
-        case MessageType::kTaskDone: {
-          const auto pit = pending_.find(msg->task_id);
-          const bool counted =
-              pit != pending_.end() && pit->second.attempt == msg->attempt;
-          const bool was_migration = counted && pit->second.is_migration;
-          if (counted && options_.throttler != nullptr) {
-            options_.throttler->on_progress(task_send_bytes(pit->second));
-          }
-          handle_task_done(*msg, report);
-          if (counted) {
-            const double t = std::chrono::duration<double>(Clock::now() -
-                                                           round_start)
-                                 .count();
-            (was_migration ? round_tm : round_tr) = t;
+        case MessageType::kTaskDone:
+          if (const auto* done = handle_task_done(*msg, report)) {
+            (done->migrated ? round_tm : round_tr) =
+                std::chrono::duration<double>(Clock::now() - round_start)
+                    .count();
           }
           break;
-        }
         case MessageType::kTaskFailed:
           handle_task_failed(*msg, report);
           break;
@@ -668,20 +621,14 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan) {
             const auto it = probe_outstanding_.find(msg->from);
             if (it != probe_outstanding_.end()) it->second = true;
           }
-          if (options_.throttler != nullptr) {
-            // Lease renewal piggybacks on the probe epoch: the pong's
-            // chunk_bytes/packet_bytes carry the agent's foreground
-            // pressure (p99 ns, fg bytes/s).
-            options_.throttler->report_pressure(
-                msg->from, msg->task_id,
-                // ns→s wire decode, not a config. fastpr-lint: allow(units)
-                static_cast<double>(msg->chunk_bytes) / 1e9,
-                static_cast<double>(msg->packet_bytes),
-                telemetry::trace_now_us());
-          }
-          break;
+          // Lease renewal piggybacks on the probe epoch: a pong carries
+          // the agent's foreground pressure exactly as a pressure report
+          // does.
+          [[fallthrough]];
         case MessageType::kPressureReport:
           if (options_.throttler != nullptr) {
+            // chunk_bytes/packet_bytes carry the agent's foreground
+            // pressure (p99 ns, fg bytes/s).
             options_.throttler->report_pressure(
                 msg->from, msg->task_id,
                 // ns→s wire decode, not a config. fastpr-lint: allow(units)
@@ -697,8 +644,7 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan) {
 
     const double secs =
         std::chrono::duration<double>(Clock::now() - round_start).count();
-    report.round_seconds.push_back(secs);
-    report.total_seconds += secs;
+    report.repair.total_seconds += secs;
 
     telemetry::RepairRoundStats stats;
     stats.round = current_round_;
@@ -716,34 +662,61 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan) {
     stats.tr_seconds = round_tr;
     stats.tm_seconds = round_tm;
     report.repair.rounds.push_back(stats);
-    report.repair.total_seconds = report.total_seconds;
 
-    // STF death: replace the remaining schedule with a reactive plan
-    // over everything not yet handled. One replan per execution — the
-    // reactive tail already avoids every node known dead, and later
-    // individual failures are covered by the retry machinery. Batch
-    // executions never take this path: one member's death must not
-    // reshuffle the other members' still-valid predictive rounds, so
-    // only the dead member's tasks convert (via rebuild_task) as their
-    // rounds come up.
-    if (stf_batch_.size() == 1 && stf_node_dead(stf_) && !replanned &&
-        options_.replan) {
-      replanned = true;
+    // Replan the tail after this round (DESIGN.md §7, §11). The STF's
+    // death replans once, as pure reactive repair over everything not
+    // yet handled: that tail already avoids every node known dead, and
+    // later individual failures are covered by the retry machinery.
+    // Otherwise this round's worst measured/expected link ratio feeds the
+    // hysteresis trigger; when it fires, the still-predictive tail is
+    // re-derived around the straggler links, as often as the trigger's
+    // max_replans admits. declare_stf_dead disarms the trigger: the
+    // reactive tail is not the plan the ratios price.
+    ReplanRequest request;
+    bool fire = false;
+    if (may_replan && stf_node_dead(stf) && !replanned_reactive) {
+      fire = replanned_reactive = true;
       ++report.replans;
       coord_counter("coordinator.replans").add();
-      ReplanRequest request;
+    } else if (may_replan && options_.bandwidth_trigger != nullptr &&
+               options_.flow_monitor != nullptr &&
+               round_idx + 1 < rounds.size()) {
+      auto& slow = request.slow_nodes;
+      double worst = std::numeric_limits<double>::infinity();
+      for (const auto& link : options_.flow_monitor->snapshot()) {
+        if (link.expected_bytes_per_sec <= 0 ||
+            link.ewma_bytes_per_sec <= 0) {
+          continue;  // unpriced or idle link: no drift signal
+        }
+        worst = std::min(worst, link.ewma_bytes_per_sec /
+                                    link.expected_bytes_per_sec);
+        if (link.straggler) slow.push_back(link.src);
+      }
+      fire = std::isfinite(worst) &&
+             options_.bandwidth_trigger->feed(current_round_, worst);
+      if (fire) {
+        ++report.replans;
+        ++report.bandwidth_replans;
+        coord_counter("coordinator.bandwidth_replans").add();
+        std::sort(slow.begin(), slow.end());
+        slow.erase(std::unique(slow.begin(), slow.end()), slow.end());
+        LOG_INFO("coordinator: bandwidth replan after round "
+                 << current_round_ << " (worst link ratio " << worst << ", "
+                 << slow.size() << " straggler nodes)");
+      }
+    }
+    if (fire) {
       request.handled.reserve(report.completions.size() +
                               report.unrepaired.size());
       for (const auto& done : report.completions) {
         request.handled.push_back(done.chunk);
       }
-      for (const auto& chunk : report.unrepaired) {
-        request.handled.push_back(chunk);
-      }
+      request.handled.insert(request.handled.end(), report.unrepaired.begin(),
+                             report.unrepaired.end());
       request.failed_nodes.assign(failed_nodes_.begin(),
                                   failed_nodes_.end());
       std::sort(request.failed_nodes.begin(), request.failed_nodes.end());
-      core::ReactiveResult result = options_.replan(request);
+      core::ReactiveResult result = replan(request);
       rounds.resize(round_idx + 1);
       for (auto& extra : result.plan.rounds) {
         rounds.push_back(std::move(extra));
@@ -756,132 +729,55 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan) {
       }
     }
 
-    // Bandwidth drift: fold this round's worst measured/expected link
-    // ratio into the hysteresis trigger; when it fires, the remaining
-    // rounds are re-derived around the degraded links (DESIGN.md §11) —
-    // the bandwidth analog of the STF-death replan above, but the
-    // replacement tail is still predictive and may fire more than once
-    // (bounded by the trigger's max_replans). Skipped once degraded
-    // (the reactive tail is no longer the plan the ratios price) and
-    // for batch executions (the hook replans one member's chunks; a
-    // joint reshuffle would invalidate the others' still-valid rounds).
-    if (stf_batch_.size() == 1 && options_.bandwidth_trigger != nullptr &&
-        options_.flow_monitor != nullptr && options_.bandwidth_replan &&
-        !report.degraded_to_reactive && round_idx + 1 < rounds.size()) {
-      double worst = std::numeric_limits<double>::infinity();
-      std::vector<NodeId> slow;
-      for (const auto& link : options_.flow_monitor->snapshot()) {
-        if (link.expected_bytes_per_sec <= 0 ||
-            link.ewma_bytes_per_sec <= 0) {
-          continue;  // unpriced or idle link: no drift signal
-        }
-        worst = std::min(worst, link.ewma_bytes_per_sec /
-                                    link.expected_bytes_per_sec);
-        if (link.straggler) slow.push_back(link.src);
-      }
-      if (std::isfinite(worst) &&
-          options_.bandwidth_trigger->feed(current_round_, worst)) {
-        ++report.replans;
-        ++report.bandwidth_replans;
-        coord_counter("coordinator.bandwidth_replans").add();
-        BandwidthReplanRequest request;
-        request.worst_ratio = worst;
-        request.handled.reserve(report.completions.size() +
-                                report.unrepaired.size());
-        for (const auto& done : report.completions) {
-          request.handled.push_back(done.chunk);
-        }
-        for (const auto& chunk : report.unrepaired) {
-          request.handled.push_back(chunk);
-        }
-        request.failed_nodes.assign(failed_nodes_.begin(),
-                                    failed_nodes_.end());
-        std::sort(request.failed_nodes.begin(),
-                  request.failed_nodes.end());
-        std::sort(slow.begin(), slow.end());
-        slow.erase(std::unique(slow.begin(), slow.end()), slow.end());
-        request.slow_nodes = std::move(slow);
-        LOG_INFO("coordinator: bandwidth replan after round "
-                 << current_round_ << " (worst link ratio " << worst
-                 << ", " << request.slow_nodes.size()
-                 << " straggler nodes)");
-        core::RepairPlan tail = options_.bandwidth_replan(request);
-        rounds.resize(round_idx + 1);
-        for (auto& extra : tail.rounds) {
-          rounds.push_back(std::move(extra));
-        }
-      }
-    }
-
     // Re-sync the throttler's outstanding-bytes estimate with the (by
     // now possibly replanned) schedule tail, so drift from fallbacks
     // and retries never skews the panic predicate.
     if (options_.throttler != nullptr) {
-      options_.throttler->set_remaining(
-          rounds_send_bytes(rounds, round_idx + 1));
+      options_.throttler->set_remaining(rounds_send_bytes(round_idx + 1));
     }
   }
 
   report.failed_nodes.assign(failed_nodes_.begin(), failed_nodes_.end());
   std::sort(report.failed_nodes.begin(), report.failed_nodes.end());
   report.success = report.unrepaired.empty();
-  report.repair.degraded_at_round = report.degraded_at_round;
   if (options_.throttler != nullptr) {
     report.throttled = true;
     report.throttle = options_.throttler->stats();
   }
 
-  // Per-member progress, chunk ownership resolved via the pre-repair
-  // layout (fallback reconstructions count as reconstructed — the
-  // completion records how the chunk was actually repaired).
-  std::unordered_map<NodeId, StfProgress> progress;
-  for (NodeId s : stf_batch_) {
-    StfProgress p;
-    p.stf = s;
-    p.died = stf_node_dead(s);
-    const auto round_it = stf_death_round_.find(s);
-    p.died_at_round = round_it == stf_death_round_.end() ? 0
-                                                         : round_it->second;
-    progress.emplace(s, p);
+  // Per-member progress in plan order, chunk ownership resolved via the
+  // pre-repair layout (fallback reconstructions count as reconstructed —
+  // the completion records how the chunk was actually repaired).
+  auto& per_stf = report.repair.per_stf;
+  for (NodeId s : plan.stf_nodes) {
+    telemetry::StfRepairStats member;
+    member.stf = static_cast<int>(s);
+    const auto it = stf_death_round_.find(s);
+    if (it != stf_death_round_.end()) member.died_at_round = it->second;
+    per_stf.push_back(member);
   }
-  const auto owner_progress = [&](ChunkRef chunk) -> StfProgress* {
-    const auto it = progress.find(layout_.node_of(chunk));
-    return it == progress.end() ? nullptr : &it->second;
+  const auto owner = [&](ChunkRef chunk) -> telemetry::StfRepairStats* {
+    const int node = static_cast<int>(layout_.node_of(chunk));
+    for (auto& member : per_stf) {
+      if (member.stf == node) return &member;
+    }
+    return nullptr;
   };
   for (const auto& round : plan.rounds) {
     for (const auto& task : round.reconstructions) {
-      if (auto* p = owner_progress(task.chunk)) ++p->planned;
+      if (auto* m = owner(task.chunk)) ++m->planned;
     }
     for (const auto& task : round.migrations) {
-      if (auto* p = owner_progress(task.chunk)) ++p->planned;
+      if (auto* m = owner(task.chunk)) ++m->planned;
     }
   }
   for (const auto& done : report.completions) {
-    if (auto* p = owner_progress(done.chunk)) {
-      if (done.migrated) {
-        ++p->migrated;
-      } else {
-        ++p->reconstructed;
-      }
+    if (auto* m = owner(done.chunk)) {
+      ++(done.migrated ? m->migrated : m->reconstructed);
     }
   }
   for (const auto& chunk : report.unrepaired) {
-    if (auto* p = owner_progress(chunk)) ++p->unrepaired;
-  }
-  for (NodeId s : stf_batch_) {
-    report.stf_progress.push_back(progress.at(s));
-  }
-  if (stf_batch_.size() > 1) {
-    for (const auto& p : report.stf_progress) {
-      telemetry::StfRepairStats stats;
-      stats.stf = static_cast<int>(p.stf);
-      stats.planned = p.planned;
-      stats.migrated = p.migrated;
-      stats.reconstructed = p.reconstructed;
-      stats.unrepaired = p.unrepaired;
-      stats.died_at_round = p.died_at_round;
-      report.repair.per_stf.push_back(stats);
-    }
+    if (auto* m = owner(chunk)) ++m->unrepaired;
   }
   return report;
 }

@@ -21,8 +21,10 @@
 //  * When the STF node dies mid-repair — migration failures cross a
 //    threshold, or its agent stops answering probes — the execution
 //    degrades to the reactive path: pending migrations convert to
-//    reconstructions, and a replan hook (when installed) replaces the
-//    remaining rounds with a pure reactive plan over what is left.
+//    reconstructions, and the replan hook passed to execute() replaces
+//    the remaining rounds with a pure reactive plan over what is left.
+//    The same hook re-derives the predictive tail when measured link
+//    bandwidth drifts below the plan's rates (DESIGN.md §11).
 #pragma once
 
 #include <chrono>
@@ -47,36 +49,22 @@
 namespace fastpr::agent {
 
 /// Input of the mid-repair replan hook: what the execution has already
-/// dealt with (repaired or abandoned) and which nodes are known dead
-/// (always includes the STF node — the hook fires on its death).
+/// dealt with (repaired or abandoned), which nodes are known dead (the
+/// STF node among them once it died) and the source endpoints of the
+/// straggler links when link drift fired the replan.
 struct ReplanRequest {
   std::vector<cluster::ChunkRef> handled;
   std::vector<cluster::NodeId> failed_nodes;
+  std::vector<cluster::NodeId> slow_nodes;
 };
 
-/// The replan hook returns reconstruction-only rounds for the remaining
-/// chunks, plus the chunks no surviving stripe can rebuild (typically
-/// FastPrPlanner::plan_reactive).
+/// The replan hook returns the rounds that replace the schedule's tail,
+/// plus the chunks no surviving stripe can rebuild: a pure reactive plan
+/// when the STF node is in failed_nodes (FastPrPlanner::plan_reactive),
+/// otherwise a predictive one that deprioritizes slow_nodes as helpers
+/// (FastPrPlanner::plan_fastpr_remaining).
 using ReplanFn =
     std::function<core::ReactiveResult(const ReplanRequest&)>;
-
-/// Input of the bandwidth replan hook (DESIGN.md §11): fired when
-/// measured per-link throughput drifts below the rates the plan priced
-/// in. `slow_nodes` are the source endpoints of the straggler links —
-/// the planner deprioritizes them as helpers in the new tail.
-struct BandwidthReplanRequest {
-  std::vector<cluster::ChunkRef> handled;
-  std::vector<cluster::NodeId> failed_nodes;
-  std::vector<cluster::NodeId> slow_nodes;
-  /// The worst measured/expected link ratio of the round that fired.
-  double worst_ratio = 0;
-};
-
-/// The hook returns predictive rounds for the remaining chunks
-/// (typically FastPrPlanner::plan_fastpr_remaining) — unlike the
-/// STF-death replan, nothing becomes unrepairable from a slow link.
-using BandwidthReplanFn =
-    std::function<core::RepairPlan(const BandwidthReplanRequest&)>;
 
 struct CoordinatorOptions {
   uint64_t chunk_bytes = 0;
@@ -100,8 +88,6 @@ struct CoordinatorOptions {
   /// destination fails (spare node ids beyond the layout are allowed —
   /// the hot-standby pool). Empty = every node of the layout.
   std::vector<cluster::NodeId> dest_candidates;
-  /// Optional reactive replanner consulted once, when the STF node dies.
-  ReplanFn replan;
   /// Per-link flow telemetry the bandwidth replan trigger reads at each
   /// round boundary (EWMA vs expected rates). Not owned. Without
   /// telemetry compiled in, snapshot() is empty and the trigger never
@@ -109,13 +95,10 @@ struct CoordinatorOptions {
   telemetry::FlowMonitor* flow_monitor = nullptr;
   /// Hysteresis state machine deciding WHEN drift warrants a replan
   /// (DESIGN.md §11). Not owned; must outlive the execution. Effective
-  /// only with flow_monitor and bandwidth_replan also set. Disarmed
-  /// permanently once the execution degrades to reactive — the plan
-  /// being monitored no longer exists.
+  /// only with flow_monitor also set. Disarmed permanently once the
+  /// execution degrades to reactive — the plan being monitored no longer
+  /// exists.
   core::BandwidthReplanTrigger* bandwidth_trigger = nullptr;
-  /// Replans the remaining rounds around the degraded links when the
-  /// trigger fires.
-  BandwidthReplanFn bandwidth_replan;
   /// Optional cluster-wide repair throttler (DESIGN.md §10). When set,
   /// execute() ticks it on the lease cadence, relays its grants as
   /// kLeaseGrant messages, feeds kPressureReport / kPong pressure back
@@ -139,21 +122,8 @@ struct CompletedRepair {
   int attempts = 1;
 };
 
-/// Per-member progress of a multi-STF batch execution (DESIGN.md §8).
-struct StfProgress {
-  cluster::NodeId stf = cluster::kNoNode;
-  int planned = 0;        // chunks of this node the plan covers
-  int migrated = 0;
-  int reconstructed = 0;  // planned + fallback reconstructions
-  int unrepaired = 0;
-  bool died = false;      // this member was declared dead mid-repair
-  int died_at_round = 0;  // 1-based; 0 = alive throughout
-};
-
 struct ExecutionReport {
   bool success = true;
-  double total_seconds = 0;
-  std::vector<double> round_seconds;
   int migrated = 0;
   int reconstructed = 0;
   /// Migrations that failed and were re-executed as reconstructions.
@@ -161,9 +131,11 @@ struct ExecutionReport {
   /// Repair traffic over the network during this execution (data
   /// packets only; filled by Testbed::execute for in-process runs).
   int64_t network_bytes = 0;
-  /// Per-round breakdown in the paper's (cr, cm) vocabulary; the
-  /// coordinator fills everything except stf_bw_utilization and
-  /// `predicted`, which Testbed::execute adds (see DESIGN.md §5c).
+  /// Per-round breakdown in the paper's (cr, cm) vocabulary, with the
+  /// execution's total time, the round it degraded in and one per_stf
+  /// entry per batch member in plan order. The coordinator fills
+  /// everything except stf_bw_utilization, `links` and `predicted`,
+  /// which Testbed::execute and its callers add (see DESIGN.md §5c).
   telemetry::RepairReport repair;
   std::vector<std::string> errors;
 
@@ -176,16 +148,13 @@ struct ExecutionReport {
   /// Nodes declared failed during execution (probe non-response or STF
   /// death), sorted.
   std::vector<cluster::NodeId> failed_nodes;
-  /// One entry per STF batch member, in plan order (a single-STF plan
-  /// yields one entry). Chunk ownership is resolved via the layout.
-  std::vector<StfProgress> stf_progress;
   /// True once an STF node was declared dead and its predictive repair
   /// degraded to the reactive path for the remaining chunks. In a batch
   /// execution one member's death does NOT abort the others' plans —
-  /// only the dead member's tasks convert to fallback reconstructions.
+  /// only the dead member's tasks convert to fallback reconstructions;
+  /// repair.degraded_at_round names the round.
   bool degraded_to_reactive = false;
-  int degraded_at_round = 0;  // 1-based; 0 = never degraded
-  int retries = 0;            // task reissues (incl. fallback conversions)
+  int retries = 0;  // task reissues (incl. fallback conversions)
   /// Replan hook invocations of either kind: at most one STF-death
   /// reactive replan plus however many bandwidth replans the trigger's
   /// max_replans cap admits.
@@ -200,7 +169,7 @@ struct ExecutionReport {
 
   int repaired() const { return migrated + reconstructed; }
   double per_chunk() const {
-    return repaired() == 0 ? 0.0 : total_seconds / repaired();
+    return repaired() == 0 ? 0.0 : repair.total_seconds / repaired();
   }
 };
 
@@ -218,58 +187,42 @@ class Coordinator {
               const cluster::StripeLayout& layout,
               const CoordinatorOptions& options);
 
-  /// Runs the plan to completion (or failure). Blocking.
-  ExecutionReport execute(const core::RepairPlan& plan);
-
-  /// Installs the mid-repair reactive replanner (see CoordinatorOptions).
-  void set_replan(ReplanFn replan) { options_.replan = std::move(replan); }
-
-  /// Installs the bandwidth-drift replanner (see CoordinatorOptions).
-  void set_bandwidth_replan(BandwidthReplanFn replan) {
-    options_.bandwidth_replan = std::move(replan);
-  }
+  /// Runs the plan to completion (or failure). Blocking. `replan`
+  /// replaces the schedule's tail of a single-STF execution when its STF
+  /// node dies (once) or when the bandwidth trigger fires; an empty hook
+  /// never replans.
+  ExecutionReport execute(const core::RepairPlan& plan,
+                          const ReplanFn& replan);
 
   /// Per-node clock offsets estimated from kPing/kPong probe pairs
   /// (cumulative across executions). Testbed::execute feeds these into
   /// the offset-corrected trace export.
   const telemetry::ClockSync& clock_sync() const { return clock_sync_; }
 
-  /// Builds a reconstruction for a chunk whose migration failed,
-  /// excluding the STF node and every node in `failed` from the helper
-  /// set. Throws CheckFailure when no viable helper set exists.
-  core::ReconstructionTask fallback_for(
-      const core::MigrationTask& task, cluster::NodeId stf,
-      const std::unordered_set<cluster::NodeId>& failed = {}) const;
-
   /// Helper selection for reconstructing `chunk` onto `dst`: k viable
-  /// sources from the stripe's nodes, skipping the STF node, the
-  /// destination and everything in `exclude`. LRC falls back from the
-  /// local group to global parities via ErasureCode::repair_helpers.
-  /// Throws CheckFailure when the chunk is unrepairable.
+  /// sources from the stripe's nodes, skipping every member of the STF
+  /// batch being executed, the destination and everything in `exclude`.
+  /// LRC falls back from the local group to global parities via
+  /// ErasureCode::repair_helpers. Throws CheckFailure when the chunk is
+  /// unrepairable.
   std::vector<core::SourceRead> pick_sources(
-      cluster::ChunkRef chunk, cluster::NodeId dst, cluster::NodeId stf,
+      cluster::ChunkRef chunk, cluster::NodeId dst,
       const std::unordered_set<cluster::NodeId>& exclude) const;
 
  private:
-  /// One outstanding repair task. is_migration describes the *current*
-  /// form: a migration whose STF read fails converts in place to a
-  /// fallback reconstruction (same task_id, next attempt).
+  /// One outstanding repair task: the transfer its current attempt
+  /// sends. A migration is the one-source transfer of the STF's own
+  /// chunk at coefficient 1; `migration` stays set while it is one. A
+  /// migration whose STF read fails converts in place to a fallback
+  /// reconstruction (same task_id, next attempt).
   struct PendingTask {
-    bool is_migration = false;
-    core::MigrationTask mig;
-    core::ReconstructionTask recon;
+    core::ReconstructionTask transfer;
+    bool migration = false;
     uint32_t attempt = 1;
     /// Nodes this task must avoid (reported failures), on top of the
     /// execution-wide failed_nodes_ set.
     std::unordered_set<cluster::NodeId> excluded;
     bool waiting_retry = false;
-
-    cluster::ChunkRef chunk() const {
-      return is_migration ? mig.chunk : recon.chunk;
-    }
-    cluster::NodeId current_dst() const {
-      return is_migration ? mig.dst : recon.dst;
-    }
   };
 
   /// Sends the task's current attempt as one kRepairCmd to its
@@ -302,7 +255,10 @@ class Coordinator {
   cluster::NodeId choose_destination(cluster::StripeId stripe,
                                      const PendingTask& task);
 
-  void handle_task_done(const net::Message& msg, ExecutionReport& report);
+  /// Records an acknowledged completion of the current attempt and
+  /// returns it, or nullptr for a stale ack.
+  const CompletedRepair* handle_task_done(const net::Message& msg,
+                                          ExecutionReport& report);
   void handle_task_failed(const net::Message& msg,
                           ExecutionReport& report);
   void schedule_retry(uint64_t task_id, PendingTask& task);
@@ -318,14 +274,14 @@ class Coordinator {
   /// Declares non-responders failed and reissues the stragglers.
   void finish_probe(ExecutionReport& report);
   void declare_stf_dead(cluster::NodeId node, ExecutionReport& report);
-  /// Estimated repair send bytes of one task's current form — what the
-  /// throttler's finish-time (panic) estimate is denominated in.
-  double task_send_bytes(const PendingTask& task) const;
+  /// Estimated repair send bytes of a transfer from `sources` sources —
+  /// what the throttler's finish-time (panic) estimate is denominated in.
+  double send_bytes(size_t sources) const;
   /// Ticks the throttler and relays its grants as kLeaseGrant messages;
   /// schedules the next tick at ttl/3 so healthy leases renew early.
   void lease_tick();
   bool stf_node_dead(cluster::NodeId node) const {
-    return stf_dead_set_.count(node) != 0;
+    return stf_death_round_.count(node) != 0;
   }
   void collect_task_nodes(const PendingTask& task,
                           std::unordered_set<cluster::NodeId>& out) const;
@@ -345,12 +301,9 @@ class Coordinator {
   /// Retarget pressure: chunks re-routed to a node during this
   /// execution, so repeated retargeting keeps spreading load.
   std::unordered_map<cluster::NodeId, int> extra_dst_load_;
-  cluster::NodeId stf_ = cluster::kNoNode;  // first batch member
-  /// The STF batch being executed (plan.stf_nodes) and its membership
-  /// set.
-  std::vector<cluster::NodeId> stf_batch_;
+  /// Members of the STF batch being executed (plan.stf_nodes).
   std::unordered_set<cluster::NodeId> stf_set_;
-  std::unordered_set<cluster::NodeId> stf_dead_set_;
+  /// Dead batch members, with the (1-based) round each was declared in.
   std::unordered_map<cluster::NodeId, int> stf_death_round_;
   std::unordered_map<cluster::NodeId, int> stf_failures_by_;
   int current_round_ = 0;

@@ -322,9 +322,11 @@ core::FastPrPlanner Testbed::make_planner(core::Scenario scenario) {
 }
 
 ExecutionReport Testbed::execute(const core::RepairPlan& plan) {
-  // Mid-repair degradation hook (DESIGN.md §7): when the STF node dies,
-  // the coordinator asks for a pure reactive plan over what is left.
-  // The scenario is recovered from the plan's destinations.
+  // Mid-repair replan hook (DESIGN.md §7, §11): a pure reactive plan
+  // over what is left once the STF node has died, otherwise the
+  // predictive tail re-derived with the straggler links' source
+  // endpoints deprioritized as helpers. The scenario is recovered from
+  // the plan's destinations.
   core::Scenario scenario = core::Scenario::kScattered;
   for (const auto& round : plan.rounds) {
     for (const auto& task : round.migrations) {
@@ -338,40 +340,28 @@ ExecutionReport Testbed::execute(const core::RepairPlan& plan) {
       }
     }
   }
-  coordinator_->set_replan([this, scenario](const ReplanRequest& request) {
-    return make_planner(scenario).plan_reactive(request.handled,
-                                                request.failed_nodes);
-  });
-  // Bandwidth-drift hook (DESIGN.md §11): re-derive the predictive tail
-  // for whatever is left, with the straggler links' source endpoints
-  // deprioritized as helpers. Inert until a trigger is configured.
-  coordinator_->set_bandwidth_replan(
-      [this, scenario](const BandwidthReplanRequest& request) {
-        auto planner = make_planner(scenario);
-        return planner.plan_fastpr_remaining(request.handled,
-                                             request.slow_nodes);
-      });
+  // The coordinator replans single-STF executions only.
+  const auto replan = [this, scenario, &plan](const ReplanRequest& request) {
+    auto planner = make_planner(scenario);
+    if (std::binary_search(request.failed_nodes.begin(),
+                           request.failed_nodes.end(),
+                           plan.stf_nodes.front())) {
+      return planner.plan_reactive(request.handled, request.failed_nodes);
+    }
+    core::ReactiveResult tail;
+    tail.plan =
+        planner.plan_fastpr_remaining(request.handled, request.slow_nodes);
+    return tail;
+  };
 
   auto* inproc = dynamic_cast<net::InprocTransport*>(transport_.get());
-  const int64_t before =
-      inproc != nullptr ? inproc->total_bytes_sent() : 0;
+  const int64_t before = inproc != nullptr ? inproc->data_bytes_sent() : 0;
   flow_.clear();  // links in the report cover this execution only
-  auto report = coordinator_->execute(plan);
+  auto report = coordinator_->execute(plan, replan);
   if (inproc != nullptr) {
-    report.network_bytes = inproc->total_bytes_sent() - before;
+    report.network_bytes = inproc->data_bytes_sent() - before;
   }
-  for (const auto& link : flow_.snapshot()) {
-    telemetry::LinkBandwidth lb;
-    lb.src = link.src;
-    lb.dst = link.dst;
-    lb.tx_bytes = link.tx_bytes;
-    lb.rx_bytes = link.rx_bytes;
-    lb.ewma_bytes_per_sec = link.ewma_bytes_per_sec;
-    lb.expected_bytes_per_sec = link.expected_bytes_per_sec;
-    lb.injected_delay_us = link.injected_delay_us;
-    lb.straggler = link.straggler;
-    report.repair.links.push_back(lb);
-  }
+  report.repair.links = flow_.snapshot();
   // The coordinator cannot know the disk rate; the testbed does. A
   // round's migration reads all come off the STF node's (shaped) disk.
   if (options_.disk_bytes_per_sec > 0) {

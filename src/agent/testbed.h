@@ -114,9 +114,9 @@ struct TestbedOptions {
   /// bit-identical to the pre-topology testbed.
   std::optional<net::Topology> topology;
   /// Mid-repair bandwidth replanning (DESIGN.md §11). enabled=true
-  /// builds a BandwidthReplanTrigger, points the coordinator at the
-  /// flow monitor, and installs a plan_fastpr_remaining hook in
-  /// execute().
+  /// builds a BandwidthReplanTrigger and points the coordinator at the
+  /// flow monitor; when the trigger fires, execute()'s replan hook
+  /// re-derives the tail with plan_fastpr_remaining.
   core::BandwidthReplanOptions bandwidth_replan;
 };
 

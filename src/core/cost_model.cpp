@@ -41,17 +41,11 @@ CostModel::CostModel(const ModelParams& params) : params_(params) {
   }
   FASTPR_CHECK(params.packet_bytes >= 0);
   FASTPR_CHECK(params.chain_hop_overhead_seconds >= 0);
-  FASTPR_CHECK(params.repair_bw_fraction > 0 &&
-               params.repair_bw_fraction <= 1.0);
   FASTPR_CHECK(params.oversubscription >= 1.0);
   FASTPR_CHECK(params.cross_rack_helper_fraction >= 0 &&
                params.cross_rack_helper_fraction <= 1.0);
   FASTPR_CHECK(params.cross_rack_migration_fraction >= 0 &&
                params.cross_rack_migration_fraction <= 1.0);
-}
-
-double CostModel::repair_net_bw() const {
-  return params_.net_bw * params_.repair_bw_fraction;
 }
 
 double CostModel::helper_penalty() const {
@@ -69,13 +63,13 @@ double CostModel::migration_penalty() const {
 
 double CostModel::tm() const {
   const double c = params_.chunk_bytes;
-  return c / params_.disk_bw + migration_penalty() * (c / repair_net_bw()) +
+  return c / params_.disk_bw + migration_penalty() * (c / params_.net_bw) +
          c / params_.disk_bw;
 }
 
 double CostModel::tr(double g) const {
   const double c = params_.chunk_bytes;
-  const double bn = repair_net_bw();
+  const double bn = params_.net_bw;
   // Effective helper traffic: k chunks for RS/LRC; MSR helpers each
   // ship helper_bytes_fraction of a chunk (sub-chunk reads, §II-A).
   const double k = params_.k_repair * params_.helper_bytes_fraction;
@@ -101,7 +95,7 @@ double CostModel::tr_chain(double g) const {
   const double p = std::min(params_.packet_bytes, c);
   const double k = params_.k_repair;
   const double o = params_.chain_hop_overhead_seconds;
-  const double bn = repair_net_bw();
+  const double bn = params_.net_bw;
   // Store-and-forward overhead: the paced hop forwards N = ceil(c/p)
   // packets and the pipeline fill adds k-1 more forward slots. A
   // one-helper "chain" is a plain coefficient-scaled stream, which pays

@@ -130,7 +130,6 @@ CostModel FastPrPlanner::model_for(const std::vector<NodeId>& members) const {
   params.scenario = options_.scenario;
   params.packet_bytes = options_.packet_bytes;
   params.chain_hop_overhead_seconds = options_.chain_hop_overhead_seconds;
-  params.repair_bw_fraction = options_.repair_bw_fraction;
   if (options_.topology != nullptr && !options_.topology->is_flat()) {
     // Rack-disjoint stripes put every helper in a foreign rack; rack-
     // aware migrations stay in-rack while hot-standby spares live in an

@@ -42,10 +42,6 @@ struct PlannerOptions {
   /// name); keep equal to the testbed's charge so kAuto decides on the
   /// same numbers the execution will show.
   double chain_hop_overhead_seconds = 0;
-  /// Fraction of the NIC rate repair may use (ModelParams field of the
-  /// same name). Set to the throttler's budget fraction so migration
-  /// quotas and round predictions match the execution's leased pace.
-  double repair_bw_fraction = 1.0;
   /// Optional erasure code: when set, the matching honors the code's
   /// per-chunk helper counts and candidate sets (LRC locality). Must
   /// outlive the planner.

@@ -24,12 +24,13 @@ void InprocTransport::send(Message msg) {
                msg.from < static_cast<int>(endpoints_.size()));
   FASTPR_CHECK(msg.to >= 0 && msg.to < static_cast<int>(endpoints_.size()));
 
-  if (is_data_packet(msg.type)) {
-    const auto bytes = static_cast<int64_t>(msg.encoded_size());
+  // Control messages ride for free: only data packets are shaped,
+  // monitored and counted.
+  const int64_t bytes =
+      is_data_packet(msg.type) ? static_cast<int64_t>(msg.encoded_size()) : 0;
+  if (bytes > 0) {
     auto& from = *endpoints_[static_cast<size_t>(msg.from)];
     auto& to = *endpoints_[static_cast<size_t>(msg.to)];
-    from.data_tx.fetch_add(bytes, std::memory_order_relaxed);
-    to.data_rx.fetch_add(bytes, std::memory_order_relaxed);
     if (options_.flow_monitor != nullptr) {
       options_.flow_monitor->on_tx(msg.from, msg.to, bytes,
                                    telemetry::trace_now_us());
@@ -64,8 +65,7 @@ void InprocTransport::send(Message msg) {
   {
     MutexLock lock(ep.mutex);
     if (closed_.load(std::memory_order_acquire)) return;
-    bytes_sent_.fetch_add(static_cast<int64_t>(msg.encoded_size()),
-                          std::memory_order_relaxed);
+    data_bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
     ep.inbox.push_back(std::move(msg));
   }
   ep.cv.notify_one();
@@ -124,20 +124,8 @@ void InprocTransport::charge_rx(cluster::NodeId node, int64_t bytes) {
   endpoints_[static_cast<size_t>(node)]->rx->acquire(bytes);
 }
 
-int64_t InprocTransport::total_bytes_sent() const {
-  return bytes_sent_.load(std::memory_order_relaxed);
-}
-
-int64_t InprocTransport::data_bytes_tx(cluster::NodeId node) const {
-  FASTPR_CHECK(node >= 0 && node < static_cast<int>(endpoints_.size()));
-  return endpoints_[static_cast<size_t>(node)]->data_tx.load(
-      std::memory_order_relaxed);
-}
-
-int64_t InprocTransport::data_bytes_rx(cluster::NodeId node) const {
-  FASTPR_CHECK(node >= 0 && node < static_cast<int>(endpoints_.size()));
-  return endpoints_[static_cast<size_t>(node)]->data_rx.load(
-      std::memory_order_relaxed);
+int64_t InprocTransport::data_bytes_sent() const {
+  return data_bytes_sent_.load(std::memory_order_relaxed);
 }
 
 }  // namespace fastpr::net

@@ -59,13 +59,9 @@ class InprocTransport final : public Transport {
   void charge_tx(cluster::NodeId node, int64_t bytes);
   void charge_rx(cluster::NodeId node, int64_t bytes);
 
-  /// Total bytes ever accepted for delivery (testing/teardown aid).
-  int64_t total_bytes_sent() const;
-
-  /// Bytes of payload-bearing (kDataPacket) traffic sent by / received
-  /// by a node so far (repair-traffic accounting).
-  int64_t data_bytes_tx(cluster::NodeId node) const;
-  int64_t data_bytes_rx(cluster::NodeId node) const;
+  /// Encoded bytes of every data packet accepted for delivery so far
+  /// (repair-traffic accounting; control messages add nothing).
+  int64_t data_bytes_sent() const;
 
  private:
   // Per-endpoint lock + condition variable: a packet delivery wakes only
@@ -77,14 +73,12 @@ class InprocTransport final : public Transport {
     Mutex mutex{lock_order::kNetInbox};
     CondVar cv;
     std::deque<Message> inbox FASTPR_GUARDED_BY(mutex);
-    std::atomic<int64_t> data_tx{0};
-    std::atomic<int64_t> data_rx{0};
   };
 
   Options options_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::atomic<bool> closed_{false};
-  std::atomic<int64_t> bytes_sent_{0};
+  std::atomic<int64_t> data_bytes_sent_{0};
 };
 
 }  // namespace fastpr::net

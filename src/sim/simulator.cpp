@@ -137,18 +137,12 @@ double rack_round_time(const core::RepairRound& round, const SimParams& p) {
 
 }  // namespace
 
-SimResult simulate(const core::RepairPlan& plan, const SimParams& raw) {
+SimResult simulate(const core::RepairPlan& plan, const SimParams& params) {
   // The paper model is the cost model itself; its constructor also
   // checks every input the other two models share.
-  const core::CostModel model(raw);
-  FASTPR_CHECK(raw.topo_racks >= 1);
-  if (raw.topo_racks > 1) FASTPR_CHECK(raw.topo_nodes_per_rack >= 1);
-
-  // Throttling scales every network term and nothing else, so the
-  // resource and rack models fold it into the effective NIC rate once.
-  SimParams params = raw;
-  params.net_bw *= params.repair_bw_fraction;
-  params.repair_bw_fraction = 1.0;
+  const core::CostModel model(params);
+  FASTPR_CHECK(params.topo_racks >= 1);
+  if (params.topo_racks > 1) FASTPR_CHECK(params.topo_nodes_per_rack >= 1);
 
   // Single rack (or full bisection): no traffic ever contends for a
   // rack link, skip the term entirely so flat runs stay bit-identical.

@@ -103,12 +103,12 @@ void FlowMonitor::set_default_expected_rate(double bytes_per_sec) {
   default_expected_bytes_per_sec_ = bytes_per_sec;
 }
 
-std::vector<LinkStats> FlowMonitor::snapshot() const {
+std::vector<LinkBandwidth> FlowMonitor::snapshot() const {
   MutexLock lock(mutex_);
-  std::vector<LinkStats> out;
+  std::vector<LinkBandwidth> out;
   out.reserve(links_.size());
   for (const auto& [key, l] : links_) {
-    LinkStats s;
+    LinkBandwidth s;
     s.src = key.first;
     s.dst = key.second;
     s.tx_bytes = l.tx_bytes;

@@ -23,23 +23,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "telemetry/repair_report.h"
 #include "telemetry/telemetry.h"
 #include "util/annotations.h"
 #include "util/mutex.h"
 
 namespace fastpr::telemetry {
-
-/// Snapshot of one directed (src, dst) link.
-struct LinkStats {
-  int src = -1;
-  int dst = -1;
-  int64_t tx_bytes = 0;  // wire bytes handed to the transport
-  int64_t rx_bytes = 0;  // wire bytes delivered
-  double ewma_bytes_per_sec = 0;       // 0 until the first window closes
-  double expected_bytes_per_sec = 0;   // the round's plan rate; 0 = unknown
-  int64_t injected_delay_us = 0;       // fault-plan time excluded from rate
-  bool straggler = false;  // ewma < kStragglerFactor * expected
-};
 
 #if FASTPR_TELEMETRY_ENABLED
 
@@ -60,7 +49,7 @@ class FlowMonitor {
 
   /// All observed links, straggler flags evaluated against the current
   /// expectations, ordered by (src, dst).
-  std::vector<LinkStats> snapshot() const;
+  std::vector<LinkBandwidth> snapshot() const;
 
   void clear();
 
@@ -96,7 +85,7 @@ class FlowMonitor {
   void on_injected_delay(int, int, int64_t) {}
   void set_expected_rate(int, int, double) {}
   void set_default_expected_rate(double) {}
-  std::vector<LinkStats> snapshot() const { return {}; }
+  std::vector<LinkBandwidth> snapshot() const { return {}; }
   void clear() {}
 };
 

@@ -23,7 +23,7 @@ std::string RepairReport::to_json() const {
   os << "{\"total_seconds\":" << json_num(total_seconds)
      << ",\"total_cr\":" << total_cr() << ",\"total_cm\":" << total_cm()
      << ",\"degraded_at_round\":" << degraded_at_round;
-  if (!per_stf.empty()) {
+  if (per_stf.size() > 1) {
     os << ",\"per_stf\":[";
     for (size_t i = 0; i < per_stf.size(); ++i) {
       const auto& s = per_stf[i];

@@ -57,23 +57,22 @@ struct PredictedRound {
   double tm_seconds = 0;
 };
 
-/// One directed link's bandwidth estimate at the end of the run, as
-/// measured by telemetry::FlowMonitor (plain copy so this header stays
-/// stdlib-only).
+/// One directed (src, dst) link's bandwidth estimate, as measured by
+/// telemetry::FlowMonitor.
 struct LinkBandwidth {
   int src = -1;
   int dst = -1;
-  int64_t tx_bytes = 0;
-  int64_t rx_bytes = 0;
-  double ewma_bytes_per_sec = 0;
-  double expected_bytes_per_sec = 0;
-  int64_t injected_delay_us = 0;
-  bool straggler = false;
+  int64_t tx_bytes = 0;  // wire bytes handed to the transport
+  int64_t rx_bytes = 0;  // wire bytes delivered
+  double ewma_bytes_per_sec = 0;      // 0 until the first window closes
+  double expected_bytes_per_sec = 0;  // the round's plan rate; 0 = unknown
+  int64_t injected_delay_us = 0;      // fault-plan time excluded from rate
+  bool straggler = false;  // ewma < kStragglerFactor * expected
 };
 
-/// Per-STF-node breakdown of a multi-STF batch execution (DESIGN.md §8).
-/// Plain ints so telemetry keeps its stdlib-only footing; `stf` is the
-/// node id.
+/// Per-STF-node breakdown of an execution, one per batch member
+/// (DESIGN.md §8). Plain ints so telemetry keeps its stdlib-only
+/// footing; `stf` is the node id.
 struct StfRepairStats {
   int stf = -1;
   int planned = 0;        // chunks of this node the plan covers
@@ -92,8 +91,8 @@ struct RepairReport {
   /// First round (1-based) in which the execution degraded from
   /// predictive to reactive repair (STF death); 0 = never degraded.
   int degraded_at_round = 0;
-  /// Multi-STF executions only (batch >= 2); empty otherwise, and then
-  /// absent from the JSON so single-STF output is unchanged.
+  /// One entry per STF batch member, in plan order. The JSON carries it
+  /// for batches of two or more only, so single-STF output is unchanged.
   std::vector<StfRepairStats> per_stf;
   /// Per-link EWMA bandwidth estimates from the flow monitor; empty
   /// (and absent from the JSON) when flow telemetry was off.

@@ -272,6 +272,7 @@ TEST(Testbed, KilledDestinationRecoversViaRetry) {
   auto opts = small_options(55);
   opts.round_timeout = std::chrono::milliseconds(2000);
   opts.probe_timeout = std::chrono::milliseconds(250);
+  opts.fault_plan = net::FaultPlan{};
   Testbed tb(opts, code);
   tb.flag_stf();
   auto planner = tb.make_planner(core::Scenario::kScattered);
@@ -279,7 +280,7 @@ TEST(Testbed, KilledDestinationRecoversViaRetry) {
   ASSERT_FALSE(plan.rounds.empty());
   ASSERT_FALSE(plan.rounds[0].reconstructions.empty());
   const auto victim = plan.rounds[0].reconstructions[0].dst;
-  tb.agent(victim).kill();
+  tb.faulty()->crash(victim);
 
   const auto report = tb.execute(plan);
   EXPECT_TRUE(report.success) << (report.errors.empty()
@@ -309,6 +310,7 @@ TEST(Testbed, RoundTimeoutListsUnrepairedChunks) {
   opts.round_timeout = std::chrono::milliseconds(1000);
   opts.max_round_extensions = 0;
   opts.max_attempts = 1;
+  opts.fault_plan = net::FaultPlan{};
   Testbed tb(opts, code);
   tb.flag_stf();
   auto planner = tb.make_planner(core::Scenario::kScattered);
@@ -316,7 +318,7 @@ TEST(Testbed, RoundTimeoutListsUnrepairedChunks) {
   ASSERT_FALSE(plan.rounds.empty());
   ASSERT_FALSE(plan.rounds[0].reconstructions.empty());
   const auto& stalled = plan.rounds[0].reconstructions[0];
-  tb.agent(stalled.dst).kill();
+  tb.faulty()->crash(stalled.dst);
 
   const auto report = tb.execute(plan);
   EXPECT_FALSE(report.success);
@@ -380,7 +382,7 @@ TEST(Testbed, ShapedRunRespectsBandwidthFloor) {
   const double uplink_floor =
       static_cast<double>(u) * static_cast<double>(1 * kMiB) / MBps(50);
   // Allow generous slack under the floor for burst tokens.
-  EXPECT_GT(report.total_seconds, uplink_floor * 0.5);
+  EXPECT_GT(report.repair.total_seconds, uplink_floor * 0.5);
   EXPECT_TRUE(tb.verify(plan));
 }
 

@@ -1,11 +1,10 @@
 // ChunkStore: materialization, oracle fallback, throttling, failure
-// injection, file-backed mode.
+// injection.
 #include "agent/chunk_store.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <filesystem>
 
 #include "agent/testbed.h"
 #include "ec/rs_code.h"
@@ -123,27 +122,6 @@ TEST(ChunkStore, ChargeIoHonorsBucket) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   EXPECT_GT(secs, 0.3);
-}
-
-TEST(ChunkStore, FileBackedPersistsAndReads) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "fastpr_store_test";
-  std::filesystem::remove_all(dir);
-  ChunkStore::Options opts;
-  opts.directory = dir;
-  ChunkStore store(opts);
-  std::vector<uint8_t> data(1000);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<uint8_t>(i);
-  }
-  store.write({7, 3}, data);
-  EXPECT_TRUE(std::filesystem::exists(dir / "s7_i3.chunk"));
-  const auto got = store.read({7, 3});
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, data);
-  store.erase({7, 3});
-  EXPECT_FALSE(std::filesystem::exists(dir / "s7_i3.chunk"));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ChunkStore, ScrubCleanStoreFindsNothing) {

@@ -1,12 +1,13 @@
-// Coordinator retry helper-selection: fallback_for / pick_sources under
-// RS and LRC, including the failed-node exclusions used by the retry
-// machinery (DESIGN.md §7).
+// Coordinator retry helper-selection: pick_sources under RS and LRC,
+// including the failed-node exclusions used by the retry machinery and
+// the fallback reconstruction of a failed migration (DESIGN.md §7).
 #include "agent/coordinator.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <unordered_set>
 
 #include "cluster/stripe_layout.h"
 #include "ec/lrc_code.h"
@@ -34,6 +35,21 @@ std::set<NodeId> source_nodes(const std::vector<core::SourceRead>& sources) {
   return nodes;
 }
 
+/// The reconstruction a failed migration falls back to: same chunk and
+/// destination, helpers picked around the STF node and every node in
+/// `failed` — what the coordinator's rebuild issues after an STF read
+/// failure.
+core::ReconstructionTask fallback_for(const Coordinator& coordinator,
+                                      const core::MigrationTask& mig,
+                                      std::unordered_set<NodeId> failed) {
+  failed.insert(mig.src);
+  core::ReconstructionTask recon;
+  recon.chunk = mig.chunk;
+  recon.dst = mig.dst;
+  recon.sources = coordinator.pick_sources(mig.chunk, mig.dst, failed);
+  return recon;
+}
+
 // LRC(4,2,2) with identity placement: chunk index i of stripe 0 lives on
 // node i. Groups: data {0,1} + local parity 4, data {2,3} + local
 // parity 5, global parities 6 and 7. Nodes 8..11 are chunk-free
@@ -58,7 +74,7 @@ TEST_F(LrcSelectionTest, PickSourcesStaysInLocalGroupWhenIntact) {
   // Chunk 0's local group is {1, 4}: a healthy group means a k' = 2
   // helper read, not a k = 4 one.
   const auto sources =
-      coordinator_.pick_sources(ChunkRef{0, 0}, /*dst=*/8, /*stf=*/0, {});
+      coordinator_.pick_sources(ChunkRef{0, 0}, /*dst=*/8, {});
   EXPECT_EQ(source_nodes(sources), (std::set<NodeId>{1, 4}));
   for (const auto& s : sources) {
     EXPECT_EQ(s.chunk.stripe, 0);
@@ -69,8 +85,8 @@ TEST_F(LrcSelectionTest, PickSourcesStaysInLocalGroupWhenIntact) {
 TEST_F(LrcSelectionTest, PickSourcesFallsBackToGlobalParities) {
   // The local parity's node (4) is known-failed, so the local-group
   // repair is impossible and selection must widen to a global solve.
-  const auto sources = coordinator_.pick_sources(ChunkRef{0, 0}, /*dst=*/8,
-                                                 /*stf=*/0, {4});
+  const auto sources =
+      coordinator_.pick_sources(ChunkRef{0, 0}, /*dst=*/8, {4});
   const auto nodes = source_nodes(sources);
   EXPECT_GE(nodes.size(), 2u);
   EXPECT_EQ(nodes.count(0), 0u);  // never the STF node
@@ -88,7 +104,7 @@ TEST_F(LrcSelectionTest, FallbackForExcludesKnownFailedNodes) {
   mig.dst = 8;
   // Node 1 (the data half of chunk 0's local group) failed earlier in
   // this execution: the fallback reconstruction must avoid it too.
-  const auto recon = coordinator_.fallback_for(mig, /*stf=*/0, {1});
+  const auto recon = fallback_for(coordinator_, mig, {1});
   EXPECT_EQ(recon.chunk, mig.chunk);
   EXPECT_EQ(recon.dst, mig.dst);
   const auto nodes = source_nodes(recon.sources);
@@ -101,9 +117,9 @@ TEST_F(LrcSelectionTest, PickSourcesThrowsWhenStripeIsDepleted) {
   // Only the two global parities survive: rank 2 < k = 4, so chunk 0 is
   // unrepairable and selection must say so (the coordinator abandons
   // the chunk and reports it unrepaired).
-  EXPECT_THROW(coordinator_.pick_sources(ChunkRef{0, 0}, /*dst=*/8,
-                                         /*stf=*/0, {1, 2, 3, 4, 5}),
-               CheckFailure);
+  EXPECT_THROW(
+      coordinator_.pick_sources(ChunkRef{0, 0}, /*dst=*/8, {1, 2, 3, 4, 5}),
+      CheckFailure);
 }
 
 // RS(6,4) with identity placement on nodes 0..5.
@@ -128,7 +144,7 @@ TEST_F(RsSelectionTest, FallbackForUsesExactlyTheSurvivors) {
   mig.chunk = ChunkRef{0, 0};
   mig.src = 0;
   mig.dst = 8;
-  const auto recon = coordinator_.fallback_for(mig, /*stf=*/0, {1});
+  const auto recon = fallback_for(coordinator_, mig, {1});
   // k = 4 helpers from the 4 surviving stripe nodes {2, 3, 4, 5}.
   EXPECT_EQ(source_nodes(recon.sources), (std::set<NodeId>{2, 3, 4, 5}));
 }
@@ -138,8 +154,7 @@ TEST_F(RsSelectionTest, FallbackForThrowsWhenSurvivorsDropBelowK) {
   mig.chunk = ChunkRef{0, 0};
   mig.src = 0;
   mig.dst = 8;
-  EXPECT_THROW(coordinator_.fallback_for(mig, /*stf=*/0, {1, 2}),
-               CheckFailure);
+  EXPECT_THROW(fallback_for(coordinator_, mig, {1, 2}), CheckFailure);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@ namespace fastpr {
 namespace {
 
 using telemetry::FlowMonitor;
-using telemetry::LinkStats;
 
 #if FASTPR_TELEMETRY_ENABLED
 

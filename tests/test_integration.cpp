@@ -111,7 +111,7 @@ TEST(Integration, TestbedFastPrBeatsMigrationOnlyWallClock) {
     const auto report = tb.execute(plan);
     ASSERT_TRUE(report.success);
     ASSERT_TRUE(tb.verify(plan));
-    fastpr_secs = report.total_seconds;
+    fastpr_secs = report.repair.total_seconds;
   }
   {
     agent::Testbed tb(opts, code);
@@ -120,7 +120,7 @@ TEST(Integration, TestbedFastPrBeatsMigrationOnlyWallClock) {
     const auto plan = planner.plan_migration_only();
     const auto report = tb.execute(plan);
     ASSERT_TRUE(report.success);
-    migration_secs = report.total_seconds;
+    migration_secs = report.repair.total_seconds;
   }
 #ifdef FASTPR_SANITIZERS_ENABLED
   // Sanitizer overhead scales with thread count, so FastPR's parallel

@@ -293,18 +293,15 @@ TEST(MultiStfTestbed, ExecutedRoundsMatchAlgorithmTwoPlan) {
 
   // Per-member progress: one entry per batch member, plan order, sums
   // consistent, nobody died, nothing unrepaired.
-  ASSERT_EQ(report.stf_progress.size(), 2u);
   ASSERT_EQ(report.repair.per_stf.size(), 2u);
   int planned_total = 0;
-  for (size_t i = 0; i < report.stf_progress.size(); ++i) {
-    const auto& p = report.stf_progress[i];
+  for (size_t i = 0; i < report.repair.per_stf.size(); ++i) {
+    const auto& p = report.repair.per_stf[i];
     EXPECT_EQ(p.stf, sorted_batch[i]);
     EXPECT_EQ(p.planned, tb.layout().load(sorted_batch[i]));
     EXPECT_EQ(p.migrated + p.reconstructed, p.planned);
     EXPECT_EQ(p.unrepaired, 0);
-    EXPECT_FALSE(p.died);
-    EXPECT_EQ(report.repair.per_stf[i].stf, static_cast<int>(p.stf));
-    EXPECT_EQ(report.repair.per_stf[i].planned, p.planned);
+    EXPECT_EQ(p.died_at_round, 0);
     planned_total += p.planned;
   }
   EXPECT_EQ(planned_total, report.repaired());

@@ -248,47 +248,5 @@ TEST(Strategies, AveragingIsDeterministicPerSeed) {
   EXPECT_DOUBLE_EQ(a.optimum, b.optimum);
 }
 
-TEST(Simulator, RepairBwFractionEqualsScaledNetBw) {
-  // simulate() folds the throttle fraction into net_bw once at entry,
-  // so a throttled run must be bit-identical to an unthrottled run at
-  // the scaled bandwidth — under BOTH timing models.
-  core::RepairPlan plan;
-  plan.stf_nodes = {0};
-  plan.rounds.push_back(round_with(5, 3));
-  plan.rounds.push_back(round_with(2, 6));
-  for (const auto model :
-       {TimingModel::kPaperModel, TimingModel::kResourceModel}) {
-    auto throttled = paper_params(core::Scenario::kScattered);
-    throttled.model = model;
-    throttled.repair_bw_fraction = 0.2;
-    auto scaled = throttled;
-    scaled.repair_bw_fraction = 1.0;
-    scaled.net_bw = throttled.net_bw * 0.2;
-    const auto a = simulate(plan, throttled);
-    const auto b = simulate(plan, scaled);
-    EXPECT_DOUBLE_EQ(a.total_time, b.total_time);
-    ASSERT_EQ(a.round_times.size(), b.round_times.size());
-    for (size_t r = 0; r < a.round_times.size(); ++r) {
-      EXPECT_DOUBLE_EQ(a.round_times[r], b.round_times[r]);
-    }
-    EXPECT_EQ(a.migrated, b.migrated);
-    // And throttling really costs time versus the unthrottled run.
-    auto full = paper_params(core::Scenario::kScattered);
-    full.model = model;
-    EXPECT_GT(a.total_time, simulate(plan, full).total_time);
-  }
-}
-
-TEST(Simulator, RejectsBadRepairBwFraction) {
-  core::RepairPlan plan;
-  plan.stf_nodes = {0};
-  plan.rounds.push_back(round_with(1, 1));
-  auto p = paper_params(core::Scenario::kScattered);
-  p.repair_bw_fraction = 0;
-  EXPECT_THROW(simulate(plan, p), CheckFailure);
-  p.repair_bw_fraction = 2.0;
-  EXPECT_THROW(simulate(plan, p), CheckFailure);
-}
-
 }  // namespace
 }  // namespace fastpr::sim

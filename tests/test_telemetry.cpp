@@ -34,6 +34,7 @@ using telemetry::links_to_json;
 using telemetry::MetricsRegistry;
 using telemetry::RepairReport;
 using telemetry::RepairRoundStats;
+using telemetry::StfRepairStats;
 using telemetry::TraceEvent;
 using telemetry::TraceLog;
 
@@ -405,6 +406,15 @@ TEST(RepairReport, TotalsAndJsonGolden) {
   report.rounds = {r1, r2};
   report.predicted = {{2, 3, 0.4, 0.25, 0.4}, {1, 0, 0.2}};
   report.degraded_at_round = 2;
+  // A single-STF execution fills its one per_stf entry; the JSON keeps
+  // per_stf for batches of two or more only.
+  StfRepairStats member;
+  member.stf = 4;
+  member.planned = 6;
+  member.migrated = 3;
+  member.reconstructed = 3;
+  member.died_at_round = 2;
+  report.per_stf = {member};
 
   EXPECT_EQ(report.total_cr(), 3);
   EXPECT_EQ(report.total_cm(), 3);
@@ -522,8 +532,7 @@ TEST(RepairReport, TestbedRoundsMatchScheduledPlan) {
     round_sum += measured.duration_seconds;
   }
   EXPECT_EQ(repair.total_cr() + repair.total_cm(), plan.total_repaired());
-  EXPECT_NEAR(repair.total_seconds, report.total_seconds, 1e-9);
-  EXPECT_LE(round_sum, report.total_seconds + 1e-9);
+  EXPECT_LE(round_sum, repair.total_seconds + 1e-9);
 
   // Cost-model predictions line up round for round with the schedule.
   const auto predicted = tb.predict_rounds(plan, core::Scenario::kScattered);

@@ -134,12 +134,16 @@ INSTANTIATE_TEST_SUITE_P(Kinds, TransportTest,
                          ::testing::Values("inproc", "tcp"));
 
 TEST(InprocTransport, TracksBytesSent) {
+  // Repair-traffic accounting: a control message adds nothing, a data
+  // packet adds its encoded size.
   InprocTransport::Options opts;
   InprocTransport t(2, opts);
-  auto msg = control(0, 1);
-  const auto size = msg.encoded_size();
-  t.send(std::move(msg));
-  EXPECT_EQ(t.total_bytes_sent(), static_cast<int64_t>(size));
+  t.send(control(0, 1));
+  EXPECT_EQ(t.data_bytes_sent(), 0);
+  auto packet = data_packet(0, 1, 1000);
+  const auto size = packet.encoded_size();
+  t.send(std::move(packet));
+  EXPECT_EQ(t.data_bytes_sent(), static_cast<int64_t>(size));
   t.shutdown();
 }
 

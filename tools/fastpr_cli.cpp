@@ -571,15 +571,15 @@ int cmd_execute(const Spec& spec, const std::string& fault_plan_path,
   std::printf("  degraded to reactive     %s\n",
               report.degraded_to_reactive
                   ? ("yes (round " +
-                     std::to_string(report.degraded_at_round) + ")")
+                     std::to_string(report.repair.degraded_at_round) + ")")
                         .c_str()
                   : "no");
-  for (const auto& progress : report.stf_progress) {
+  for (const auto& progress : report.repair.per_stf) {
     std::printf("  stf %-4d                 %d planned, %d migrated, "
                 "%d reconstructed, %d unrepaired%s\n",
                 progress.stf, progress.planned, progress.migrated,
                 progress.reconstructed, progress.unrepaired,
-                progress.died
+                progress.died_at_round > 0
                     ? (" (died round " +
                        std::to_string(progress.died_at_round) + ")")
                           .c_str()
