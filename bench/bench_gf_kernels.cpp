@@ -2,6 +2,8 @@
 // (scalar / ssse3 / avx2 / gfni) across the region ops, plus the
 // headline fused-dot comparison — one dot_region_xor over k sources vs
 // the per-source mul_region_xor loop it replaced in the decode path.
+// Also the CRC-32C rung: the portable slicing-by-8 loop vs the
+// dispatched crc32c() every stored chunk pays, and the path it takes.
 //
 // Bytes accounting matches bench_algorithms: single-source ops count
 // `len` per call; the k-source dot counts `k * len` (the bytes the
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "gf/gf256.h"
+#include "util/crc32c.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -189,5 +192,25 @@ int main() {
               "paired runs)\n",
               kDotSources, gf::kernel_name(before_kernel), before_gbps[2],
               gf::kernel_name(after_kernel), after_gbps[2], ratios[2]);
+
+  // CRC-32C at a packet and at a testbed chunk. Each call's result is
+  // folded into `sink` so the loop cannot be optimized away.
+  std::printf("\n=== CRC-32C throughput (GB/s) ===\n");
+  std::printf("crc32c path on this host: %s\n\n", crc32c_path());
+  Table c({"size", "crc32c_portable",
+           std::string("crc32c (") + crc32c_path() + ")"});
+  uint32_t sink = 0;
+  for (size_t crc_len : {256 * kKiB, 4 * kMiB}) {
+    const std::vector<uint8_t> data = random_bytes(rng, crc_len);
+    const double portable = measure_gbps(
+        crc_len, [&] { sink ^= crc32c_portable(data, sink); });
+    const double dispatched =
+        measure_gbps(crc_len, [&] { sink ^= crc32c(data, sink); });
+    c.add_row({crc_len >= kMiB ? std::to_string(crc_len / kMiB) + " MiB"
+                               : std::to_string(crc_len / kKiB) + " KiB",
+               Table::fmt(portable, 2), Table::fmt(dispatched, 2)});
+  }
+  c.print();
+  std::printf("(checksum sink %08x)\n", sink);
   return 0;
 }

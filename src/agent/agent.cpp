@@ -49,6 +49,11 @@ uint32_t packet_count(uint64_t chunk_bytes, uint64_t packet_bytes) {
                                packet_bytes);
 }
 
+std::string read_error(NodeId node, ChunkRef chunk) {
+  return "read error on node " + std::to_string(node) + " for stripe " +
+         std::to_string(chunk.stripe);
+}
+
 }  // namespace
 
 Agent::Agent(NodeId id, net::Transport& transport, ChunkStore& store,
@@ -257,26 +262,25 @@ void Agent::handle_fetch_request(const Message& msg) {
     agent_counter("agent.stale_cmds").add();
     return;
   }
-  // Read the whole own chunk up front; per-packet disk time is charged
-  // as each slice folds, pipelined with the forwards.
-  auto content = store_.read_unthrottled(own.chunk);
-  if (!content.has_value()) {
-    report_failure(msg.task_id, msg.attempt,
-                   "read error on chain hop " + std::to_string(id_) +
-                       " for stripe " + std::to_string(own.chunk.stripe));
+  // Each arriving packet reads its own slice of our chunk as it folds,
+  // charging that slice's disk time; check up front that the chunk is
+  // readable and the length the destination expects.
+  const auto own_bytes = store_.chunk_size(own.chunk);
+  if (!own_bytes.has_value()) {
+    report_failure(msg.task_id, msg.attempt, read_error(id_, own.chunk));
     return;
   }
-  if (content->size() != msg.chunk_bytes) {
+  if (*own_bytes != msg.chunk_bytes) {
     agent_counter("agent.malformed_msgs").add();
     return;
   }
   TransferState state;
   state.attempt = msg.attempt;
   state.hop = msg.hop;
+  state.chunk = own.chunk;
   state.chunk_bytes = msg.chunk_bytes;
   state.packet_bytes = msg.packet_bytes;
   state.total_packets = packet_count(msg.chunk_bytes, msg.packet_bytes);
-  state.own = std::move(*content);
   state.coefficient = own.coefficient;
   state.next = next;
   state.next_hop = next_hop;
@@ -432,14 +436,16 @@ void Agent::stream_chunk(uint64_t task_id, uint32_t attempt, ChunkRef chunk,
                          uint8_t coefficient, uint64_t packet_bytes) {
   FASTPR_TRACE_SPAN("agent.stream_chunk", "agent",
                     static_cast<int64_t>(task_id), "task");
-  const auto content = store_.read_unthrottled(own);
-  if (!content.has_value()) {
-    report_failure(task_id, attempt,
-                   "read error on node " + std::to_string(id_) +
-                       " for stripe " + std::to_string(own.stripe));
+  static telemetry::Counter& tx_packets =
+      agent_counter("agent.data_packets_tx");
+  // Sized before the first packet, so an unreadable chunk fails the task
+  // without streaming anything.
+  const auto size = store_.chunk_size(own);
+  if (!size.has_value()) {
+    report_failure(task_id, attempt, read_error(id_, own));
     return;
   }
-  const uint64_t chunk_bytes = content->size();
+  const uint64_t chunk_bytes = *size;
   const uint32_t total_packets = packet_count(chunk_bytes, packet_bytes);
 
   // Paper §V multi-threading: this reader task paces the disk and feeds
@@ -466,9 +472,15 @@ void Agent::stream_chunk(uint64_t task_id, uint32_t attempt, ChunkRef chunk,
     packet.chunk_bytes = chunk_bytes;
     packet.packet_bytes = packet_bytes;
     packet.trace = telemetry::current_trace_context();
-    // Pool-recycled payload: after the destination folds the packet in
-    // and drops it, the buffer comes back for a later packet.
-    packet.payload.assign(content->data() + offset, len);
+    // The packet's slice is read straight into its pool-recycled payload:
+    // no copy of the whole chunk exists. After the destination folds the
+    // packet in and drops it, the buffer comes back for a later packet.
+    packet.payload.resize_uninitialized(len);
+    if (!store_.read_slice(own, offset, packet.payload.span())) {
+      tx_packets.add(p);
+      report_failure(task_id, attempt, read_error(id_, own));
+      return;
+    }
     if (next_hop != 0) {
       // Seed partial sum of a chain, scaled in place: every later hop
       // folds into it, and the destination takes the sum as is.
@@ -478,7 +490,7 @@ void Agent::stream_chunk(uint64_t task_id, uint32_t attempt, ChunkRef chunk,
     }
     enqueue_send(std::move(packet), window);
   }
-  agent_counter("agent.data_packets_tx").add(total_packets);
+  tx_packets.add(total_packets);
 }
 
 void Agent::handle_data_packet(Message&& msg) {
@@ -543,10 +555,18 @@ void Agent::handle_data_packet(Message&& msg) {
       FASTPR_TRACE_SPAN("agent.chain_forward", "agent",
                         static_cast<int64_t>(msg.task_id), "task");
       store_.charge_io(static_cast<int64_t>(len));  // own-chunk read share
-      // Fold our scaled contribution into the running partial sum in
-      // place on the pooled payload — no copy, no allocation on the hop
-      // (single-source dot_region_xor = one fused multiply-XOR pass).
-      const uint8_t* own_slice = state.own.data() + offset;
+      // Read our slice into the reused scratch buffer and fold our scaled
+      // contribution into the running partial sum in place on the pooled
+      // payload (single-source dot_region_xor = one fused multiply-XOR
+      // pass).
+      hop_scratch_.resize_uninitialized(len);
+      if (!store_.read_slice(state.chunk, offset, hop_scratch_.span())) {
+        report_failure(msg.task_id, state.attempt,
+                       read_error(id_, state.chunk));
+        retire(it);
+        return;
+      }
+      const uint8_t* own_slice = hop_scratch_.data();
       gf::dot_region_xor(msg.payload.data(), &own_slice, &state.coefficient,
                          1, len);
       msg.from = id_;

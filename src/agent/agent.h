@@ -17,13 +17,16 @@
 //    the STF's own chunk with coefficient 1). Fold the arriving streams
 //    — one fused gf::dot_region_xor per packet index across several
 //    streams, one mul_region for a single stream — store, ack.
-//  * hop 0  — read the chunk and stream it to the next hop (pre-scaled
-//    by its coefficient) or straight to the destination.
-//  * hop ≥1 — fold c·(own packet) into each received packet in place
-//    (one fused multiply-XOR on the pooled payload, no copy) and
-//    forward it under a bounded send window, so every link of a chain
-//    streams concurrently and the repair approaches the
-//    single-transfer bound (repair pipelining).
+//  * hop 0  — read the chunk packet by packet, each slice straight into
+//    its pooled payload, and stream it to the next hop (pre-scaled by
+//    its coefficient) or straight to the destination.
+//  * hop ≥1 — read its own slice of each received packet's range into
+//    a reused scratch buffer, fold c·(own slice) into the packet in
+//    place (one fused multiply-XOR on the pooled payload) and forward
+//    it under a bounded send window, so every link of a chain streams
+//    concurrently and the repair approaches the single-transfer bound
+//    (repair pipelining).
+// No source ever holds a copy of a whole chunk.
 // Every command and packet is validated on entry: malformed ones are
 // dropped and counted (agent.malformed_msgs), never trusted.
 #pragma once
@@ -39,6 +42,7 @@
 #include "agent/repair_budget.h"
 #include "cluster/types.h"
 #include "net/transport.h"
+#include "util/buffer_pool.h"
 #include "util/mutex.h"
 #include "util/thread_pool.h"
 
@@ -98,7 +102,9 @@ class Agent {
     /// mismatches are stale (superseded retry) and dropped.
     uint32_t attempt = 0;
     uint32_t hop = 0;  // this node's chain slot; 0 at the destination
-    cluster::ChunkRef chunk;  // destination: chunk being repaired
+    /// Destination: the chunk being repaired. Hop: its own chunk, whose
+    /// slices it folds in.
+    cluster::ChunkRef chunk;
     uint64_t chunk_bytes = 0;
     uint64_t packet_bytes = 0;
     uint32_t total_packets = 0;
@@ -106,9 +112,8 @@ class Agent {
     /// source, one for a chain) into the repaired chunk.
     size_t streams = 1;
     std::vector<uint8_t> accumulator;
-    /// Hop: own chunk (read once), own coefficient, and where folded
-    /// packets go — the next hop, or the destination (next_hop 0).
-    std::vector<uint8_t> own;
+    /// Hop: own coefficient, and where folded packets go — the next
+    /// hop, or the destination (next_hop 0).
     uint8_t coefficient = 0;
     cluster::NodeId next = cluster::kNoNode;
     uint32_t next_hop = 0;
@@ -153,9 +158,10 @@ class Agent {
   /// Erases a task's state, remembering its attempt as retired.
   void retire(std::unordered_map<uint64_t, TransferState>::iterator it);
 
-  /// Runs as a reader task: hop 0 of a source chain reads `own` and
-  /// streams it to `next` in pipelined read→send packets — scaled by
-  /// `coefficient` in place when `next` is a hop (next_hop >= 1).
+  /// Runs as a reader task: hop 0 of a source chain streams `own` to
+  /// `next` in pipelined read→send packets, each read as a slice into
+  /// its payload — scaled by `coefficient` in place when `next` is a hop
+  /// (next_hop >= 1).
   void stream_chunk(uint64_t task_id, uint32_t attempt,
                     cluster::ChunkRef chunk, cluster::ChunkRef own,
                     cluster::NodeId next, uint32_t next_hop,
@@ -192,6 +198,9 @@ class Agent {
   std::unordered_map<uint64_t, TransferState> tasks_;  // dispatcher-only
   /// Packets that outran their hop request (dispatcher-only).
   std::unordered_map<uint64_t, std::vector<net::Message>> early_;
+  /// A hop's own slice of the packet it is folding (dispatcher-only, so
+  /// one buffer serves every hop state).
+  PooledBuffer hop_scratch_;
   /// Highest attempt per task this node finished or had cancelled: its
   /// stragglers are dropped, not parked in early_ (dispatcher-only).
   std::unordered_map<uint64_t, uint32_t> retired_;

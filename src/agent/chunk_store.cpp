@@ -1,5 +1,7 @@
 #include "agent/chunk_store.h"
 
+#include <cstring>
+
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/check.h"
@@ -17,19 +19,47 @@ void ChunkStore::write(cluster::ChunkRef chunk, std::vector<uint8_t> data) {
   write_unthrottled(chunk, std::move(data));
 }
 
-std::optional<std::vector<uint8_t>> ChunkStore::read_unthrottled(
-    cluster::ChunkRef chunk) const {
-  std::optional<std::vector<uint8_t>> materialized;
+bool ChunkStore::read_slice(cluster::ChunkRef chunk, uint64_t offset,
+                            std::span<uint8_t> out) const {
+  {
+    MutexLock lock(mutex_);
+    if (read_errors_.count(chunk) != 0) return false;
+    const auto it = chunks_.find(chunk);
+    if (it != chunks_.end()) {
+      const std::vector<uint8_t>& data = it->second;
+      if (offset > data.size() || out.size() > data.size() - offset) {
+        return false;
+      }
+      if (!out.empty()) {
+        std::memcpy(out.data(), data.data() + offset, out.size());
+      }
+      return true;
+    }
+  }
+  // Synthesized content.
+  return oracle_ != nullptr && oracle_->read_slice(chunk, offset, out);
+}
+
+std::optional<uint64_t> ChunkStore::chunk_size(cluster::ChunkRef chunk) const {
   {
     MutexLock lock(mutex_);
     if (read_errors_.count(chunk) != 0) return std::nullopt;
     const auto it = chunks_.find(chunk);
-    if (it != chunks_.end()) materialized = it->second;
+    if (it != chunks_.end()) return it->second.size();
   }
-  if (materialized.has_value()) return materialized;
-  // Synthesized content.
-  if (oracle_ != nullptr) return oracle_->generate(chunk);
+  if (oracle_ != nullptr && oracle_->read_slice(chunk, 0, {})) {
+    return oracle_->chunk_bytes();
+  }
   return std::nullopt;
+}
+
+std::optional<std::vector<uint8_t>> ChunkStore::read_unthrottled(
+    cluster::ChunkRef chunk) const {
+  const auto size = chunk_size(chunk);
+  if (!size.has_value()) return std::nullopt;
+  std::vector<uint8_t> data(*size);
+  if (!read_slice(chunk, 0, data)) return std::nullopt;
+  return data;
 }
 
 std::optional<std::vector<uint8_t>> ChunkStore::read(
@@ -63,17 +93,6 @@ void ChunkStore::charge_io(int64_t bytes) const {
 bool ChunkStore::has_materialized(cluster::ChunkRef chunk) const {
   MutexLock lock(mutex_);
   return chunks_.count(chunk) != 0;
-}
-
-bool ChunkStore::contains(cluster::ChunkRef chunk) const {
-  {
-    MutexLock lock(mutex_);
-    if (chunks_.count(chunk) != 0) return true;
-  }
-  if (oracle_ != nullptr) {
-    return oracle_->generate(chunk).has_value();
-  }
-  return false;
 }
 
 void ChunkStore::erase(cluster::ChunkRef chunk) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -26,9 +27,14 @@ namespace fastpr::agent {
 class ChunkOracle {
  public:
   virtual ~ChunkOracle() = default;
-  /// Contents of `chunk`, or nullopt if the oracle does not know it.
-  virtual std::optional<std::vector<uint8_t>> generate(
-      cluster::ChunkRef chunk) const = 0;
+  /// Length of every chunk the oracle knows.
+  virtual uint64_t chunk_bytes() const = 0;
+  /// Fills `out` with bytes [offset, offset + out.size()) of `chunk`.
+  /// False if the oracle does not know the chunk or the range overruns
+  /// it. An empty `out` synthesizes nothing: it only asks whether the
+  /// oracle knows the chunk.
+  virtual bool read_slice(cluster::ChunkRef chunk, uint64_t offset,
+                          std::span<uint8_t> out) const = 0;
 };
 
 class ChunkStore {
@@ -47,21 +53,26 @@ class ChunkStore {
   std::optional<std::vector<uint8_t>> read(cluster::ChunkRef chunk) const;
 
   /// Charges the disk bucket without moving data. Pipelined transfers
-  /// read a chunk once, then pace per-packet disk time through this.
+  /// read packet slices, pacing each one's disk time through this.
   void charge_io(int64_t bytes) const;
 
-  /// Content fetch with NO disk charge — callers that pipeline pace the
-  /// disk themselves via charge_io (per packet).
+  /// The one read path: fills `out` with bytes [offset, offset +
+  /// out.size()) of `chunk` with NO disk charge. False on an injected
+  /// read error, an absent chunk or a range that overruns the chunk.
+  bool read_slice(cluster::ChunkRef chunk, uint64_t offset,
+                  std::span<uint8_t> out) const;
+
+  /// Length of `chunk` if a read would find it (oracle included, an
+  /// injected read error counts as unreadable); synthesizes nothing.
+  std::optional<uint64_t> chunk_size(cluster::ChunkRef chunk) const;
+
+  /// Whole-chunk read_slice with NO disk charge.
   std::optional<std::vector<uint8_t>> read_unthrottled(
       cluster::ChunkRef chunk) const;
 
   /// Materialize with NO disk charge (the destination pipeline already
   /// charged each packet's write as it completed).
   void write_unthrottled(cluster::ChunkRef chunk, std::vector<uint8_t> data);
-
-  /// True if read() would find content (oracle included), error injection
-  /// aside.
-  bool contains(cluster::ChunkRef chunk) const;
 
   /// True only if the chunk was explicitly written here (oracle content
   /// does not count) — how verification tells "repaired and stored" from

@@ -27,8 +27,9 @@ uint64_t splitmix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-/// dst[i] ^= c for the whole buffer, word-at-a-time.
-void xor_constant(uint8_t* dst, uint8_t c, size_t len) {
+/// dst[i] = src[i] ^ c for the whole buffer, word-at-a-time (dst may
+/// be src).
+void xor_constant(uint8_t* dst, const uint8_t* src, uint8_t c, size_t len) {
   uint64_t broadcast = c;
   broadcast |= broadcast << 8;
   broadcast |= broadcast << 16;
@@ -36,11 +37,11 @@ void xor_constant(uint8_t* dst, uint8_t c, size_t len) {
   size_t i = 0;
   for (; i + 8 <= len; i += 8) {
     uint64_t w;
-    __builtin_memcpy(&w, dst + i, 8);
+    __builtin_memcpy(&w, src + i, 8);
     w ^= broadcast;
     __builtin_memcpy(dst + i, &w, 8);
   }
-  for (; i < len; ++i) dst[i] = static_cast<uint8_t>(dst[i] ^ c);
+  for (; i < len; ++i) dst[i] = static_cast<uint8_t>(src[i] ^ c);
 }
 
 }  // namespace
@@ -72,17 +73,21 @@ uint8_t SyntheticOracle::chunk_constant(cluster::StripeId stripe,
   return static_cast<uint8_t>(splitmix64(state));
 }
 
-std::optional<std::vector<uint8_t>> SyntheticOracle::generate(
-    ChunkRef chunk) const {
-  if (chunk.stripe < 0 || chunk.stripe >= num_stripes_) return std::nullopt;
-  if (chunk.index < 0 || chunk.index >= code_.n()) return std::nullopt;
+bool SyntheticOracle::read_slice(ChunkRef chunk, uint64_t offset,
+                                 std::span<uint8_t> out) const {
+  if (chunk.stripe < 0 || chunk.stripe >= num_stripes_) return false;
+  if (chunk.index < 0 || chunk.index >= code_.n()) return false;
+  if (offset > chunk_bytes_ || out.size() > chunk_bytes_ - offset) {
+    return false;
+  }
+  if (out.empty()) return true;
+  const uint8_t* pattern = pattern_.data() + offset;
 
   if (chunk.index < code_.k()) {
     // Data chunk: P ⊕ c(s, j).
-    std::vector<uint8_t> data = pattern_;
-    xor_constant(data.data(), chunk_constant(chunk.stripe, chunk.index),
-                 data.size());
-    return data;
+    xor_constant(out.data(), pattern,
+                 chunk_constant(chunk.stripe, chunk.index), out.size());
+    return true;
   }
 
   // Parity: (⊕_j w_j)·P ⊕ K by GF distributivity over XOR.
@@ -95,11 +100,16 @@ std::optional<std::vector<uint8_t>> SyntheticOracle::generate(
     constant = static_cast<uint8_t>(
         constant ^ gf::mul(w, chunk_constant(chunk.stripe, j)));
   }
-  std::vector<uint8_t> parity(chunk_bytes_);
-  gf::mul_region(parity.data(), pattern_.data(), coeff_sum,
-                 parity.size());
-  xor_constant(parity.data(), constant, parity.size());
-  return parity;
+  gf::mul_region(out.data(), pattern, coeff_sum, out.size());
+  xor_constant(out.data(), out.data(), constant, out.size());
+  return true;
+}
+
+std::optional<std::vector<uint8_t>> SyntheticOracle::generate(
+    ChunkRef chunk) const {
+  std::vector<uint8_t> data(chunk_bytes_);
+  if (!read_slice(chunk, 0, data)) return std::nullopt;
+  return data;
 }
 
 Testbed::Testbed(const TestbedOptions& options, const ec::ErasureCode& code)

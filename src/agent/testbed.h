@@ -43,7 +43,9 @@ namespace fastpr::agent {
 ///
 ///   parity = ⊕_j w_j·(P ⊕ c_j) = (⊕_j w_j)·P  ⊕  K,   K = ⊕_j w_j·c_j
 ///
-/// — a single table pass instead of a full stripe encode per read.
+/// — a single table pass instead of a full stripe encode per read, and
+/// any byte range synthesizes on its own, so a packet-sized read never
+/// touches the rest of the chunk.
 /// Contents stay position-dependent (catches packet reorder/offset
 /// bugs) and per-chunk distinct (catches chunk mix-ups), and decoding
 /// any subset reproduces them bit-exactly.
@@ -52,8 +54,12 @@ class SyntheticOracle final : public ChunkOracle {
   SyntheticOracle(const ec::ErasureCode& code, uint64_t chunk_bytes,
                   int num_stripes, uint64_t seed);
 
-  std::optional<std::vector<uint8_t>> generate(
-      cluster::ChunkRef chunk) const override;
+  uint64_t chunk_bytes() const override { return chunk_bytes_; }
+  bool read_slice(cluster::ChunkRef chunk, uint64_t offset,
+                  std::span<uint8_t> out) const override;
+
+  /// The whole chunk: read_slice over [0, chunk_bytes()).
+  std::optional<std::vector<uint8_t>> generate(cluster::ChunkRef chunk) const;
 
  private:
   /// Per-chunk constant mixed into the pattern.

@@ -54,8 +54,7 @@ ForegroundWorkload::ForegroundWorkload(agent::Testbed& testbed,
   FASTPR_CHECK(options.read_fraction >= 0 && options.read_fraction <= 1);
   FASTPR_CHECK(options.op_bytes > 0);
   FASTPR_CHECK(options.threads >= 1);
-  chunk_bytes_ = static_cast<int64_t>(
-      testbed_.oracle().generate(ChunkRef{0, 0})->size());
+  chunk_bytes_ = static_cast<int64_t>(testbed_.oracle().chunk_bytes());
   const auto& layout = testbed_.layout();
   stripe_nodes_.reserve(static_cast<size_t>(layout.num_stripes()));
   for (int s = 0; s < layout.num_stripes(); ++s) {
@@ -119,14 +118,19 @@ bool ForegroundWorkload::run_degraded_read(
     return false;  // too many nodes down — the read just fails
   }
 
-  std::vector<std::vector<uint8_t>> helper_data;
-  for (int h : helpers) {
+  // The op decodes bytes [0, slice) of the chunk, so each helper read
+  // fetches just that range of its chunk.
+  const size_t len = static_cast<size_t>(slice);
+  std::vector<uint8_t> helper_data;
+  if (options_.verify_degraded) helper_data.resize(helpers.size() * len);
+  for (size_t i = 0; i < helpers.size(); ++i) {
+    const int h = helpers[i];
     const NodeId node = placement[static_cast<size_t>(h)];
     auto& store = testbed_.store(node);
-    if (options_.verify_degraded) {
-      auto data = store.read_unthrottled(ChunkRef{chunk.stripe, h});
-      if (!data.has_value()) return false;  // helper read error
-      helper_data.push_back(std::move(*data));
+    if (options_.verify_degraded &&
+        !store.read_slice(ChunkRef{chunk.stripe, h}, 0,
+                          ec::MutChunk(helper_data.data() + i * len, len))) {
+      return false;  // helper read error
     }
     store.charge_io(slice);
     if (auto* inproc = testbed_.inproc()) inproc->charge_tx(node, slice);
@@ -135,17 +139,16 @@ bool ForegroundWorkload::run_degraded_read(
 
   if (options_.verify_degraded) {
     std::vector<ec::ConstChunk> spans;
-    spans.reserve(helper_data.size());
-    for (const auto& d : helper_data) {
-      FASTPR_CHECK(static_cast<int64_t>(d.size()) >= slice);
-      spans.emplace_back(d.data(), static_cast<size_t>(slice));
+    spans.reserve(helpers.size());
+    for (size_t i = 0; i < helpers.size(); ++i) {
+      spans.emplace_back(helper_data.data() + i * len, len);
     }
-    std::vector<uint8_t> out(static_cast<size_t>(slice));
+    std::vector<uint8_t> out(len);
     code_.repair_chunk(chunk.index, helpers, spans,
                        ec::MutChunk(out.data(), out.size()));
-    const auto expected = testbed_.oracle().generate(chunk);
-    if (!expected.has_value() ||
-        !std::equal(out.begin(), out.end(), expected->begin())) {
+    std::vector<uint8_t> expected(len);
+    if (!testbed_.oracle().read_slice(chunk, 0, expected) ||
+        out != expected) {
       verify_failures_.fetch_add(1, std::memory_order_relaxed);
     }
   }

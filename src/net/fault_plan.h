@@ -4,9 +4,9 @@
 // goes wrong during one repair execution: node crashes triggered by
 // packet/byte send thresholds, disk read errors on specific chunks, and
 // probabilistic message-level faults (drop / duplicate / delay). The
-// plan is data, not code — it parses from a small text format so chaos
-// runs reproduce from the CLI (`fastpr_cli execute <spec> --fault-plan
-// <file>`) exactly as they do in the test suite. FaultyTransport interprets the
+// plan is data, not code — it parses from a small text format so the
+// CLI (`fastpr_cli execute <spec> --fault-plan <file>`) runs the same
+// schedules as the test suite. FaultyTransport interprets the
 // crash and flaky entries; the testbed applies the read errors to the
 // per-node chunk stores when the STF node is flagged.
 #pragma once
@@ -28,7 +28,10 @@ constexpr cluster::NodeId kStfSentinel = -2;
 constexpr cluster::NodeId kAnyNode = -3;
 
 struct FaultPlan {
-  /// Seeds the flaky-fault Rng so drop/dup/delay decisions reproduce.
+  /// Seeds the flaky-fault Rng: the sequence of drop/dup/delay draws is
+  /// fixed, but thread scheduling decides which message takes each draw
+  /// (and which packet trips a crash's byte threshold), so a run with
+  /// concurrent streams is not an exact replay.
   uint64_t seed = 1;
 
   /// Node crash at a send threshold: once the node has sent

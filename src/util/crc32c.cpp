@@ -1,6 +1,12 @@
 #include "util/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#define FASTPR_CRC_X86 1
+#endif
 
 namespace fastpr {
 
@@ -34,9 +40,35 @@ const Tables& tables() {
   return t;
 }
 
+#ifdef FASTPR_CRC_X86
+// The instruction computes the same reflected Castagnoli CRC as the
+// tables: one 8-byte step per crc32 (3-cycle latency, so one stream
+// runs near 8 bytes per 3 cycles).
+__attribute__((target("sse4.2"))) uint32_t crc32c_sse42(const uint8_t* p,
+                                                        size_t len,
+                                                        uint32_t crc) {
+  uint64_t c = ~crc;
+  while (len >= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    c = _mm_crc32_u64(c, word);
+    p += 8;
+    len -= 8;
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  while (len-- > 0) c32 = _mm_crc32_u8(c32, *p++);
+  return ~c32;
+}
+
+bool has_sse42() {
+  static const bool has = __builtin_cpu_supports("sse4.2");
+  return has;
+}
+#endif
+
 }  // namespace
 
-uint32_t crc32c(std::span<const uint8_t> data, uint32_t crc) {
+uint32_t crc32c_portable(std::span<const uint8_t> data, uint32_t crc) {
   const auto& t = tables().t;
   crc = ~crc;
   const uint8_t* p = data.data();
@@ -58,6 +90,20 @@ uint32_t crc32c(std::span<const uint8_t> data, uint32_t crc) {
     crc = (crc >> 8) ^ t[0][(crc ^ *p++) & 0xFF];
   }
   return ~crc;
+}
+
+uint32_t crc32c(std::span<const uint8_t> data, uint32_t crc) {
+#ifdef FASTPR_CRC_X86
+  if (has_sse42()) return crc32c_sse42(data.data(), data.size(), crc);
+#endif
+  return crc32c_portable(data, crc);
+}
+
+const char* crc32c_path() {
+#ifdef FASTPR_CRC_X86
+  if (has_sse42()) return "sse4.2";
+#endif
+  return "portable";
 }
 
 }  // namespace fastpr

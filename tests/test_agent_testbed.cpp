@@ -388,21 +388,36 @@ TEST(Testbed, ShapedRunRespectsBandwidthFloor) {
 
 TEST(Testbed, OddChunkPacketDivisionStillExact) {
   // chunk size not a multiple of the packet size: the tail packet is
-  // short and every byte must still land in the right offset.
+  // short and every byte must still land in the right offset. The chain
+  // run pushes that short packet through every hop's slice read and
+  // fold as well.
   ec::RsCode code(6, 4);
-  auto opts = small_options(99);
-  opts.chunk_bytes = 100 * 1000 + 7;  // deliberately odd
-  opts.packet_bytes = 17 * 1000;
-  opts.num_stripes = 12;
-  Testbed tb(opts, code);
-  tb.flag_stf();
-  auto planner = tb.make_planner(core::Scenario::kScattered);
-  const auto plan = planner.plan_fastpr();
-  const auto report = tb.execute(plan);
-  EXPECT_TRUE(report.success) << (report.errors.empty()
-                                      ? ""
-                                      : report.errors.front());
-  EXPECT_TRUE(tb.verify(plan));
+  for (const auto strategy :
+       {core::StrategyChoice::kFanIn, core::StrategyChoice::kChain}) {
+    auto opts = small_options(99);
+    opts.chunk_bytes = 100 * 1000 + 7;  // deliberately odd
+    opts.packet_bytes = 17 * 1000;
+    opts.num_stripes = 12;
+    opts.repair_strategy = strategy;
+    Testbed tb(opts, code);
+    tb.flag_stf();
+    auto planner = tb.make_planner(core::Scenario::kScattered);
+    const auto plan = planner.plan_fastpr();
+    if (strategy == core::StrategyChoice::kChain) {
+      int chains = 0;
+      for (const auto& round : plan.rounds) {
+        for (const auto& task : round.reconstructions) {
+          chains += task.strategy == core::RepairStrategy::kChain;
+        }
+      }
+      ASSERT_GT(chains, 0);
+    }
+    const auto report = tb.execute(plan);
+    EXPECT_TRUE(report.success) << (report.errors.empty()
+                                        ? ""
+                                        : report.errors.front());
+    EXPECT_TRUE(tb.verify(plan));
+  }
 }
 
 TEST(Testbed, SteadyStateTransferRecyclesPayloadBuffers) {

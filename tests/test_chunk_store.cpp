@@ -7,8 +7,10 @@
 #include <chrono>
 
 #include "agent/testbed.h"
+#include "ec/lrc_code.h"
 #include "ec/rs_code.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace fastpr::agent {
 namespace {
@@ -26,7 +28,7 @@ TEST(ChunkStore, WriteReadRoundTrip) {
   const ChunkRef ref{1, 2};
   std::vector<uint8_t> data = {1, 2, 3, 4};
   store.write(ref, data);
-  EXPECT_TRUE(store.contains(ref));
+  EXPECT_EQ(store.chunk_size(ref), std::optional<uint64_t>(4));
   EXPECT_TRUE(store.has_materialized(ref));
   const auto got = store.read(ref);
   ASSERT_TRUE(got.has_value());
@@ -36,7 +38,7 @@ TEST(ChunkStore, WriteReadRoundTrip) {
 TEST(ChunkStore, MissingChunkReturnsNullopt) {
   ChunkStore store(unthrottled());
   EXPECT_FALSE(store.read({0, 0}).has_value());
-  EXPECT_FALSE(store.contains({0, 0}));
+  EXPECT_FALSE(store.chunk_size({0, 0}).has_value());
 }
 
 TEST(ChunkStore, EraseRemoves) {
@@ -64,7 +66,7 @@ TEST(ChunkStore, OracleServesUnwrittenChunks) {
   const auto data = store.read({0, 0});
   ASSERT_TRUE(data.has_value());
   EXPECT_EQ(data->size(), 4096u);
-  EXPECT_TRUE(store.contains({0, 0}));
+  EXPECT_EQ(store.chunk_size({0, 0}), std::optional<uint64_t>(4096));
   EXPECT_FALSE(store.has_materialized({0, 0}));
   // Out-of-range chunks stay absent.
   EXPECT_FALSE(store.read({99, 0}).has_value());
@@ -93,6 +95,93 @@ TEST(ChunkStore, OracleParityIsConsistentWithCode) {
   code.encode(spans, pspans);
   EXPECT_EQ(parity[0], *oracle.generate({2, 3}));
   EXPECT_EQ(parity[1], *oracle.generate({2, 4}));
+}
+
+TEST(ChunkStore, OracleSlicesEqualWholeChunk) {
+  // Every index of an RS and an LRC code, data and parity alike: a slice
+  // synthesized on its own equals that range of the whole chunk, through
+  // the oracle and through the store.
+  const ec::RsCode rs(9, 6);
+  const ec::LrcCode lrc(12, 2, 2);
+  const ec::ErasureCode* codes[] = {&rs, &lrc};
+  constexpr uint64_t kBytes = 4099;
+  Rng rng(17);
+  for (const ec::ErasureCode* code : codes) {
+    const SyntheticOracle oracle(*code, kBytes, /*num_stripes=*/5,
+                                 /*seed=*/9);
+    const ChunkStore store(unthrottled(), &oracle);
+    EXPECT_EQ(oracle.chunk_bytes(), kBytes);
+    for (int index = 0; index < code->n(); ++index) {
+      const ChunkRef ref{3, index};
+      const auto whole = oracle.generate(ref);
+      ASSERT_TRUE(whole.has_value());
+      ASSERT_EQ(whole->size(), kBytes);
+      std::vector<std::pair<uint64_t, uint64_t>> ranges = {
+          {0, 0}, {kBytes, 0}, {kBytes - 1, 1}, {0, kBytes}, {5, 1}};
+      for (int r = 0; r < 20; ++r) {
+        const auto offset = static_cast<uint64_t>(rng.uniform(0, kBytes));
+        const auto len =
+            static_cast<uint64_t>(rng.uniform(0, kBytes - offset));
+        ranges.emplace_back(offset, len);
+      }
+      for (const auto& [offset, len] : ranges) {
+        const std::vector<uint8_t> expected(whole->begin() + offset,
+                                            whole->begin() + offset + len);
+        std::vector<uint8_t> got(len, 0xA5);
+        EXPECT_TRUE(oracle.read_slice(ref, offset, got));
+        EXPECT_EQ(got, expected) << "index " << index << " @" << offset;
+        std::fill(got.begin(), got.end(), 0x5A);
+        EXPECT_TRUE(store.read_slice(ref, offset, got));
+        EXPECT_EQ(got, expected) << "index " << index << " @" << offset;
+      }
+    }
+    std::vector<uint8_t> one(1);
+    std::vector<uint8_t> two(2);
+    EXPECT_FALSE(oracle.read_slice({5, 0}, 0, one));   // unknown stripe
+    EXPECT_FALSE(oracle.read_slice({-1, 0}, 0, one));
+    EXPECT_FALSE(oracle.read_slice({0, code->n()}, 0, one));  // index
+    EXPECT_FALSE(oracle.read_slice({0, -1}, 0, {}));
+    EXPECT_FALSE(oracle.read_slice({0, 0}, kBytes, one));     // overrun
+    EXPECT_FALSE(oracle.read_slice({0, 0}, kBytes - 1, two));
+    EXPECT_FALSE(oracle.read_slice({0, 0}, kBytes + 1, {}));
+    EXPECT_FALSE(store.read_slice({5, 0}, 0, one));
+    EXPECT_FALSE(store.read_slice({0, 0}, kBytes - 1, two));
+    EXPECT_FALSE(store.chunk_size({5, 0}).has_value());
+  }
+}
+
+TEST(ChunkStore, ReadSliceCoversMaterializedErroredAndAbsentChunks) {
+  const ec::RsCode code(5, 3);
+  const SyntheticOracle oracle(code, 64, 4, 3);
+  ChunkStore store(unthrottled(), &oracle);
+  std::vector<uint8_t> mine(10);
+  for (size_t i = 0; i < mine.size(); ++i) {
+    mine[i] = static_cast<uint8_t>(100 + i);
+  }
+  store.write({0, 0}, mine);  // shorter than the oracle's chunks
+  EXPECT_EQ(store.chunk_size({0, 0}), std::optional<uint64_t>(10));
+
+  std::vector<uint8_t> got(4);
+  EXPECT_TRUE(store.read_slice({0, 0}, 6, got));  // last byte included
+  EXPECT_EQ(got, std::vector<uint8_t>(mine.begin() + 6, mine.end()));
+  EXPECT_TRUE(store.read_slice({0, 0}, 10, {}));
+  EXPECT_FALSE(store.read_slice({0, 0}, 7, got));  // overrun
+  EXPECT_FALSE(store.read_slice({0, 0}, 11, {}));
+
+  store.inject_read_error({0, 0});
+  EXPECT_FALSE(store.read_slice({0, 0}, 0, got));
+  EXPECT_FALSE(store.chunk_size({0, 0}).has_value());
+  store.inject_read_error({1, 2});  // oracle-backed chunk
+  EXPECT_FALSE(store.read_slice({1, 2}, 0, got));
+  EXPECT_FALSE(store.chunk_size({1, 2}).has_value());
+  store.clear_read_errors();
+  EXPECT_TRUE(store.read_slice({0, 0}, 0, got));
+  EXPECT_TRUE(store.read_slice({1, 2}, 0, got));
+
+  const ChunkStore bare(unthrottled());  // no oracle: nothing to fall to
+  EXPECT_FALSE(bare.read_slice({0, 0}, 0, got));
+  EXPECT_FALSE(bare.read_slice({0, 0}, 0, {}));
+  EXPECT_FALSE(bare.chunk_size({0, 0}).has_value());
 }
 
 TEST(ChunkStore, ThrottleSlowsIo) {

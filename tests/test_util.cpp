@@ -2,9 +2,11 @@
 // pool, table rendering, check macros.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -309,14 +311,54 @@ TEST(Table, FmtPrecision) {
 }
 
 TEST(Crc32c, KnownVectors) {
-  // RFC 3720 / common test vectors for CRC-32C.
+  // RFC 3720 / common test vectors for CRC-32C, through the dispatched
+  // path and the portable reference alike.
   const uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(crc32c(std::span<const uint8_t>(digits, 9)), 0xE3069283u);
-  std::vector<uint8_t> zeros(32, 0);
-  EXPECT_EQ(crc32c(zeros), 0x8A9136AAu);
-  std::vector<uint8_t> ffs(32, 0xFF);
-  EXPECT_EQ(crc32c(ffs), 0x62A8AB43u);
-  EXPECT_EQ(crc32c(std::span<const uint8_t>()), 0u);
+  const std::vector<uint8_t> zeros(32, 0);
+  const std::vector<uint8_t> ffs(32, 0xFF);
+  for (auto* fn : {&crc32c, &crc32c_portable}) {
+    EXPECT_EQ(fn(std::span<const uint8_t>(digits, 9), 0), 0xE3069283u);
+    EXPECT_EQ(fn(zeros, 0), 0x8A9136AAu);
+    EXPECT_EQ(fn(ffs, 0), 0x62A8AB43u);
+    EXPECT_EQ(fn(std::span<const uint8_t>(), 0), 0u);
+  }
+}
+
+TEST(Crc32c, DispatchedMatchesPortable) {
+  // Lengths around the 8-byte step and its tail, at every start offset
+  // mod 8, with a zero, an all-ones and a random seed, one-shot and
+  // chained over random splits.
+  const std::string path = crc32c_path();
+  EXPECT_TRUE(path == "sse4.2" || path == "portable") << path;
+  Rng rng(0xc5c3);
+  const size_t lengths[] = {0,  1,  7,  8,    9,
+                            63, 64, 65, 4096, 256 * kKiB + 3,
+                            4 * kMiB + 7};
+  std::vector<uint8_t> buf(4 * kMiB + 7 + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.uniform(0, 255));
+  const uint32_t seeds[] = {0, 0xFFFFFFFFu,
+                            static_cast<uint32_t>(rng.uniform(0, 0xFFFFFFFF))};
+  for (size_t len : lengths) {
+    for (size_t start = 0; start < 8; ++start) {
+      const std::span<const uint8_t> data(buf.data() + start, len);
+      for (uint32_t seed : seeds) {
+        const uint32_t want = crc32c_portable(data, seed);
+        ASSERT_EQ(crc32c(data, seed), want)
+            << "len " << len << " start " << start << " seed " << seed;
+        uint32_t chained = seed;
+        size_t off = 0;
+        while (off < len) {
+          const auto piece = static_cast<size_t>(
+              rng.uniform(0, static_cast<int64_t>(std::min<size_t>(
+                                 len - off, 2 * kKiB))));
+          chained = crc32c(data.subspan(off, piece), chained);
+          off += piece;
+        }
+        EXPECT_EQ(chained, want)
+            << "chained len " << len << " start " << start;
+      }
+    }
+  }
 }
 
 TEST(Crc32c, StreamingMatchesOneShot) {
