@@ -2,6 +2,7 @@
 // Paper sweeps 32/64/128 MB with 4 MB packets; scaled 1/16 this is
 // 2/4/8 MB chunks with 256 KB packets.
 #include "bench_common.h"
+#include "util/buffer_pool.h"
 
 using namespace fastpr;
 
@@ -33,6 +34,9 @@ int main() {
                    Table::fmt(r.reconstruction, 3),
                    Table::fmt(r.migration, 3)});
       fig.attach_json("fastpr_report", r.fastpr_report.to_json());
+      // The chunk pool keeps each size class's peak, and the next size
+      // is another class: hand this one's buffers back to the allocator.
+      BufferPool::chunks()->trim();
     }
     fig.end_section();
   }

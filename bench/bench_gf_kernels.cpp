@@ -2,13 +2,17 @@
 // (scalar / ssse3 / avx2 / gfni) across the region ops, plus the
 // headline fused-dot comparison — one dot_region_xor over k sources vs
 // the per-source mul_region_xor loop it replaced in the decode path.
-// Also the CRC-32C rung: the portable slicing-by-8 loop vs the
-// dispatched crc32c() every stored chunk pays, and the path it takes.
+// Also rung 2 of the layer ladder: the portable slicing-by-8 CRC-32C
+// loop vs the dispatched crc32c() every stored chunk pays, and the cost
+// of materializing a repaired chunk into a fresh allocation vs a
+// recycled chunk-pool buffer.
 //
 // Bytes accounting matches bench_algorithms: single-source ops count
 // `len` per call; the k-source dot counts `k * len` (the bytes the
 // decode actually consumed). Run from a release build only; report the
 // kernel column that matches the host's dispatched variant.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "gf/gf256.h"
+#include "util/buffer_pool.h"
 #include "util/crc32c.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -73,6 +78,50 @@ struct Workspace {
     for (const auto& s : srcs) ptrs.push_back(s.data());
   }
 };
+
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+struct MaterializeCost {
+  double us_per_chunk = 0;
+  double faults_per_chunk = 0;
+};
+
+/// Folds 4 MiB of packets into chunk buffers from `acquire`, as a
+/// destination does (one mul_region per 256 KiB packet), holding a batch
+/// of chunks live the way stores hold them and then dropping the batch
+/// the way a torn-down testbed does. Acquiring and folding are timed and
+/// fault-counted, dropping is not; one warm-up batch runs first.
+template <typename Acquire>
+MaterializeCost materialize_chunks(const std::vector<uint8_t>& src,
+                                   Acquire acquire) {
+  using clock = std::chrono::steady_clock;
+  constexpr int kBatch = 16;
+  constexpr int kBatches = 8;
+  constexpr size_t kPacket = 256 * kKiB;
+  double seconds = 0;
+  long faults = 0;
+  for (int batch = 0; batch <= kBatches; ++batch) {
+    std::vector<decltype(acquire())> held;
+    const long faults_before = minor_faults();
+    const auto start = clock::now();
+    for (int i = 0; i < kBatch; ++i) {
+      auto chunk = acquire();
+      for (size_t off = 0; off < src.size(); off += kPacket) {
+        gf::mul_region(chunk.data() + off, src.data() + off, 0x8e, kPacket);
+      }
+      held.push_back(std::move(chunk));
+    }
+    if (batch == 0) continue;  // warm-up
+    seconds += std::chrono::duration<double>(clock::now() - start).count();
+    faults += minor_faults() - faults_before;
+  }
+  const double chunks = kBatch * kBatches;
+  return {seconds * 1e6 / chunks, static_cast<double>(faults) / chunks};
+}
 
 }  // namespace
 
@@ -212,5 +261,23 @@ int main() {
   }
   c.print();
   std::printf("(checksum sink %08x)\n", sink);
+
+  // A repaired chunk's buffer: a fresh zero-filled vector per chunk,
+  // freed with its store, against a recycled keep-all chunk-pool buffer
+  // (what a destination folds into).
+  std::printf("\n=== chunk materialization (4 MiB, 256 KiB packets) ===\n");
+  const std::vector<uint8_t> chunk_src = random_bytes(rng, 4 * kMiB);
+  const MaterializeCost fresh = materialize_chunks(
+      chunk_src, [&] { return std::vector<uint8_t>(chunk_src.size(), 0); });
+  const auto chunk_pool = BufferPool::create(BufferPool::kKeepAll);
+  const MaterializeCost recycled = materialize_chunks(
+      chunk_src, [&] { return chunk_pool->acquire(chunk_src.size()); });
+  Table m({"chunk buffer", "us/chunk", "minor faults/chunk"});
+  m.add_row({"fresh zero-filled vector", Table::fmt(fresh.us_per_chunk, 1),
+             Table::fmt(fresh.faults_per_chunk, 1)});
+  m.add_row({"recycled chunk-pool buffer",
+             Table::fmt(recycled.us_per_chunk, 1),
+             Table::fmt(recycled.faults_per_chunk, 1)});
+  m.print();
   return 0;
 }

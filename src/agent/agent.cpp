@@ -1,6 +1,7 @@
 #include "agent/agent.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "gf/gf256.h"
 #include "telemetry/metrics.h"
@@ -37,6 +38,7 @@ telemetry::Counter& agent_counter(const char* name) {
 /// and counted rather than trusted.
 bool transfer_fields_ok(const Message& msg) {
   return msg.packet_bytes >= 1 && msg.packet_bytes <= msg.chunk_bytes &&
+         msg.chunk_bytes <= BufferPool::kMaxBytes &&
          !msg.sources.empty() &&
          msg.sources.size() <= net::kMaxRepairStreams &&
          msg.hop < msg.sources.size() &&
@@ -190,7 +192,9 @@ void Agent::handle_repair_cmd(const Message& msg) {
   state.packet_bytes = msg.packet_bytes;
   state.total_packets = packet_count(msg.chunk_bytes, msg.packet_bytes);
   state.streams = chain ? 1 : msg.sources.size();
-  state.accumulator.assign(msg.chunk_bytes, 0);
+  // A recycled chunk buffer, not a zeroed one: every packet index
+  // overwrites its own slice as it folds (see handle_data_packet).
+  state.accumulator = BufferPool::chunks()->acquire(msg.chunk_bytes);
   state.pending.resize(state.total_packets);
   tasks_[msg.task_id] = std::move(state);
 
@@ -589,7 +593,8 @@ void Agent::handle_data_packet(Message&& msg) {
 
   if (state.streams == 1) {
     // Single stream (migration, chain, or one-source fan-in): no fan-in
-    // to wait for — scale-copy straight into place and recycle.
+    // to wait for — scale-copy straight into place (overwriting the
+    // slice) and recycle.
     gf::mul_region(state.accumulator.data() + offset, msg.payload.data(),
                    msg.coefficient, len);
   } else {
@@ -614,8 +619,11 @@ void Agent::handle_data_packet(Message&& msg) {
     for (size_t j = 0; j < n; ++j) srcs[j] = pending.payloads[j].data();
     FASTPR_TRACE_SPAN("agent.accumulate", "agent",
                       static_cast<int64_t>(msg.task_id), "task");
-    gf::dot_region_xor(state.accumulator.data() + offset, srcs,
-                       pending.coeffs.data(), n, len);
+    // The fused pass XORs into its destination, and a recycled chunk
+    // buffer still holds an earlier chunk: clear just this slice first.
+    uint8_t* slice = state.accumulator.data() + offset;
+    std::memset(slice, 0, len);
+    gf::dot_region_xor(slice, srcs, pending.coeffs.data(), n, len);
     pending.payloads.clear();  // recycles the pooled buffers
     pending.coeffs.clear();
     pending.senders.clear();

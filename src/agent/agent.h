@@ -7,7 +7,8 @@
 // window, and a destination node decodes packets as they arrive so
 // reception, decoding and disk writes pipeline. Packet payloads are
 // pool-recycled (util/buffer_pool.h): a steady-state transfer reuses a
-// fixed working set of buffers instead of allocating per packet.
+// fixed working set of buffers instead of allocating per packet, and a
+// destination folds its chunk into a recycled chunk buffer.
 //
 // Every repair task — migration, fan-in reconstruction or chain — is one
 // transfer its destination drives (DESIGN.md §5b):
@@ -109,9 +110,10 @@ class Agent {
     uint64_t packet_bytes = 0;
     uint32_t total_packets = 0;
     /// Destination: streams folded per packet index (one per fan-in
-    /// source, one for a chain) into the repaired chunk.
+    /// source, one for a chain) into the repaired chunk, a buffer of
+    /// BufferPool::chunks() that the store keeps once the chunk is done.
     size_t streams = 1;
-    std::vector<uint8_t> accumulator;
+    PooledBuffer accumulator;
     /// Hop: own coefficient, and where folded packets go — the next
     /// hop, or the destination (next_hop 0).
     uint8_t coefficient = 0;

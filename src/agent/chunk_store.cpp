@@ -9,6 +9,17 @@
 
 namespace fastpr::agent {
 
+namespace {
+
+/// The bytes of a materialized chunk, whichever way it was written.
+template <typename Bytes>
+auto view(Bytes& bytes) {
+  return std::visit(
+      [](auto& b) { return std::span(b.data(), b.size()); }, bytes);
+}
+
+}  // namespace
+
 ChunkStore::ChunkStore(const Options& options, const ChunkOracle* oracle)
     : oracle_(oracle),
       disk_(std::make_unique<TokenBucket>(options.disk_bytes_per_sec)) {}
@@ -26,7 +37,7 @@ bool ChunkStore::read_slice(cluster::ChunkRef chunk, uint64_t offset,
     if (read_errors_.count(chunk) != 0) return false;
     const auto it = chunks_.find(chunk);
     if (it != chunks_.end()) {
-      const std::vector<uint8_t>& data = it->second;
+      const std::span<const uint8_t> data = view(it->second);
       if (offset > data.size() || out.size() > data.size() - offset) {
         return false;
       }
@@ -45,7 +56,7 @@ std::optional<uint64_t> ChunkStore::chunk_size(cluster::ChunkRef chunk) const {
     MutexLock lock(mutex_);
     if (read_errors_.count(chunk) != 0) return std::nullopt;
     const auto it = chunks_.find(chunk);
-    if (it != chunks_.end()) return it->second.size();
+    if (it != chunks_.end()) return view(it->second).size();
   }
   if (oracle_ != nullptr && oracle_->read_slice(chunk, 0, {})) {
     return oracle_->chunk_bytes();
@@ -74,7 +85,16 @@ std::optional<std::vector<uint8_t>> ChunkStore::read(
 
 void ChunkStore::write_unthrottled(cluster::ChunkRef chunk,
                                    std::vector<uint8_t> data) {
-  const uint32_t checksum = crc32c(data);
+  materialize(chunk, std::move(data));
+}
+
+void ChunkStore::write_unthrottled(cluster::ChunkRef chunk,
+                                   PooledBuffer data) {
+  materialize(chunk, std::move(data));
+}
+
+void ChunkStore::materialize(cluster::ChunkRef chunk, Bytes data) {
+  const uint32_t checksum = crc32c(view(data));
   MutexLock lock(mutex_);
   checksums_[chunk] = checksum;
   chunks_[chunk] = std::move(data);
@@ -116,8 +136,9 @@ void ChunkStore::corrupt(cluster::ChunkRef chunk, size_t byte_index) {
   const auto it = chunks_.find(chunk);
   FASTPR_CHECK_MSG(it != chunks_.end(),
                    "can only corrupt a materialized chunk");
-  FASTPR_CHECK(byte_index < it->second.size());
-  it->second[byte_index] ^= 0x01;
+  const std::span<uint8_t> data = view(it->second);
+  FASTPR_CHECK(byte_index < data.size());
+  data[byte_index] ^= 0x01;
 }
 
 std::vector<cluster::ChunkRef> ChunkStore::scrub() const {
@@ -125,7 +146,7 @@ std::vector<cluster::ChunkRef> ChunkStore::scrub() const {
   MutexLock lock(mutex_);
   for (const auto& [ref, data] : chunks_) {
     const auto it = checksums_.find(ref);
-    if (it == checksums_.end() || crc32c(data) != it->second) {
+    if (it == checksums_.end() || crc32c(view(data)) != it->second) {
       damaged.push_back(ref);
     }
   }

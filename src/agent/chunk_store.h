@@ -3,7 +3,10 @@
 // A token bucket prices every read and write at the node's disk
 // bandwidth bd — the testbed's stand-in for a real spindle. Contents
 // come from two places:
-//  * explicitly written chunks (repaired data), materialized in memory;
+//  * explicitly written chunks (repaired data), materialized in memory:
+//    a repaired chunk stays in the pooled buffer its destination folded
+//    it into, and that buffer returns to its pool when the chunk is
+//    erased or overwritten or the store is destroyed;
 //  * an optional ChunkOracle that synthesizes unwritten chunks
 //    deterministically (so a 100-node cluster of multi-GB "data" costs
 //    no RAM — source reads regenerate content on the fly).
@@ -15,9 +18,11 @@
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <variant>
 #include <vector>
 
 #include "cluster/types.h"
+#include "util/buffer_pool.h"
 #include "util/mutex.h"
 #include "util/token_bucket.h"
 
@@ -74,6 +79,11 @@ class ChunkStore {
   /// charged each packet's write as it completed).
   void write_unthrottled(cluster::ChunkRef chunk, std::vector<uint8_t> data);
 
+  /// The same, keeping the pooled buffer itself (no copy): a destination
+  /// hands over the chunk it folded, and the buffer goes back to its
+  /// pool when the chunk is erased or overwritten or the store dies.
+  void write_unthrottled(cluster::ChunkRef chunk, PooledBuffer data);
+
   /// True only if the chunk was explicitly written here (oracle content
   /// does not count) — how verification tells "repaired and stored" from
   /// "synthesizable".
@@ -101,11 +111,17 @@ class ChunkStore {
   size_t materialized_count() const;
 
  private:
+  /// A materialized chunk's bytes, as written.
+  using Bytes = std::variant<PooledBuffer, std::vector<uint8_t>>;
+
+  void materialize(cluster::ChunkRef chunk, Bytes data);
+
   const ChunkOracle* oracle_;
   mutable std::unique_ptr<TokenBucket> disk_;
   mutable Mutex mutex_{lock_order::kStoreChunks};
-  std::unordered_map<cluster::ChunkRef, std::vector<uint8_t>,
-                     cluster::ChunkRefHash>
+  /// Erasing or replacing an entry returns a pooled buffer under this
+  /// lock: store.chunks (90) is taken before util.buffer_pool (120).
+  std::unordered_map<cluster::ChunkRef, Bytes, cluster::ChunkRefHash>
       chunks_ FASTPR_GUARDED_BY(mutex_);
   std::unordered_map<cluster::ChunkRef, uint32_t, cluster::ChunkRefHash>
       checksums_ FASTPR_GUARDED_BY(mutex_);

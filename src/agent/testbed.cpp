@@ -1,6 +1,7 @@
 #include "agent/testbed.h"
 
 #include <algorithm>
+#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -414,25 +415,38 @@ std::vector<telemetry::PredictedRound> Testbed::predict_rounds(
   return predicted;
 }
 
-bool Testbed::chunk_ok(ChunkRef chunk, NodeId dst) const {
+bool Testbed::chunk_ok(ChunkRef chunk, NodeId dst,
+                       std::vector<uint8_t>& scratch) const {
   if (dst < 0 || dst >= static_cast<int>(stores_.size())) return false;
   const auto& dst_store = *stores_[static_cast<size_t>(dst)];
   // The chunk must have been explicitly written to the destination;
   // oracle-synthesizable content does not count as repaired.
   if (!dst_store.has_materialized(chunk)) return false;
-  const auto repaired = dst_store.read_unthrottled(chunk);
-  if (!repaired.has_value()) return false;
-  const auto expected = oracle_->generate(chunk);
-  return expected.has_value() && *repaired == *expected;
+  const uint64_t chunk_bytes = oracle_->chunk_bytes();
+  if (dst_store.chunk_size(chunk) != chunk_bytes) return false;
+  const uint64_t slice = options_.packet_bytes;
+  scratch.resize(2 * slice);
+  for (uint64_t offset = 0; offset < chunk_bytes; offset += slice) {
+    const size_t len = std::min(slice, chunk_bytes - offset);
+    const std::span<uint8_t> repaired(scratch.data(), len);
+    const std::span<uint8_t> expected(scratch.data() + slice, len);
+    if (!dst_store.read_slice(chunk, offset, repaired) ||
+        !oracle_->read_slice(chunk, offset, expected) ||
+        std::memcmp(repaired.data(), expected.data(), len) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool Testbed::verify(const core::RepairPlan& plan) const {
+  std::vector<uint8_t> scratch;
   for (const auto& round : plan.rounds) {
     for (const auto& task : round.migrations) {
-      if (!chunk_ok(task.chunk, task.dst)) return false;
+      if (!chunk_ok(task.chunk, task.dst, scratch)) return false;
     }
     for (const auto& task : round.reconstructions) {
-      if (!chunk_ok(task.chunk, task.dst)) return false;
+      if (!chunk_ok(task.chunk, task.dst, scratch)) return false;
     }
   }
   return true;
@@ -450,10 +464,11 @@ bool Testbed::verify(const ExecutionReport& report,
     }
   }
   std::unordered_set<ChunkRef, cluster::ChunkRefHash> accounted;
+  std::vector<uint8_t> scratch;
   for (const auto& done : report.completions) {
     if (planned.count(done.chunk) == 0) return false;
     if (!accounted.insert(done.chunk).second) return false;
-    if (!chunk_ok(done.chunk, done.dst)) return false;
+    if (!chunk_ok(done.chunk, done.dst, scratch)) return false;
   }
   for (ChunkRef chunk : report.unrepaired) {
     if (planned.count(chunk) == 0) return false;

@@ -232,7 +232,11 @@ class Testbed {
               const core::RepairPlan& plan) const;
 
  private:
-  bool chunk_ok(cluster::ChunkRef chunk, cluster::NodeId dst) const;
+  /// Byte-exact check of one repaired chunk, compared with the oracle
+  /// one packet-sized slice at a time through `scratch` (two slices,
+  /// reused across calls).
+  bool chunk_ok(cluster::ChunkRef chunk, cluster::NodeId dst,
+                std::vector<uint8_t>& scratch) const;
 
   TestbedOptions options_;
   const ec::ErasureCode& code_;

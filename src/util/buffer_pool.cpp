@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <utility>
 
 #include "telemetry/metrics.h"
 #include "util/check.h"
@@ -38,20 +39,17 @@ struct PoolCounters {
 
 PooledBuffer::PooledBuffer(PooledBuffer&& other) noexcept
     : storage_(std::move(other.storage_)),
-      size_(other.size_),
-      home_(std::move(other.home_)) {
-  other.storage_.clear();
-  other.size_ = 0;
-}
+      capacity_(std::exchange(other.capacity_, 0)),
+      size_(std::exchange(other.size_, 0)),
+      home_(std::move(other.home_)) {}
 
 PooledBuffer& PooledBuffer::operator=(PooledBuffer&& other) noexcept {
   if (this != &other) {
     release();
     storage_ = std::move(other.storage_);
-    size_ = other.size_;
+    capacity_ = std::exchange(other.capacity_, 0);
+    size_ = std::exchange(other.size_, 0);
     home_ = std::move(other.home_);
-    other.storage_.clear();
-    other.size_ = 0;
   }
   return *this;
 }
@@ -59,10 +57,11 @@ PooledBuffer& PooledBuffer::operator=(PooledBuffer&& other) noexcept {
 PooledBuffer::~PooledBuffer() { release(); }
 
 void PooledBuffer::release() {
-  if (home_ && !storage_.empty()) {
-    home_->put_back(std::move(storage_));
+  if (home_ && storage_) {
+    home_->put_back(std::move(storage_), capacity_);
   }
-  storage_.clear();
+  storage_.reset();
+  capacity_ = 0;
   size_ = 0;
   home_.reset();
 }
@@ -72,12 +71,12 @@ void PooledBuffer::assign(const uint8_t* src, size_t len) {
     size_ = 0;
     return;
   }
-  if (storage_.size() < len || !home_) {
+  if (capacity_ < len) {
     *this = BufferPool::global()->acquire(len);
   } else {
     size_ = len;
   }
-  if (len != 0) std::memcpy(storage_.data(), src, len);
+  std::memcpy(data(), src, len);
 }
 
 void PooledBuffer::assign(size_t count, uint8_t value) {
@@ -85,12 +84,12 @@ void PooledBuffer::assign(size_t count, uint8_t value) {
     size_ = 0;
     return;
   }
-  if (storage_.size() < count || !home_) {
+  if (capacity_ < count) {
     *this = BufferPool::global()->acquire(count);
   } else {
     size_ = count;
   }
-  std::memset(storage_.data(), value, count);
+  std::memset(data(), value, count);
 }
 
 void PooledBuffer::resize_uninitialized(size_t len) {
@@ -98,7 +97,7 @@ void PooledBuffer::resize_uninitialized(size_t len) {
     size_ = 0;
     return;
   }
-  if (storage_.size() < len || !home_) {
+  if (capacity_ < len) {
     *this = BufferPool::global()->acquire(len);
   } else {
     size_ = len;
@@ -107,7 +106,7 @@ void PooledBuffer::resize_uninitialized(size_t len) {
 
 PooledBuffer& PooledBuffer::operator=(std::initializer_list<uint8_t> bytes) {
   *this = BufferPool::global()->acquire(bytes.size());
-  std::copy(bytes.begin(), bytes.end(), storage_.data());
+  std::copy(bytes.begin(), bytes.end(), data());
   return *this;
 }
 
@@ -115,7 +114,7 @@ PooledBuffer PooledBuffer::clone() const {
   if (size_ == 0) return {};
   const auto& pool = home_ ? home_ : BufferPool::global();
   PooledBuffer copy = pool->acquire(size_);
-  if (size_ != 0) std::memcpy(copy.data(), data(), size_);
+  std::memcpy(copy.data(), data(), size_);
   return copy;
 }
 
@@ -148,6 +147,11 @@ const std::shared_ptr<BufferPool>& BufferPool::global() {
   return pool;
 }
 
+const std::shared_ptr<BufferPool>& BufferPool::chunks() {
+  static const std::shared_ptr<BufferPool> pool = create(kKeepAll);
+  return pool;
+}
+
 int BufferPool::shelf_for(size_t len) {
   const size_t clamped = std::max<size_t>(len, size_t{1} << kMinShelf);
   const int shelf = std::bit_width(clamped - 1);  // ceil(log2(clamped))
@@ -172,18 +176,21 @@ PooledBuffer BufferPool::acquire(size_t len) {
       PoolCounters::get().misses.add();
     }
   }
-  if (out.storage_.empty()) {
-    // Size the storage to the full capacity class once; reuses then
-    // never resize (resize would zero-fill every acquire).
-    out.storage_.resize(size_t{1} << (shelf + kMinShelf));
+  out.capacity_ = size_t{1} << (shelf + kMinShelf);
+  if (!out.storage_) {
+    // Default-initialized: a miss writes no byte, so a fresh chunk-sized
+    // buffer costs its page faults where the producer first writes it,
+    // not a memset here on top.
+    out.storage_ = std::make_unique_for_overwrite<uint8_t[]>(out.capacity_);
   }
   out.size_ = len;
   out.home_ = shared_from_this();
   return out;
 }
 
-void BufferPool::put_back(std::vector<uint8_t>&& storage) {
-  const int shelf = shelf_for(storage.size());
+void BufferPool::put_back(std::unique_ptr<uint8_t[]> storage,
+                          size_t capacity) {
+  const int shelf = shelf_for(capacity);
   MutexLock lock(mutex_);
   auto& cached = shelves_[shelf];
   if (cached.size() < max_shelf_buffers_) {

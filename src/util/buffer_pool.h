@@ -1,4 +1,4 @@
-// Pooled packet-buffer arena for the repair data plane.
+// Pooled buffer arenas for the repair data plane.
 //
 // Every data packet the testbed moves used to heap-allocate (and zero)
 // a fresh payload vector; at 256 KiB per packet and thousands of
@@ -8,11 +8,20 @@
 // steady-state transfer recycles a handful of buffers instead of
 // touching the allocator per packet.
 //
+// Two process-wide pools share this class. global() carries packet
+// payloads and caps each shelf at 64 buffers. chunks() carries whole
+// repaired chunks (a destination's fold target, then the store's copy)
+// and keeps every returned buffer: it allocates only when a class's
+// shelf is empty, i.e. when every buffer it owns of that class is live,
+// so it never owns more buffers of a class than were live at once, and
+// a repeated repair folds into memory that is already faulted in.
+//
 // PooledBuffer is the RAII handle: move-only, returns its storage to
-// the owning pool on destruction. The backing storage is always sized
-// to its capacity class and a logical length is tracked separately, so
-// acquire() never memsets or resizes — the producer overwrites the
-// bytes it uses and consumers only see size() of them.
+// the owning pool on destruction. The backing storage is always one
+// capacity class long and a logical length is tracked separately, so
+// acquire() never writes the bytes — not on a hit, and not on a miss,
+// which allocates default-initialized storage. The producer overwrites
+// the bytes it uses and consumers only see size() of them.
 //
 // The pool core is held by shared_ptr from both the pool object and
 // every live handle, so buffers may safely outlive the pool (they then
@@ -23,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <vector>
@@ -45,8 +55,8 @@ class PooledBuffer {
   PooledBuffer& operator=(const PooledBuffer&) = delete;
   ~PooledBuffer();
 
-  uint8_t* data() { return storage_.data(); }
-  const uint8_t* data() const { return storage_.data(); }
+  uint8_t* data() { return storage_.get(); }
+  const uint8_t* data() const { return storage_.get(); }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
@@ -54,13 +64,13 @@ class PooledBuffer {
   const uint8_t& operator[](size_t i) const { return storage_[i]; }
 
   /// Pointer iterators so serialize()/std::equal-style code works.
-  uint8_t* begin() { return storage_.data(); }
-  uint8_t* end() { return storage_.data() + size_; }
-  const uint8_t* begin() const { return storage_.data(); }
-  const uint8_t* end() const { return storage_.data() + size_; }
+  uint8_t* begin() { return data(); }
+  uint8_t* end() { return data() + size_; }
+  const uint8_t* begin() const { return data(); }
+  const uint8_t* end() const { return data() + size_; }
 
-  std::span<uint8_t> span() { return {storage_.data(), size_}; }
-  std::span<const uint8_t> span() const { return {storage_.data(), size_}; }
+  std::span<uint8_t> span() { return {data(), size_}; }
+  std::span<const uint8_t> span() const { return {data(), size_}; }
 
   /// Vector-style fills; acquire storage from the global pool when the
   /// handle has none (convenience for tests and message construction).
@@ -86,9 +96,10 @@ class PooledBuffer {
  private:
   friend class BufferPool;
 
-  std::vector<uint8_t> storage_;  // always capacity-class sized
-  size_t size_ = 0;               // logical length <= storage_.size()
-  std::shared_ptr<BufferPool> home_;  // null: plain heap storage
+  std::unique_ptr<uint8_t[]> storage_;  // capacity_ bytes
+  size_t capacity_ = 0;                 // one capacity class, or 0
+  size_t size_ = 0;                     // logical length <= capacity_
+  std::shared_ptr<BufferPool> home_;    // null only while empty
 };
 
 bool operator==(const PooledBuffer& a, const PooledBuffer& b);
@@ -100,9 +111,18 @@ inline bool operator==(const std::vector<uint8_t>& a, const PooledBuffer& b) {
 /// Thread-safe free-list arena. Construct directly for an isolated pool
 /// (tests), or use BufferPool::global() — the process-wide arena the
 /// data plane shares so a buffer acquired by a sending agent is
-/// recycled after the receiving agent drops it.
+/// recycled after the receiving agent drops it — or
+/// BufferPool::chunks() for whole chunks.
 class BufferPool : public std::enable_shared_from_this<BufferPool> {
  public:
+  /// Shelf cap of global(): a packet pool larger than this costs RSS
+  /// without saving time (ROADMAP item 1).
+  static constexpr size_t kPacketShelfBuffers = 64;
+  /// Shelf cap of a pool that keeps every returned buffer.
+  static constexpr size_t kKeepAll = SIZE_MAX;
+  /// Largest buffer a pool serves (its top capacity class, 256 MiB).
+  static constexpr size_t kMaxBytes = size_t{1} << 28;
+
   struct Stats {
     int64_t hits = 0;      // acquires served from a shelf
     int64_t misses = 0;    // acquires that had to allocate
@@ -112,10 +132,15 @@ class BufferPool : public std::enable_shared_from_this<BufferPool> {
 
   /// At most `max_shelf_buffers` cached buffers per capacity class;
   /// further returns free their storage instead of shelving it.
-  static std::shared_ptr<BufferPool> create(size_t max_shelf_buffers = 64);
+  static std::shared_ptr<BufferPool> create(
+      size_t max_shelf_buffers = kPacketShelfBuffers);
 
   /// Process-wide pool used by Message payloads and the transports.
   static const std::shared_ptr<BufferPool>& global();
+
+  /// Process-wide kKeepAll pool for whole chunks: the accumulator a
+  /// destination folds a repaired chunk into, which ChunkStore keeps.
+  static const std::shared_ptr<BufferPool>& chunks();
 
   /// A buffer with size() == len and unspecified contents.
   PooledBuffer acquire(size_t len);
@@ -131,17 +156,20 @@ class BufferPool : public std::enable_shared_from_this<BufferPool> {
   explicit BufferPool(size_t max_shelf_buffers);
 
   /// Capacity classes are powers of two from 2^kMinShelf (512 B) to
-  /// 2^kMaxShelf (256 MiB, one full testbed frame above any packet).
+  /// 2^kMaxShelf (kMaxBytes, one full testbed frame above any packet).
   static constexpr int kMinShelf = 9;
   static constexpr int kMaxShelf = 28;
+  static_assert(kMaxBytes == size_t{1} << kMaxShelf);
 
   static int shelf_for(size_t len);
 
-  void put_back(std::vector<uint8_t>&& storage) FASTPR_EXCLUDES(mutex_);
+  void put_back(std::unique_ptr<uint8_t[]> storage, size_t capacity)
+      FASTPR_EXCLUDES(mutex_);
 
   const size_t max_shelf_buffers_;
   mutable Mutex mutex_{lock_order::kUtilBufferPool};
-  std::vector<std::vector<uint8_t>> shelves_[kMaxShelf - kMinShelf + 1]
+  /// Shelf i holds storage of 2^(kMinShelf + i) bytes.
+  std::vector<std::unique_ptr<uint8_t[]>> shelves_[kMaxShelf - kMinShelf + 1]
       FASTPR_GUARDED_BY(mutex_);
   Stats stats_ FASTPR_GUARDED_BY(mutex_);
 };

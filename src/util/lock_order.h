@@ -83,7 +83,8 @@ inline constexpr Rank kNetInbox{80, "net.inbox"};
 
 // -- storage -------------------------------------------------------------
 /// agent::ChunkStore chunk/checksum maps. Disk shaping (charge_io) and
-/// file I/O are done outside it by contract.
+/// file I/O are done outside it by contract. Erasing or overwriting a
+/// pooled chunk returns its buffer to util.buffer_pool under it.
 inline constexpr Rank kStoreChunks{90, "store.chunks"};
 
 // -- utility substrate ---------------------------------------------------
@@ -93,8 +94,8 @@ inline constexpr Rank kUtilThreadPool{100, "util.thread_pool"};
 /// under this lock; callers must not hold anything above it that the
 /// waker needs (set_rate only takes this same lock).
 inline constexpr Rank kUtilTokenBucket{110, "util.token_bucket"};
-/// fastpr::BufferPool shelves. Reached from inbox drains and packet
-/// recycling; takes nothing further.
+/// fastpr::BufferPool shelves. Reached from inbox drains, packet
+/// recycling and store.chunks; takes nothing further.
 inline constexpr Rank kUtilBufferPool{120, "util.buffer_pool"};
 
 // -- observability (leaf-most: callable from under any lock above) -------

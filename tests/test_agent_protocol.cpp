@@ -174,6 +174,9 @@ TEST_F(AgentProtocolTest, MalformedMessagesAreDroppedAndAgentSurvives) {
   Message bad_fetch = repair_cmd(7, 0, {src_a});
   bad_fetch.type = MessageType::kFetchRequest;  // zero packet size
   bad.push_back(std::move(bad_fetch));
+  Message huge = repair_cmd(9, kPacketBytes, {src_a});
+  huge.chunk_bytes = BufferPool::kMaxBytes + 1;  // past any chunk buffer
+  bad.push_back(std::move(huge));
   const size_t bad_commands = bad.size();
   for (auto& msg : bad) send(std::move(msg));
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -71,6 +72,39 @@ TEST(BufferPool, ShelfCapBoundsCachedBuffers) {
   const auto stats = pool->stats();
   EXPECT_EQ(stats.recycled, 2);
   EXPECT_EQ(stats.dropped, 3);
+}
+
+TEST(BufferPool, KeepAllPoolOwnsNoMoreBuffersThanWereLive) {
+  // Retention follows demand: every return is shelved, and a class
+  // allocates only when all of its buffers are live, so the buffers it
+  // ever allocated equal the most that were live at once.
+  auto pool = BufferPool::create(BufferPool::kKeepAll);
+  size_t peak = 0;
+  for (size_t live : {size_t{70}, size_t{5}, size_t{100}, size_t{40}}) {
+    std::vector<PooledBuffer> wave;
+    for (size_t i = 0; i < live; ++i) wave.push_back(pool->acquire(4096));
+    peak = std::max(peak, live);
+  }
+  const auto stats = pool->stats();
+  EXPECT_EQ(stats.misses, static_cast<int64_t>(peak));
+  EXPECT_EQ(stats.recycled, 70 + 5 + 100 + 40);
+  EXPECT_EQ(stats.dropped, 0);
+}
+
+TEST(BufferPool, ChunkPoolKeepsEveryReturn) {
+  const auto& chunks = BufferPool::chunks();
+  ASSERT_NE(chunks, BufferPool::global());
+  const auto before = chunks->stats();
+  {
+    std::vector<PooledBuffer> live;
+    for (size_t i = 0; i < 2 * BufferPool::kPacketShelfBuffers; ++i) {
+      live.push_back(chunks->acquire(1536));
+    }
+  }
+  const auto after = chunks->stats();
+  EXPECT_EQ(after.recycled - before.recycled,
+            static_cast<int64_t>(2 * BufferPool::kPacketShelfBuffers));
+  EXPECT_EQ(after.dropped, before.dropped);
 }
 
 TEST(BufferPool, HandleOutlivesPool) {

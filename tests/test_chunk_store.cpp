@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "agent/testbed.h"
 #include "ec/lrc_code.h"
 #include "ec/rs_code.h"
+#include "util/buffer_pool.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -233,6 +235,47 @@ TEST(ChunkStore, ScrubDetectsSilentCorruption) {
   // Rewriting the chunk heals it.
   store.write({3, 1}, std::vector<uint8_t>(4096, 0xAB));
   EXPECT_TRUE(store.scrub().empty());
+}
+
+TEST(ChunkStore, PooledChunkReturnsOnEraseOverwriteAndDestruction) {
+  // A destination hands its folded chunk over as a pooled buffer; the
+  // store reads, scrubs and corrupts it like any written chunk and gives
+  // the storage back to its pool whenever the chunk leaves the store.
+  const auto pool = BufferPool::create(BufferPool::kKeepAll);
+  auto filled = [&](uint8_t value) {
+    PooledBuffer buf = pool->acquire(4096);
+    std::fill(buf.begin(), buf.end(), value);
+    return buf;
+  };
+  {
+    ChunkStore store(unthrottled());
+    store.write_unthrottled({0, 0}, filled(0xAB));
+    EXPECT_EQ(store.chunk_size({0, 0}), std::optional<uint64_t>(4096));
+    EXPECT_TRUE(store.has_materialized({0, 0}));
+    std::vector<uint8_t> slice(100);
+    ASSERT_TRUE(store.read_slice({0, 0}, 3996, slice));
+    EXPECT_EQ(slice, std::vector<uint8_t>(100, 0xAB));
+    EXPECT_EQ(*store.read_unthrottled({0, 0}),
+              std::vector<uint8_t>(4096, 0xAB));
+    EXPECT_FALSE(store.read_slice({0, 0}, 3997, slice));  // overrun
+    store.corrupt({0, 0}, 17);
+    EXPECT_EQ(store.scrub(), (std::vector<ChunkRef>{{0, 0}}));
+    EXPECT_EQ(pool->stats().recycled, 0);
+
+    store.write_unthrottled({0, 0}, filled(0xCD));  // overwrite
+    EXPECT_EQ(pool->stats().recycled, 1);
+    EXPECT_TRUE(store.scrub().empty());
+    store.erase({0, 0});
+    EXPECT_EQ(pool->stats().recycled, 2);
+    EXPECT_FALSE(store.has_materialized({0, 0}));
+
+    store.write_unthrottled({1, 0}, filled(0xEF));
+    store.write({1, 1}, std::vector<uint8_t>(10, 1));  // unpooled bytes
+  }  // store destroyed
+  const auto stats = pool->stats();
+  EXPECT_EQ(stats.recycled, 3);
+  EXPECT_EQ(stats.misses, 2);  // never more than two chunks live at once
+  EXPECT_EQ(stats.dropped, 0);
 }
 
 TEST(ChunkStore, CorruptRequiresMaterializedChunk) {
