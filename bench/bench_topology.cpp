@@ -134,7 +134,6 @@ FlapRun run_flap(bool replanning, uint64_t chunk_bytes, int num_stripes,
   opts.topology = net::Topology(12, 2, net::Oversub(2.0));
   if (replanning) {
     opts.bandwidth_replan.enabled = true;
-    opts.bandwidth_replan.degrade_ratio = 0.5;
     opts.bandwidth_replan.min_breach_rounds = 1;
     opts.bandwidth_replan.max_replans = 1;
   }

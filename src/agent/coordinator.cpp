@@ -421,7 +421,7 @@ void Coordinator::lease_tick() {
   }
   next_lease_tick_ = telemetry::TraceClock::now() +
                      std::chrono::microseconds(
-                         options_.throttler->lease_ttl_us() / 3);
+                         core::kLeaseTtlUs / 3);
 }
 
 void Coordinator::collect_task_nodes(

@@ -129,7 +129,7 @@ struct ExecutionReport {
   /// Migrations that failed and were re-executed as reconstructions.
   int fallback_reconstructions = 0;
   /// Repair traffic over the network during this execution (data
-  /// packets only; filled by Testbed::execute for in-process runs).
+  /// packets only; filled by Testbed::execute under either transport).
   int64_t network_bytes = 0;
   /// Per-round breakdown in the paper's (cr, cm) vocabulary, with the
   /// execution's total time, the round it degraded in and one per_stf

@@ -10,12 +10,14 @@ namespace {
 /// effect within a packet or two.
 constexpr int64_t kBurstBytes = 256 * kKiB;
 
+/// Rate after a lease expires un-renewed (and before the first grant
+/// arrives). Small: this is the partitioned-agent trickle, not a
+/// working share.
+constexpr double kFloorBytesPerSec = 64 * kKiB;
+
 }  // namespace
 
-RepairBudget::RepairBudget(const Options& options)
-    : options_(options), bucket_(options.floor_bytes_per_sec, kBurstBytes) {
-  FASTPR_CHECK(options.floor_bytes_per_sec > 0);
-}
+RepairBudget::RepairBudget() : bucket_(kFloorBytesPerSec, kBurstBytes) {}
 
 bool RepairBudget::apply_grant(uint64_t seq, double bytes_per_sec,
                                int64_t ttl_us, int64_t now_us) {
@@ -30,7 +32,7 @@ bool RepairBudget::apply_grant(uint64_t seq, double bytes_per_sec,
   // Rate change outside the bookkeeping lock (set_rate blocks on the
   // bucket's own mutex and wakes waiters). A racing newer grant just
   // wins the last set_rate — rates converge at the next tick anyway.
-  bucket_.set_rate(std::max(bytes_per_sec, options_.floor_bytes_per_sec));
+  bucket_.set_rate(std::max(bytes_per_sec, kFloorBytesPerSec));
   return true;
 }
 
@@ -42,7 +44,7 @@ bool RepairBudget::expire_if_stale(int64_t now_us) {
     lease_expires_us_ = 0;  // expire once; next grant re-arms
     ++expirations_;
   }
-  bucket_.set_rate(options_.floor_bytes_per_sec);
+  bucket_.set_rate(kFloorBytesPerSec);
   return true;
 }
 

@@ -7,7 +7,7 @@
 // budget rather than the raw NIC share. Grants are applied only in
 // sequence order — a re-sent or reordered kLeaseGrant can never
 // double-apply — and a lease that reaches its TTL without renewal drops
-// the bucket to a configured floor rate: a partitioned agent cannot
+// the bucket to a fixed 64 KiB/s floor rate: a partitioned agent cannot
 // keep consuming a share the coordinator has already returned to the
 // pool, yet still trickles (liveness) until a fresh grant arrives.
 //
@@ -65,14 +65,8 @@ class ForwardingPressureSource final : public PressureSource {
 
 class RepairBudget {
  public:
-  struct Options {
-    /// Rate after a lease expires un-renewed (and before the first
-    /// grant arrives). Keep small: this is the partitioned-agent
-    /// trickle, not a working share.
-    double floor_bytes_per_sec = 64 * kKiB;
-  };
-
-  explicit RepairBudget(const Options& options);
+  /// Starts at the floor rate until the first grant arrives.
+  RepairBudget();
 
   /// Applies a grant if `seq` advances the applied sequence; stale or
   /// duplicate grants are dropped. Returns whether it was applied.
@@ -98,7 +92,6 @@ class RepairBudget {
   /// mutex_ (takes it, releases it, then touches the bucket).
   bool expire_if_stale(int64_t now_us) FASTPR_EXCLUDES(mutex_);
 
-  const Options options_;
   TokenBucket bucket_;
 
   mutable Mutex mutex_{lock_order::kAgentRepairBudget};

@@ -133,29 +133,18 @@ Testbed::Testbed(const TestbedOptions& options, const ec::ErasureCode& code)
         std::max(1, code.repair_fetch_count(0)));
   }
 
+  net::ShapedTransport::Options topts;
+  topts.net_bytes_per_sec = options.net_bytes_per_sec;
+  topts.chain_hop_overhead_seconds = options.chain_hop_overhead_seconds;
+  topts.flow_monitor = &flow_;
   if (options.use_tcp) {
-    net::TcpTransport::Options topts;
-    topts.net_bytes_per_sec = options.net_bytes_per_sec;
-    topts.chain_hop_overhead_seconds = options.chain_hop_overhead_seconds;
-    topts.flow_monitor = &flow_;
     transport_ = std::make_unique<net::TcpTransport>(num_nodes, topts);
   } else {
-    net::InprocTransport::Options topts;
-    topts.net_bytes_per_sec = options.net_bytes_per_sec;
-    topts.chain_hop_overhead_seconds = options.chain_hop_overhead_seconds;
-    topts.flow_monitor = &flow_;
     transport_ = std::make_unique<net::InprocTransport>(num_nodes, topts);
   }
   if (options.fault_plan.has_value()) {
     faulty_ = std::make_unique<net::FaultyTransport>(*transport_,
                                                      *options.fault_plan);
-    // Chaos delays must not read as slow links (phantom stragglers).
-    faulty_->set_flow_monitor(&flow_);
-    // Size slow-verb penalties against the shaped NIC rate, so factor=4
-    // means "4× the nominal transmit time" on this testbed's links.
-    if (options.net_bytes_per_sec > 0) {
-      faulty_->set_slow_base_rate(options.net_bytes_per_sec);
-    }
   }
 
   if (options.throttle.has_value()) {
@@ -204,8 +193,7 @@ Testbed::Testbed(const TestbedOptions& options, const ec::ErasureCode& code)
     AgentOptions aopts;
     aopts.coordinator = coord;
     if (throttler_ != nullptr) {
-      budgets_.push_back(std::make_unique<RepairBudget>(
-          RepairBudget::Options{}));
+      budgets_.push_back(std::make_unique<RepairBudget>());
       aopts.repair_budget = budgets_.back().get();
       aopts.pressure = &pressure_;
       throttler_->add_agent(node);
@@ -266,10 +254,6 @@ RepairBudget* Testbed::repair_budget(NodeId node) {
   if (budgets_.empty()) return nullptr;
   FASTPR_CHECK(node >= 0 && node < static_cast<int>(budgets_.size()));
   return budgets_[static_cast<size_t>(node)].get();
-}
-
-net::InprocTransport* Testbed::inproc() {
-  return dynamic_cast<net::InprocTransport*>(transport_.get());
 }
 
 NodeId Testbed::flag_stf() { return flag_stf_batch(1).front(); }
@@ -365,13 +349,10 @@ ExecutionReport Testbed::execute(const core::RepairPlan& plan) {
     return tail;
   };
 
-  auto* inproc = dynamic_cast<net::InprocTransport*>(transport_.get());
-  const int64_t before = inproc != nullptr ? inproc->data_bytes_sent() : 0;
+  const int64_t before = transport_->data_bytes_sent();
   flow_.clear();  // links in the report cover this execution only
   auto report = coordinator_->execute(plan, replan);
-  if (inproc != nullptr) {
-    report.network_bytes = inproc->data_bytes_sent() - before;
-  }
+  report.network_bytes = transport_->data_bytes_sent() - before;
   report.repair.links = flow_.snapshot();
   // The coordinator cannot know the disk rate; the testbed does. A
   // round's migration reads all come off the STF node's (shaped) disk.

@@ -1,12 +1,13 @@
 // The in-process testbed: FastPR's "25 EC2 instances" substitute.
 //
-// Wires together a shaped transport (token-bucket NICs), one throttled
-// ChunkStore per node, one Agent per storage/spare node and a
-// Coordinator, over a randomly generated erasure-coded population whose
-// chunk contents are deterministic (SyntheticOracle) so arbitrarily
-// large clusters fit in RAM. All repaired bytes are real: helpers stream
-// GF-scaled packets, destinations decode and store, and verify() checks
-// the repaired chunks byte-for-byte against the oracle.
+// Wires together a shaped transport (token-bucket NICs, in process or
+// over loopback TCP), one throttled ChunkStore per node, one Agent per
+// storage/spare node and a Coordinator, over a randomly generated
+// erasure-coded population whose chunk contents are deterministic
+// (SyntheticOracle) so arbitrarily large clusters fit in RAM. All
+// repaired bytes are real: helpers stream GF-scaled packets,
+// destinations decode and store, and verify() checks the repaired
+// chunks byte-for-byte against the oracle.
 #pragma once
 
 #include <memory>
@@ -25,7 +26,6 @@
 #include "net/fault_plan.h"
 #include "net/topology.h"
 #include "net/faulty_transport.h"
-#include "net/inproc_transport.h"
 #include "net/transport.h"
 #include "telemetry/flow_monitor.h"
 
@@ -145,6 +145,10 @@ class Testbed {
   }
   /// The fault injector, or nullptr when no fault plan is configured.
   net::FaultyTransport* faulty() { return faulty_.get(); }
+  /// The shaped transport under any fault decorator, in process or TCP.
+  /// Foreground load uses its charge_tx/charge_rx to contend for the
+  /// same NICs as repair traffic.
+  net::ShapedTransport& network() { return *transport_; }
 
   /// The adaptive throttler, or nullptr when `throttle` is not set.
   core::RepairThrottler* throttler() { return throttler_.get(); }
@@ -168,10 +172,6 @@ class Testbed {
   void set_pressure_source(PressureSource* source) {
     pressure_.set_target(source);
   }
-
-  /// The in-process transport, or nullptr under --use-tcp. Foreground
-  /// load uses its charge_tx/charge_rx to contend for the same NICs.
-  net::InprocTransport* inproc();
 
   /// Ground-truth chunk contents (degraded-read verification).
   const SyntheticOracle& oracle() const { return *oracle_; }
@@ -244,7 +244,7 @@ class Testbed {
   /// Declared before the transports: they report into it on their own
   /// threads until shutdown, so it must outlive them.
   telemetry::FlowMonitor flow_;
-  std::unique_ptr<net::Transport> transport_;
+  std::unique_ptr<net::ShapedTransport> transport_;
   /// Fault decorator over transport_ (fault_plan configured only).
   std::unique_ptr<net::FaultyTransport> faulty_;
   std::unique_ptr<cluster::StripeLayout> layout_;

@@ -11,16 +11,6 @@ namespace {
 
 ThrottlerOptions normalized(ThrottlerOptions o) {
   FASTPR_CHECK(o.total_bytes_per_sec > 0);
-  FASTPR_CHECK(o.decrease_factor > 0 && o.decrease_factor < 1);
-  FASTPR_CHECK(o.lease_ttl_us > 0);
-  if (o.floor_bytes_per_sec <= 0) {
-    o.floor_bytes_per_sec = o.total_bytes_per_sec / 20;
-  }
-  if (o.increase_bytes_per_sec <= 0) {
-    o.increase_bytes_per_sec = o.total_bytes_per_sec / 20;
-  }
-  o.floor_bytes_per_sec =
-      std::min(o.floor_bytes_per_sec, o.total_bytes_per_sec);
   o.initial_fraction = std::clamp(o.initial_fraction, 0.0, 1.0);
   return o;
 }
@@ -31,15 +21,14 @@ RepairThrottler::RepairThrottler(const ThrottlerOptions& options)
     : options_(normalized(options)),
       budget_(std::clamp(options_.initial_fraction *
                              options_.total_bytes_per_sec,
-                         options_.floor_bytes_per_sec,
-                         options_.total_bytes_per_sec)) {}
+                         floor_rate(), options_.total_bytes_per_sec)) {}
 
 void RepairThrottler::reset(int64_t now_us, double total_repair_bytes) {
   MutexLock lock(mutex_);
   bytes_remaining_ = std::max(0.0, total_repair_bytes);
   budget_ = std::clamp(
       options_.initial_fraction * options_.total_bytes_per_sec,
-      options_.floor_bytes_per_sec, options_.total_bytes_per_sec);
+      floor_rate(), options_.total_bytes_per_sec);
   panic_ = false;
   // next_seq_ deliberately NOT reset: grants stay globally monotonic so
   // an agent can never apply a stale lease from an earlier run.
@@ -110,7 +99,7 @@ std::vector<LeaseGrant> RepairThrottler::tick(int64_t now_us) {
   // 1. Expire silent leases: their share returns to the pool below
   //    (expired agents drop out of the weight normalization).
   for (auto& [node, state] : agents_) {
-    if (state.live && now_us - state.last_report_us > options_.lease_ttl_us) {
+    if (state.live && now_us - state.last_report_us > kLeaseTtlUs) {
       state.live = false;
       ++leases_expired_;
       LOG_WARN("repair lease for agent " << node
@@ -132,11 +121,11 @@ std::vector<LeaseGrant> RepairThrottler::tick(int64_t now_us) {
     if (fresh) {
       if (worst_p99 > options_.slo_p99_seconds) {
         ++slo_breaches_;
-        budget_ = std::max(options_.floor_bytes_per_sec,
-                           budget_ * options_.decrease_factor);
+        budget_ = std::max(floor_rate(), budget_ * kDecreaseFactor);
       } else {
-        budget_ = std::min(options_.total_bytes_per_sec,
-                           budget_ + options_.increase_bytes_per_sec);
+        budget_ = std::min(
+            options_.total_bytes_per_sec,
+            budget_ + options_.total_bytes_per_sec * kIncreaseShare);
       }
     }
   }
@@ -173,14 +162,13 @@ std::vector<LeaseGrant> RepairThrottler::tick(int64_t now_us) {
     weights[node] = w;
     weight_sum += w;
   }
-  const double readmit_rate = std::max(
-      1.0, options_.floor_bytes_per_sec /
-               static_cast<double>(agents_.size()));
+  const double readmit_rate =
+      std::max(1.0, floor_rate() / static_cast<double>(agents_.size()));
   for (auto& [node, state] : agents_) {
     LeaseGrant grant;
     grant.agent = node;
     grant.seq = ++next_seq_;
-    grant.ttl_us = options_.lease_ttl_us;
+    grant.ttl_us = kLeaseTtlUs;
     if (state.live && weight_sum > 0) {
       grant.bytes_per_sec = budget_ * weights[node] / weight_sum;
     } else {

@@ -31,28 +31,28 @@
 
 namespace fastpr::core {
 
+/// AIMD never cuts the global budget below this share of the ceiling
+/// (repair always makes *some* progress — liveness).
+inline constexpr double kFloorShare = 1.0 / 20;
+/// Additive ramp per tick while under the SLO, as a share of the ceiling.
+inline constexpr double kIncreaseShare = 1.0 / 20;
+/// Multiplicative cut on an SLO breach.
+inline constexpr double kDecreaseFactor = 0.5;
+/// Lease lifetime. An agent whose last pressure report is older than
+/// this is considered silent and its share returns to the pool; the
+/// coordinator ticks at kLeaseTtlUs / 3 so healthy leases renew well
+/// before expiring.
+inline constexpr int64_t kLeaseTtlUs = 200'000;
+
 struct ThrottlerOptions {
   /// Ceiling: the cluster-wide repair budget (bytes/s). Must be > 0.
   double total_bytes_per_sec = 0;
-  /// AIMD never cuts the global budget below this; <= 0 defaults to
-  /// total / 20 (repair always makes *some* progress — liveness).
-  double floor_bytes_per_sec = 0;
   /// Foreground p99 SLO target (seconds). <= 0 disables AIMD even when
   /// `adaptive` is set (there is no target to compare against).
   double slo_p99_seconds = 0;
   /// false = fixed budget (initial_fraction of the ceiling, forever) —
   /// the "polite cap" baseline of bench_foreground.
   bool adaptive = true;
-  /// Additive ramp per tick while under the SLO; <= 0 defaults to
-  /// total / 20.
-  double increase_bytes_per_sec = 0;
-  /// Multiplicative cut on an SLO breach, in (0, 1).
-  double decrease_factor = 0.5;
-  /// Lease lifetime. An agent whose last pressure report is older than
-  /// this is considered silent and its share returns to the pool; the
-  /// coordinator should tick at ~ttl/3 so healthy leases renew well
-  /// before expiring.
-  int64_t lease_ttl_us = 200'000;
   /// Starting budget as a fraction of the ceiling.
   double initial_fraction = 0.5;
 };
@@ -112,7 +112,6 @@ class RepairThrottler {
   /// predicate, and returns a fresh lease for every known agent.
   std::vector<LeaseGrant> tick(int64_t now_us) FASTPR_EXCLUDES(mutex_);
 
-  int64_t lease_ttl_us() const { return options_.lease_ttl_us; }
   bool panic() const FASTPR_EXCLUDES(mutex_);
   double budget_bytes_per_sec() const FASTPR_EXCLUDES(mutex_);
   ThrottlerStats stats() const FASTPR_EXCLUDES(mutex_);
@@ -130,6 +129,9 @@ class RepairThrottler {
   /// Current finish-time estimate vs the deadline; flips panic_ (sticky
   /// for the rest of the run) and logs the decision once.
   void evaluate_panic_locked(int64_t now_us) FASTPR_REQUIRES(mutex_);
+  double floor_rate() const {
+    return options_.total_bytes_per_sec * kFloorShare;
+  }
 
   const ThrottlerOptions options_;
 

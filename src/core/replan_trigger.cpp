@@ -8,10 +8,6 @@ namespace fastpr::core {
 namespace {
 
 BandwidthReplanOptions validated(const BandwidthReplanOptions& o) {
-  FASTPR_CHECK(o.degrade_ratio > 0 && o.degrade_ratio < 1);
-  FASTPR_CHECK_MSG(o.rearm_ratio > o.degrade_ratio,
-                   "rearm_ratio must exceed degrade_ratio or the trigger "
-                   "re-arms inside the degraded band");
   FASTPR_CHECK(o.min_breach_rounds >= 1);
   FASTPR_CHECK(o.max_replans >= 0);
   return o;
@@ -32,10 +28,10 @@ bool BandwidthReplanTrigger::feed(int64_t epoch, double ratio) {
   FASTPR_CHECK_MSG(ratio >= 0, "drift ratio must be non-negative");
 
   if (cooldown_) {
-    if (ratio >= options_.rearm_ratio) cooldown_ = false;
+    if (ratio >= kRearmRatio) cooldown_ = false;
     return false;
   }
-  if (ratio >= options_.degrade_ratio) {
+  if (ratio >= kDegradeRatio) {
     // A single healthy round resets the streak — breaches must be
     // consecutive to fire (no replan thrash on noisy estimates).
     breach_streak_ = 0;

@@ -25,25 +25,29 @@
 
 namespace fastpr::core {
 
+/// A round breaches when its worst-link measured/expected ratio drops
+/// below this.
+inline constexpr double kDegradeRatio = 0.5;
+/// After firing, the trigger re-arms only once the ratio recovers to
+/// this (above kDegradeRatio, else it would re-arm inside the degraded
+/// band and thrash).
+inline constexpr double kRearmRatio = 0.8;
+static_assert(kRearmRatio > kDegradeRatio);
+
 struct BandwidthReplanOptions {
   /// Master switch; disabled triggers never fire (the control arm of
   /// bench_topology's flapping scenario).
   bool enabled = false;
-  /// Fire when worst-link measured/expected drops below this...
-  double degrade_ratio = 0.5;
-  /// ...for this many CONSECUTIVE rounds (hysteresis floor).
+  /// Fire after this many CONSECUTIVE breaching rounds (hysteresis
+  /// floor).
   int min_breach_rounds = 2;
-  /// After firing, re-arm only once the ratio recovers above this
-  /// (> degrade_ratio, else the trigger re-arms inside the degraded
-  /// band and thrashes).
-  double rearm_ratio = 0.8;
   /// Replans per run; each costs a full Algorithm 1 + 2 pass.
   int max_replans = 1;
 };
 
 struct BandwidthReplanStats {
   int64_t samples = 0;   // accepted (fresh-epoch) feeds
-  int64_t breaches = 0;  // samples below degrade_ratio
+  int64_t breaches = 0;  // samples below kDegradeRatio
   int replans = 0;       // times the trigger fired
 };
 

@@ -1,8 +1,24 @@
 #include "ec/erasure_code.h"
 
+#include <algorithm>
+
+#include "gf/gf256.h"
 #include "util/check.h"
 
 namespace fastpr::ec {
+
+void ErasureCode::repair_chunk(int lost_index,
+                               const std::vector<int>& helper_indices,
+                               const std::vector<ConstChunk>& helper_data,
+                               MutChunk out) const {
+  FASTPR_CHECK(helper_indices.size() == helper_data.size());
+  const auto coeffs = repair_coefficients(lost_index, helper_indices);
+  std::fill(out.begin(), out.end(), 0);
+  // Fused dot: one pass over the lost chunk for every helper stream
+  // (sizes are checked against out by the span overload; zero
+  // coefficients, e.g. an LRC helper the solution ignores, are skipped).
+  gf::dot_region_xor(out, std::span<const ConstChunk>(helper_data), coeffs);
+}
 
 std::vector<std::vector<uint8_t>> encode_stripe(
     const ErasureCode& code, const std::vector<std::vector<uint8_t>>& data) {

@@ -63,11 +63,11 @@ class ErasureCode {
       int lost_index, const std::vector<int>& helper_indices) const = 0;
 
   /// Repairs the single chunk `lost_index` from helper chunks previously
-  /// chosen by repair_helpers (same order).
-  virtual void repair_chunk(int lost_index,
-                            const std::vector<int>& helper_indices,
-                            const std::vector<ConstChunk>& helper_data,
-                            MutChunk out) const = 0;
+  /// chosen by repair_helpers (same order): one fused GF dot pass over
+  /// `out` with the repair_coefficients.
+  void repair_chunk(int lost_index, const std::vector<int>& helper_indices,
+                    const std::vector<ConstChunk>& helper_data,
+                    MutChunk out) const;
 
   /// General decode: reconstructs all chunks listed in `erased` from the
   /// available ones. `chunks[i]` holds chunk i's buffer; buffers of erased

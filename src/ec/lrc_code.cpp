@@ -219,27 +219,6 @@ std::vector<uint8_t> LrcCode::repair_coefficients(
   return coeffs;
 }
 
-void LrcCode::repair_chunk(int lost_index,
-                           const std::vector<int>& helper_indices,
-                           const std::vector<ConstChunk>& helper_data,
-                           MutChunk out) const {
-  FASTPR_CHECK(helper_indices.size() == helper_data.size());
-  const auto combo = solve_combination(lost_index, helper_indices);
-  FASTPR_CHECK_MSG(combo.has_value(),
-                   "helpers cannot express chunk " << lost_index);
-  std::fill(out.begin(), out.end(), 0);
-  // Align the solved coefficients with helper order, then fold every
-  // contributing stream in with one fused dot pass.
-  std::vector<uint8_t> coeffs(helper_data.size(), 0);
-  for (const auto& [idx, coef] : *combo) {
-    const auto it =
-        std::find(helper_indices.begin(), helper_indices.end(), idx);
-    coeffs[static_cast<size_t>(
-        std::distance(helper_indices.begin(), it))] = coef;
-  }
-  gf::dot_region_xor(out, std::span<const ConstChunk>(helper_data), coeffs);
-}
-
 bool LrcCode::decode(const std::vector<int>& erased,
                      const std::vector<MutChunk>& chunks) const {
   FASTPR_CHECK(static_cast<int>(chunks.size()) == n_);

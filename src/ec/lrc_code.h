@@ -49,10 +49,6 @@ class LrcCode final : public ErasureCode {
       int lost_index,
       const std::vector<int>& helper_indices) const override;
 
-  void repair_chunk(int lost_index, const std::vector<int>& helper_indices,
-                    const std::vector<ConstChunk>& helper_data,
-                    MutChunk out) const override;
-
   bool decode(const std::vector<int>& erased,
               const std::vector<MutChunk>& chunks) const override;
 

@@ -145,18 +145,6 @@ std::vector<uint8_t> RsCode::repair_coefficients(
   return combination_coeffs(lost_index, helper_indices);
 }
 
-void RsCode::repair_chunk(int lost_index,
-                          const std::vector<int>& helper_indices,
-                          const std::vector<ConstChunk>& helper_data,
-                          MutChunk out) const {
-  FASTPR_CHECK(helper_indices.size() == helper_data.size());
-  const auto coeffs = combination_coeffs(lost_index, helper_indices);
-  std::fill(out.begin(), out.end(), 0);
-  // Fused dot: one pass over the lost chunk for all k helper streams
-  // (sizes are checked against out by the span overload).
-  gf::dot_region_xor(out, std::span<const ConstChunk>(helper_data), coeffs);
-}
-
 bool RsCode::decode(const std::vector<int>& erased,
                     const std::vector<MutChunk>& chunks) const {
   FASTPR_CHECK(static_cast<int>(chunks.size()) == n_);

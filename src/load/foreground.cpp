@@ -133,7 +133,7 @@ bool ForegroundWorkload::run_degraded_read(
       return false;  // helper read error
     }
     store.charge_io(slice);
-    if (auto* inproc = testbed_.inproc()) inproc->charge_tx(node, slice);
+    testbed_.network().charge_tx(node, slice);
     touched.push_back(node);
   }
 
@@ -170,7 +170,7 @@ bool ForegroundWorkload::run_op(Rng& rng, std::vector<NodeId>& touched) {
     }
     reads_.fetch_add(1, std::memory_order_relaxed);
     testbed_.store(home).charge_io(slice);
-    if (auto* inproc = testbed_.inproc()) inproc->charge_tx(home, slice);
+    testbed_.network().charge_tx(home, slice);
     touched.push_back(home);
     return true;
   }
@@ -190,7 +190,7 @@ bool ForegroundWorkload::run_op(Rng& rng, std::vector<NodeId>& touched) {
   }
   writes_.fetch_add(1, std::memory_order_relaxed);
   testbed_.store(target).charge_io(slice);
-  if (auto* inproc = testbed_.inproc()) inproc->charge_rx(target, slice);
+  testbed_.network().charge_rx(target, slice);
   touched.push_back(target);
   return true;
 }

@@ -6,9 +6,10 @@
 // — an op that targets a chunk on a degraded or crashed node fetches k
 // helper chunks and decodes through the real codec paths instead.
 // Every op charges the SAME per-node resources repair uses (the
-// ChunkStore disk bucket via charge_io, the InprocTransport NIC
-// buckets via charge_tx/charge_rx), so foreground and repair contend
-// byte-for-byte rather than by assumption.
+// ChunkStore disk bucket via charge_io, the testbed network's NIC
+// buckets via charge_tx/charge_rx, in process and over TCP alike), so
+// foreground and repair contend byte-for-byte rather than by
+// assumption.
 //
 // Open-loop means arrivals are scheduled, not admitted: an op's
 // latency is measured from its scheduled arrival to completion, so

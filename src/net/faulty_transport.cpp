@@ -17,69 +17,56 @@ telemetry::Counter& fault_counter(const char* name) {
 
 }  // namespace
 
-FaultyTransport::FaultyTransport(Transport& inner, const FaultPlan& plan)
-    : inner_(inner), plan_(plan), rng_(plan.seed) {
+FaultyTransport::FaultyTransport(ShapedTransport& inner,
+                                 const FaultPlan& plan)
+    : inner_(inner),
+      plan_(plan),
+      slow_base_rate_(inner.net_bytes_per_sec() > 0
+                          ? inner.net_bytes_per_sec()
+                          : Gbps(1)),
+      rng_(plan.seed) {
   MutexLock lock(mutex_);
-  slow_base_rate_ = Gbps(1);
-  for (const auto& c : plan_.crashes) {
-    if (c.node != kStfSentinel) arm_crash(c);
-  }
-  for (const auto& f : plan_.flaky) {
-    if (f.node == kStfSentinel) continue;
-    FlakyState state;
-    state.rule = f;
-    state.drops_left = f.max_drops;
-    state.dups_left = f.max_dups;
-    state.delays_left = f.max_delays;
-    flaky_.push_back(state);
-  }
-  for (const auto& s : plan_.slow) {
-    if (s.node == kStfSentinel) continue;
-    slow_[s.node] = SlowState{s.factor, s.after_bytes};
-  }
+  arm(cluster::kNoNode);
 }
 
-void FaultyTransport::arm_crash(const FaultPlan::Crash& c) {
-  CrashState& state = crashes_[c.node];
-  state.has_packet_limit = c.after_packets > 0;
-  state.has_byte_limit = c.after_bytes > 0;
-  state.packets_left = c.after_packets;
-  state.bytes_left = c.after_bytes;
-  if (!state.has_packet_limit && !state.has_byte_limit) {
-    state.dead = true;  // dead from the start
-    fault_counter("net.fault.crashes").add();
+void FaultyTransport::arm(NodeId stf) {
+  // The node an entry arms as now, or kNoNode to leave it be.
+  const auto target = [stf](NodeId node) {
+    const bool sentinel = node == kStfSentinel;
+    if (stf == cluster::kNoNode) return sentinel ? cluster::kNoNode : node;
+    return sentinel ? stf : cluster::kNoNode;
+  };
+  for (const auto& c : plan_.crashes) {
+    const NodeId node = target(c.node);
+    if (node == cluster::kNoNode) continue;
+    CrashState& state = crashes_[node];
+    state.has_packet_limit = c.after_packets > 0;
+    state.has_byte_limit = c.after_bytes > 0;
+    state.packets_left = c.after_packets;
+    state.bytes_left = c.after_bytes;
+    if (!state.has_packet_limit && !state.has_byte_limit) {
+      state.dead = true;  // dead from the start
+      fault_counter("net.fault.crashes").add();
+    }
+  }
+  for (FaultPlan::Flaky f : plan_.flaky) {
+    f.node = target(f.node);
+    if (f.node != cluster::kNoNode) {
+      flaky_.push_back(FlakyState{f, f.max_drops, f.max_dups, f.max_delays});
+    }
+  }
+  for (const auto& s : plan_.slow) {
+    const NodeId node = target(s.node);
+    if (node != cluster::kNoNode) {
+      slow_[node] = SlowState{s.factor, s.after_bytes};
+    }
   }
 }
 
 void FaultyTransport::resolve_stf(NodeId stf) {
+  MutexLock lock(mutex_);
+  arm(stf);
   plan_.resolve_stf(stf);
-  MutexLock lock(mutex_);
-  for (const auto& c : plan_.crashes) {
-    if (c.node == stf && crashes_.count(stf) == 0) arm_crash(c);
-  }
-  for (const auto& f : plan_.flaky) {
-    if (f.node != stf) continue;
-    bool armed = false;
-    for (const auto& existing : flaky_) {
-      if (existing.rule.node == stf) armed = true;
-    }
-    if (armed) continue;
-    FlakyState state;
-    state.rule = f;
-    state.drops_left = f.max_drops;
-    state.dups_left = f.max_dups;
-    state.delays_left = f.max_delays;
-    flaky_.push_back(state);
-  }
-  for (const auto& s : plan_.slow) {
-    if (s.node != stf || slow_.count(stf) != 0) continue;
-    slow_[stf] = SlowState{s.factor, s.after_bytes};
-  }
-}
-
-void FaultyTransport::set_slow_base_rate(double bytes_per_sec) {
-  MutexLock lock(mutex_);
-  if (bytes_per_sec > 0) slow_base_rate_ = bytes_per_sec;
 }
 
 void FaultyTransport::crash(NodeId node) {
@@ -209,8 +196,8 @@ void FaultyTransport::send(Message msg) {
       // sleep shifts this link's rx timestamps: the monitor subtracts
       // it from the window's active time, so a chaos delay does not
       // masquerade as a slow link (phantom straggler).
-      if (flow_monitor_ != nullptr && is_data_packet(msg.type)) {
-        flow_monitor_->on_injected_delay(
+      if (inner_.flow_monitor() != nullptr && is_data_packet(msg.type)) {
+        inner_.flow_monitor()->on_injected_delay(
             msg.from, msg.to,
             std::chrono::duration_cast<std::chrono::microseconds>(delay)
                 .count());

@@ -14,6 +14,11 @@
 //    node should read as slow — that is exactly the signal the adaptive
 //    repair throttler reacts to.
 //
+// Its settings come from the transport it wraps: flaky delays are
+// charged to that transport's flow monitor, and slow-verb delays are
+// sized against its shaped NIC rate (1 Gb/s when unshaped), so
+// factor=4 means "4× the nominal transmit time" on its links.
+//
 // kShutdown is never faulted: agents stop themselves by sending a
 // shutdown message through the transport, and eating it would hang
 // teardown rather than simulate any real failure.
@@ -26,7 +31,6 @@
 
 #include "net/fault_plan.h"
 #include "net/transport.h"
-#include "telemetry/flow_monitor.h"
 #include "util/mutex.h"
 #include "util/rng.h"
 
@@ -36,7 +40,7 @@ class FaultyTransport final : public Transport {
  public:
   /// `inner` must outlive this decorator. Plans may still contain
   /// kStfSentinel entries; they stay dormant until resolve_stf().
-  FaultyTransport(Transport& inner, const FaultPlan& plan);
+  FaultyTransport(ShapedTransport& inner, const FaultPlan& plan);
 
   void send(Message msg) override;
   std::optional<Message> recv(
@@ -47,26 +51,13 @@ class FaultyTransport final : public Transport {
 
   /// Rewrites kStfSentinel entries to `stf` and arms them (a sentinel
   /// crash with zero thresholds kills the node the moment it is known).
+  /// Later calls find no sentinel left and arm nothing.
   void resolve_stf(cluster::NodeId stf);
 
   /// Manual crash trigger (tests): the node goes silent immediately.
   void crash(cluster::NodeId node);
 
   bool crashed(cluster::NodeId node) const;
-
-  /// Charges kDelay injections to this monitor so chaos delays are
-  /// excluded from the link's measured rate — a delayed link must not
-  /// read as a straggler. Usually the same monitor the inner transport
-  /// reports into. Not owned; must outlive this decorator.
-  void set_flow_monitor(telemetry::FlowMonitor* monitor) {
-    flow_monitor_ = monitor;
-  }
-
-  /// Nominal per-node send rate (bytes/sec) used to size `slow`-verb
-  /// delays: a packet of B bytes from a node slowed by factor f sleeps
-  /// an extra B·(f−1)/rate seconds. The testbed wires its shaped NIC
-  /// rate here; defaults to 1 Gbps when nothing is configured.
-  void set_slow_base_rate(double bytes_per_sec);
 
  private:
   /// What to do with one message, decided under the lock, acted on
@@ -93,7 +84,10 @@ class FaultyTransport final : public Transport {
     uint64_t bytes_until_armed = 0;  // 0 = slow from the first packet
   };
 
-  void arm_crash(const FaultPlan::Crash& c) FASTPR_REQUIRES(mutex_);
+  /// Arms plan_'s crash, flaky and slow entries: with stf == kNoNode
+  /// every entry but the kStfSentinel ones, otherwise exactly those, as
+  /// node `stf`.
+  void arm(cluster::NodeId stf) FASTPR_REQUIRES(mutex_);
   /// Extra transmit time for this data packet under the slow verb, or
   /// zero. Decided (and the arming byte count ticked) under the lock.
   std::chrono::nanoseconds slow_penalty(const Message& msg)
@@ -101,9 +95,12 @@ class FaultyTransport final : public Transport {
   Action decide(const Message& msg, std::chrono::milliseconds* delay,
                 std::chrono::nanoseconds* slow) FASTPR_EXCLUDES(mutex_);
 
-  Transport& inner_;
+  ShapedTransport& inner_;
   FaultPlan plan_;  // unresolved sentinel entries live here until armed
-  telemetry::FlowMonitor* flow_monitor_ = nullptr;
+  /// Nominal per-node send rate (bytes/s) sizing `slow`-verb delays: a
+  /// packet of B bytes from a node slowed by factor f sleeps an extra
+  /// B·(f−1)/rate seconds.
+  const double slow_base_rate_;
 
   mutable Mutex mutex_{lock_order::kNetFault};
   Rng rng_ FASTPR_GUARDED_BY(mutex_);
@@ -112,7 +109,6 @@ class FaultyTransport final : public Transport {
   std::vector<FlakyState> flaky_ FASTPR_GUARDED_BY(mutex_);
   std::unordered_map<cluster::NodeId, SlowState> slow_
       FASTPR_GUARDED_BY(mutex_);
-  double slow_base_rate_ FASTPR_GUARDED_BY(mutex_);
 };
 
 }  // namespace fastpr::net

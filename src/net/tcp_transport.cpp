@@ -48,16 +48,10 @@ bool read_all(int fd, uint8_t* data, size_t len) {
 }  // namespace
 
 TcpTransport::TcpTransport(int num_nodes, const Options& options)
-    : options_(options) {
-  FASTPR_CHECK(num_nodes >= 1);
+    : ShapedTransport(num_nodes, options) {
   endpoints_.reserve(static_cast<size_t>(num_nodes));
   for (int i = 0; i < num_nodes; ++i) {
     auto ep = std::make_unique<Endpoint>();
-    ep->tx = std::make_unique<TokenBucket>(options.net_bytes_per_sec,
-                                           kNicBurstBytes);
-    ep->rx = std::make_unique<TokenBucket>(options.net_bytes_per_sec,
-                                           kNicBurstBytes);
-
     ep->listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
     FASTPR_CHECK_MSG(ep->listen_fd >= 0, "socket() failed");
     int yes = 1;
@@ -98,7 +92,6 @@ void TcpTransport::accept_loop(int node) {
 }
 
 void TcpTransport::reader_loop(int node, int fd) {
-  auto& ep = *endpoints_[static_cast<size_t>(node)];
   // Pool-backed frame staging, reused across the connection's lifetime:
   // one connection parses thousands of packet frames and this avoids a
   // frame-sized allocation (and zero-fill) per packet. The deserialized
@@ -128,22 +121,16 @@ void TcpTransport::reader_loop(int node, int fd) {
       LOG_WARN("tcp: malformed frame dropped on node " << node);
       continue;
     }
-    if (is_data_packet(msg->type)) {
-      ep.rx->acquire(static_cast<int64_t>(frame.size()));
-      // Delivery timestamp AFTER rx shaping, so the flow monitor sees
-      // the link's achieved (shaped) rate.
-      if (options_.flow_monitor != nullptr) {
-        options_.flow_monitor->on_rx(msg->from, msg->to,
-                                     static_cast<int64_t>(frame.size()),
-                                     telemetry::trace_now_us());
-      }
+    // Senders write each frame to its addressee's socket, so a frame
+    // naming another node is as corrupt as an unparsable one.
+    if (msg->to != node) {
+      LOG_WARN("tcp: misaddressed frame dropped on node " << node);
+      continue;
     }
-    {
-      MutexLock lock(ep.mutex);
-      if (closed_.load(std::memory_order_acquire)) break;
-      ep.inbox.push_back(std::move(*msg));
-    }
-    ep.cv.notify_one();
+    const int64_t data_bytes =
+        is_data_packet(msg->type) ? static_cast<int64_t>(frame.size()) : 0;
+    if (data_bytes > 0) shape_rx(*msg, data_bytes);
+    if (!deliver(std::move(*msg), data_bytes)) break;
   }
   ::close(fd);
 }
@@ -167,8 +154,7 @@ int TcpTransport::connect_to(Endpoint::Conn& conn, int dst) {
     ::close(fd);
     // The listen socket vanishes when shutdown() races us; that is an
     // orderly refusal, not a protocol error.
-    FASTPR_CHECK_MSG(closed_.load(std::memory_order_acquire),
-                     "connect() to node " << dst << " failed");
+    FASTPR_CHECK_MSG(closed(), "connect() to node " << dst << " failed");
     return -1;
   }
   conn.fd = fd;
@@ -176,25 +162,12 @@ int TcpTransport::connect_to(Endpoint::Conn& conn, int dst) {
 }
 
 void TcpTransport::send(Message msg) {
-  FASTPR_CHECK(msg.from >= 0 &&
-               msg.from < static_cast<int>(endpoints_.size()));
-  FASTPR_CHECK(msg.to >= 0 && msg.to < static_cast<int>(endpoints_.size()));
+  check_route(msg);
   auto& ep = *endpoints_[static_cast<size_t>(msg.from)];
 
   const auto frame = serialize_pooled(msg);
   if (is_data_packet(msg.type)) {
-    int64_t tx_bytes = static_cast<int64_t>(frame.size());
-    if (msg.hop != 0 && options_.chain_hop_overhead_seconds > 0) {
-      // Chain-hop store-and-forward cost, mirroring InprocTransport.
-      tx_bytes += static_cast<int64_t>(
-          options_.chain_hop_overhead_seconds * ep.tx->rate());
-    }
-    ep.tx->acquire(tx_bytes);
-    if (options_.flow_monitor != nullptr) {
-      options_.flow_monitor->on_tx(msg.from, msg.to,
-                                   static_cast<int64_t>(frame.size()),
-                                   telemetry::trace_now_us());
-    }
+    shape_tx(msg, static_cast<int64_t>(frame.size()));
   }
 
   static telemetry::Counter& tx_frames =
@@ -212,14 +185,14 @@ void TcpTransport::send(Message msg) {
   std::shared_ptr<Endpoint::Conn> conn;
   {
     MutexLock lock(ep.conn_mutex);
-    if (closed_.load(std::memory_order_acquire)) return;
+    if (closed()) return;
     auto& slot = ep.conns[msg.to];
     if (!slot) slot = std::make_shared<Endpoint::Conn>();
     conn = slot;
   }
 
   MutexLock write_lock(conn->write_mutex);
-  if (closed_.load(std::memory_order_acquire)) return;
+  if (closed()) return;
   const int fd = connect_to(*conn, msg.to);
   if (fd < 0) return;  // shutdown() raced the lazy connect
   const uint32_t frame_len = static_cast<uint32_t>(frame.size());
@@ -233,42 +206,13 @@ void TcpTransport::send(Message msg) {
     conn->fd = -1;
     // A write torn by shutdown() closing the socket is orderly; any
     // other failure is a broken peer and must surface.
-    FASTPR_CHECK_MSG(closed_.load(std::memory_order_acquire),
-                     "tcp send to node " << msg.to << " failed");
+    FASTPR_CHECK_MSG(closed(), "tcp send to node " << msg.to << " failed");
   }
-}
-
-std::optional<Message> TcpTransport::recv(
-    cluster::NodeId node, std::optional<std::chrono::milliseconds> timeout) {
-  FASTPR_CHECK(node >= 0 && node < static_cast<int>(endpoints_.size()));
-  auto& ep = *endpoints_[static_cast<size_t>(node)];
-  MutexLock lock(ep.mutex);
-  const auto ready = [&]() FASTPR_REQUIRES(ep.mutex) {
-    return closed_.load(std::memory_order_acquire) || !ep.inbox.empty();
-  };
-  if (timeout.has_value()) {
-    if (!ep.cv.wait_for(ep.mutex, *timeout, ready)) return std::nullopt;
-  } else {
-    ep.cv.wait(ep.mutex, ready);
-  }
-  if (ep.inbox.empty()) return std::nullopt;  // closed
-  Message msg = std::move(ep.inbox.front());
-  ep.inbox.pop_front();
-  return msg;
 }
 
 void TcpTransport::shutdown() {
-  if (closed_.exchange(true, std::memory_order_acq_rel)) return;
+  if (!close_and_wake()) return;
   for (auto& ep : endpoints_) {
-    {
-      // Acquire the inbox lock so a racing recv() observes closed_
-      // before it starts an indefinite wait.
-      MutexLock lock(ep->mutex);
-    }
-    ep->cv.notify_all();
-    // Unlimit buckets so senders blocked on tokens drain out.
-    ep->tx->set_rate(0);
-    ep->rx->set_rate(0);
     ::shutdown(ep->listen_fd, SHUT_RDWR);
     ::close(ep->listen_fd);
     {

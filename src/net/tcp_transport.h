@@ -3,47 +3,29 @@
 // Every node binds an ephemeral 127.0.0.1 port; an accept thread plus
 // per-connection reader threads parse length-prefixed frames into the
 // node's inbox. Senders keep one persistent connection per (src, dst)
-// pair. Optional token buckets shape per-node bandwidth exactly like the
-// in-process transport, so the agent protocol can be exercised over a
-// real network stack with the same timing semantics.
+// pair. The shaped core (net/transport.h) holds the inboxes and NICs: a
+// send shapes the sender's tx before writing the frame, and the
+// receiver's reader thread shapes rx before delivering, so the agent
+// protocol runs over a real network stack with the same timing
+// semantics and byte accounting as the in-process transport.
 #pragma once
 
-#include <atomic>
-#include <deque>
 #include <map>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "net/transport.h"
-#include "telemetry/flow_monitor.h"
-#include "util/mutex.h"
-#include "util/token_bucket.h"
 
 namespace fastpr::net {
 
-class TcpTransport final : public Transport {
+class TcpTransport final : public ShapedTransport {
  public:
-  struct Options {
-    double net_bytes_per_sec = 0;  // <=0: unlimited
-    /// Per-packet store-and-forward cost of a chain hop (data packets
-    /// addressed to a hop >= 1), charged as byte-equivalent time at the
-    /// sender's NIC rate — see InprocTransport::Options for the full
-    /// rationale. No effect on unthrottled transports.
-    double chain_hop_overhead_seconds = 0;
-    /// When set, every data packet's transmit/delivery is reported to
-    /// this monitor as per-link flow samples. Not owned; must outlive
-    /// the transport.
-    telemetry::FlowMonitor* flow_monitor = nullptr;
-  };
-
   TcpTransport(int num_nodes, const Options& options);
   ~TcpTransport() override;
 
   void send(Message msg) override;
-  std::optional<Message> recv(
-      cluster::NodeId node,
-      std::optional<std::chrono::milliseconds> timeout) override;
+  /// Closes the shaped core, then the sockets, and joins every thread.
   void shutdown() override;
 
  private:
@@ -56,13 +38,6 @@ class TcpTransport final : public Transport {
     Mutex reader_mutex{lock_order::kNetReader};
     std::vector<std::thread> reader_threads
         FASTPR_GUARDED_BY(reader_mutex);
-    // Inbox, one lock + cv per endpoint so a frame delivery wakes only
-    // its addressee's dispatcher (mirrors InprocTransport).
-    Mutex mutex{lock_order::kNetInbox};
-    CondVar cv;
-    std::deque<Message> inbox FASTPR_GUARDED_BY(mutex);
-    std::unique_ptr<TokenBucket> tx;
-    std::unique_ptr<TokenBucket> rx;
     // One cached outgoing connection. write_mutex serializes frame
     // writes on this destination's socket only — concurrent sender
     // threads aiming at different destinations proceed in parallel —
@@ -89,9 +64,7 @@ class TcpTransport final : public Transport {
   int connect_to(Endpoint::Conn& conn, int dst)
       FASTPR_REQUIRES(conn.write_mutex);
 
-  Options options_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  std::atomic<bool> closed_{false};
 };
 
 }  // namespace fastpr::net

@@ -569,41 +569,55 @@ TEST(Testbed, RepeatedEvacuationTakesNoChunkPoolMisses) {
 
 TEST(Testbed, TrafficAmplificationMatchesTheory) {
   // The paper's core premise in bytes: migrating U chunks moves ~U*c
-  // over the network, reconstructing them moves ~k*U*c.
+  // over the network, reconstructing them moves ~k*U*c. Both transports
+  // count the same repair bytes for the same plan.
   ec::RsCode code(6, 4);
-  auto opts = small_options(88);
-  const double c = static_cast<double>(opts.chunk_bytes);
-
-  int64_t migration_bytes = 0, reconstruction_bytes = 0;
-  int repaired = 0;
-  {
-    agent::Testbed tb(opts, code);
-    tb.flag_stf();
-    auto planner = tb.make_planner(core::Scenario::kScattered);
-    const auto plan = planner.plan_migration_only();
-    const auto report = tb.execute(plan);
-    ASSERT_TRUE(report.success);
-    migration_bytes = report.network_bytes;
-    repaired = report.repaired();
+  struct Traffic {
+    int64_t migration_bytes = 0;
+    int64_t reconstruction_bytes = 0;
+    int repaired = 0;
+  };
+  const auto measure = [&](bool use_tcp) {
+    auto opts = small_options(88);
+    opts.use_tcp = use_tcp;
+    Traffic traffic;
+    {
+      agent::Testbed tb(opts, code);
+      tb.flag_stf();
+      auto planner = tb.make_planner(core::Scenario::kScattered);
+      const auto plan = planner.plan_migration_only();
+      const auto report = tb.execute(plan);
+      EXPECT_TRUE(report.success && tb.verify(plan));
+      traffic.migration_bytes = report.network_bytes;
+      traffic.repaired = report.repaired();
+    }
+    {
+      agent::Testbed tb(opts, code);
+      tb.flag_stf();
+      auto planner = tb.make_planner(core::Scenario::kScattered);
+      const auto plan = planner.plan_reconstruction_only();
+      const auto report = tb.execute(plan);
+      EXPECT_TRUE(report.success && tb.verify(plan));
+      traffic.reconstruction_bytes = report.network_bytes;
+    }
+    return traffic;
+  };
+  const Traffic inproc = measure(false);
+  const Traffic tcp = measure(true);
+  EXPECT_EQ(tcp.migration_bytes, inproc.migration_bytes);
+  EXPECT_EQ(tcp.reconstruction_bytes, inproc.reconstruction_bytes);
+  const double c = static_cast<double>(small_options(88).chunk_bytes);
+  for (const Traffic& t : {inproc, tcp}) {
+    ASSERT_GT(t.repaired, 0);
+    // Small slack for packet headers.
+    EXPECT_NEAR(static_cast<double>(t.migration_bytes), t.repaired * c,
+                t.repaired * c * 0.05);
+    EXPECT_NEAR(static_cast<double>(t.reconstruction_bytes),
+                4.0 * t.repaired * c, t.repaired * c * 0.2);
+    EXPECT_NEAR(static_cast<double>(t.reconstruction_bytes) /
+                    static_cast<double>(t.migration_bytes),
+                4.0, 0.2);
   }
-  {
-    agent::Testbed tb(opts, code);
-    tb.flag_stf();
-    auto planner = tb.make_planner(core::Scenario::kScattered);
-    const auto plan = planner.plan_reconstruction_only();
-    const auto report = tb.execute(plan);
-    ASSERT_TRUE(report.success);
-    reconstruction_bytes = report.network_bytes;
-  }
-  ASSERT_GT(repaired, 0);
-  // Small slack for packet headers.
-  EXPECT_NEAR(static_cast<double>(migration_bytes), repaired * c,
-              repaired * c * 0.05);
-  EXPECT_NEAR(static_cast<double>(reconstruction_bytes),
-              4.0 * repaired * c, repaired * c * 0.2);
-  EXPECT_NEAR(static_cast<double>(reconstruction_bytes) /
-                  static_cast<double>(migration_bytes),
-              4.0, 0.2);
 }
 
 }  // namespace

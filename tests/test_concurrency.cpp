@@ -217,7 +217,9 @@ TEST(ChunkStoreStress, ConcurrentErrorInjectionAndReads) {
         const auto data = store.read(ChunkRef{i, 0});
         // Either outcome is legal mid-injection, but a present read must
         // be intact.
-        if (data.has_value()) EXPECT_EQ(data->size(), blob.size());
+        if (data.has_value()) {
+          EXPECT_EQ(data->size(), blob.size());
+        }
       }
     }
   });

@@ -1,5 +1,6 @@
 // Transports: delivery, ordering, shutdown semantics, bandwidth shaping
-// timing, and TCP-over-loopback equivalence.
+// timing, byte accounting and foreground NIC charges — every case on
+// both transports, which share one shaped core.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -30,20 +31,21 @@ Message control(int from, int to, MessageType type = MessageType::kTaskDone) {
   return m;
 }
 
-template <typename T>
-std::unique_ptr<Transport> make_transport(int nodes, double rate) {
-  typename T::Options opts;
-  opts.net_bytes_per_sec = rate;
-  return std::make_unique<T>(nodes, opts);
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 class TransportTest : public ::testing::TestWithParam<const char*> {
  protected:
-  std::unique_ptr<Transport> create(int nodes, double rate = 0) {
+  std::unique_ptr<ShapedTransport> create(int nodes, double rate = 0) {
+    ShapedTransport::Options opts;
+    opts.net_bytes_per_sec = rate;
     if (std::string(GetParam()) == "tcp") {
-      return make_transport<TcpTransport>(nodes, rate);
+      return std::make_unique<TcpTransport>(nodes, opts);
     }
-    return make_transport<InprocTransport>(nodes, rate);
+    return std::make_unique<InprocTransport>(nodes, opts);
   }
 };
 
@@ -109,9 +111,7 @@ TEST_P(TransportTest, ShapingSlowsDataPackets) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(t->recv(1, std::chrono::milliseconds(10000)).has_value());
   }
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double secs = seconds_since(start);
   EXPECT_GT(secs, 0.3);
   t->shutdown();
 }
@@ -123,45 +123,61 @@ TEST_P(TransportTest, ControlMessagesRideFree) {
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(t->recv(1, std::chrono::milliseconds(2000)).has_value());
   }
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double secs = seconds_since(start);
   EXPECT_LT(secs, 1.0);
   t->shutdown();
 }
 
-INSTANTIATE_TEST_SUITE_P(Kinds, TransportTest,
-                         ::testing::Values("inproc", "tcp"));
-
-TEST(InprocTransport, TracksBytesSent) {
-  // Repair-traffic accounting: a control message adds nothing, a data
-  // packet adds its encoded size.
-  InprocTransport::Options opts;
-  InprocTransport t(2, opts);
-  t.send(control(0, 1));
-  EXPECT_EQ(t.data_bytes_sent(), 0);
+TEST_P(TransportTest, TracksBytesSent) {
+  // Repair-traffic accounting: a control message adds nothing, a
+  // delivered data packet adds its encoded size.
+  auto t = create(2);
+  t->send(control(0, 1));
+  ASSERT_TRUE(t->recv(1, std::chrono::milliseconds(2000)).has_value());
+  EXPECT_EQ(t->data_bytes_sent(), 0);
   auto packet = data_packet(0, 1, 1000);
   const auto size = packet.encoded_size();
-  t.send(std::move(packet));
-  EXPECT_EQ(t.data_bytes_sent(), static_cast<int64_t>(size));
-  t.shutdown();
+  t->send(std::move(packet));
+  ASSERT_TRUE(t->recv(1, std::chrono::milliseconds(2000)).has_value());
+  EXPECT_EQ(t->data_bytes_sent(), static_cast<int64_t>(size));
+  t->shutdown();
 }
 
-TEST(InprocTransport, PerNodeBandwidthOverride) {
-  InprocTransport::Options opts;
-  opts.net_bytes_per_sec = 0;  // unlimited default
-  InprocTransport t(3, opts);
-  t.set_node_bandwidth(1, MBps(1));  // throttle node 1 only
-  // Node 0 → 2 stays fast.
-  const auto start = std::chrono::steady_clock::now();
-  t.send(data_packet(0, 2, 4'000'000));
-  ASSERT_TRUE(t.recv(2, std::chrono::milliseconds(3000)).has_value());
-  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count(),
-            0.5);
-  t.shutdown();
+TEST_P(TransportTest, ChargesPaceLikeADataPacket) {
+  // Foreground traffic charges the NIC buckets a data packet crosses:
+  // charging a packet's encoded size to the sender's tx and then the
+  // receiver's rx takes as long as sending the packet itself. Each
+  // bucket starts full (one burst), so each side waits for the rest.
+  constexpr double kRate = 8e6;  // bytes/s
+  auto packet = data_packet(0, 1, 3 * kMiB);
+  const int64_t bytes = static_cast<int64_t>(packet.encoded_size());
+  const double per_bucket_s =
+      static_cast<double>(bytes - kNicBurstBytes) / kRate;
+
+  auto sent = create(2, kRate);
+  auto start = std::chrono::steady_clock::now();
+  sent->send(std::move(packet));
+  ASSERT_TRUE(sent->recv(1, std::chrono::milliseconds(10000)).has_value());
+  const double packet_s = seconds_since(start);
+  sent->shutdown();
+
+  auto charged = create(2, kRate);
+  start = std::chrono::steady_clock::now();
+  charged->charge_tx(0, bytes);
+  const double tx_s = seconds_since(start);
+  charged->charge_rx(1, bytes);
+  const double charge_s = seconds_since(start);
+  charged->shutdown();
+
+  EXPECT_GT(tx_s, 0.9 * per_bucket_s);
+  EXPECT_GT(charge_s - tx_s, 0.9 * per_bucket_s);
+  EXPECT_GT(packet_s, 0.9 * 2 * per_bucket_s);
+  EXPECT_NEAR(charge_s / packet_s, 1.0, 0.5)
+      << "charges " << charge_s << " s, packet " << packet_s << " s";
 }
+
+INSTANTIATE_TEST_SUITE_P(Kinds, TransportTest,
+                         ::testing::Values("inproc", "tcp"));
 
 TEST(TcpTransport, ManyNodesBootAndStop) {
   TcpTransport::Options opts;

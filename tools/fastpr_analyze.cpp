@@ -438,7 +438,7 @@ const char* kBlockingTokens[] = {
     "transport.recv",  "inner_.send",     "inner_.recv",
     "write_all(",      "read_all(",       "::connect(",
     "::accept(",       "sleep_for(",      ".join(",
-    "tx->acquire(",    "rx->acquire(",    "disk_->acquire(",
+    ".tx.acquire(",    ".rx.acquire(",    "disk_->acquire(",
     ".charge_io(",     "->charge_io(",    "store_.read(",
     "store_.write(",
 };

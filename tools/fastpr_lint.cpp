@@ -263,9 +263,6 @@ void check_line(const fs::path& rel, int lineno, const std::string& raw,
     for (const char* tok : kConfigTokens) {
       if (code.find(tok) != std::string::npos) config_line = true;
     }
-    if (!config_line && has_call(code, "set_node_bandwidth")) {
-      config_line = true;
-    }
     if (config_line) {
       bool has_magnitude = false;
       for (const char* mag : kMagnitudes) {
