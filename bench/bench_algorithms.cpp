@@ -179,9 +179,10 @@ void BM_FindReconstructionSets(benchmark::State& state) {
   }
   std::vector<cluster::NodeId> healthy;
   for (int i = 1; i < 100; ++i) healthy.push_back(i);
+  const ec::RsCode code(9, 6);
   for (auto _ : state) {
     auto sets =
-        core::find_reconstruction_sets(layout, 0, healthy, 6, {});
+        core::find_reconstruction_sets(layout, 0, healthy, code, {});
     benchmark::DoNotOptimize(sets.size());
   }
 }

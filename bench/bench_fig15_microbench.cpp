@@ -14,6 +14,7 @@
 
 #include "bench_common.h"
 #include "core/recon_sets.h"
+#include "ec/rs_code.h"
 #include "util/rng.h"
 
 using namespace fastpr;
@@ -43,6 +44,7 @@ std::vector<NodeId> healthy(int num_nodes) {
 
 const int kM = 100;
 const int kN = 9, kK = 6;
+const ec::RsCode kCode(kN, kK);
 
 /// Set counts (d_ini, d_opt) of part (a)'s layouts, per |C| and seed.
 /// Algorithm 1 is deterministic, so any change to them is a change to
@@ -72,10 +74,10 @@ bool reduction_table(std::initializer_list<int> sizes) {
       on.optimize = true;
       off.optimize = false;
       const size_t d_opt =
-          core::find_reconstruction_sets(layout, 0, healthy(kM), kK, on)
+          core::find_reconstruction_sets(layout, 0, healthy(kM), kCode, on)
               .size();
       const size_t d_ini =
-          core::find_reconstruction_sets(layout, 0, healthy(kM), kK, off)
+          core::find_reconstruction_sets(layout, 0, healthy(kM), kCode, off)
               .size();
       if (d_opt > d_ini) {
         std::printf("FAIL: |C|=%d seed %llu: d_opt %zu > d_ini %zu\n",
@@ -129,8 +131,8 @@ int main(int argc, char** argv) {
       const auto layout = pinned_layout(kM, kN, chunks, rng);
       core::ReconSetStats stats;
       const auto start = std::chrono::steady_clock::now();
-      (void)core::find_reconstruction_sets(layout, 0, healthy(kM), kK, {},
-                                           &stats);
+      (void)core::find_reconstruction_sets(layout, 0, healthy(kM), kCode,
+                                           {}, &stats);
       const double secs = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();
@@ -153,8 +155,8 @@ int main(int argc, char** argv) {
       core::ReconSetOptions opts;
       opts.chunk_group_size = group;
       const auto start = std::chrono::steady_clock::now();
-      const auto sets = core::find_reconstruction_sets(layout, 0,
-                                                       healthy(kM), kK, opts);
+      const auto sets = core::find_reconstruction_sets(
+          layout, 0, healthy(kM), kCode, opts);
       const double secs = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();

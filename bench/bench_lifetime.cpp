@@ -4,6 +4,7 @@
 // over a simulated year of cluster operation.
 #include "bench_common.h"
 
+#include "ec/rs_code.h"
 #include "lifetime/lifetime_sim.h"
 
 using namespace fastpr;
@@ -17,8 +18,7 @@ int main() {
 
   lifetime::LifetimeConfig cfg;
   cfg.num_nodes = 60;
-  cfg.n = 9;
-  cfg.k = 6;
+  cfg.code = std::make_shared<const ec::RsCode>(9, 6);
   cfg.num_stripes = 400;
   cfg.chunk_bytes = static_cast<double>(MB(64));
   cfg.disk_bw = MBps(100);

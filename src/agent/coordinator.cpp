@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 
+#include "core/placement.h"
 #include "telemetry/metrics.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -111,7 +112,7 @@ void Coordinator::cancel_attempt(uint64_t task_id, const PendingTask& task,
   }
 }
 
-std::vector<core::SourceRead> Coordinator::pick_sources(
+std::optional<std::vector<core::SourceRead>> Coordinator::pick_sources(
     ChunkRef chunk, NodeId dst,
     const std::unordered_set<NodeId>& exclude) const {
   // k helpers from the stripe's other nodes. We cannot use an STF batch
@@ -119,21 +120,11 @@ std::vector<core::SourceRead> Coordinator::pick_sources(
   // known-failed node; beyond that any k suffice for RS, and the code
   // object picks valid helpers for LRC (local group first, global
   // parities when the group is depleted).
-  const auto& nodes = layout_.stripe_nodes(chunk.stripe);
-  std::vector<bool> available(nodes.size(), false);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    available[i] = nodes[i] != dst && stf_set_.count(nodes[i]) == 0 &&
-                   exclude.count(nodes[i]) == 0 &&
-                   static_cast<int>(i) != chunk.index;
-  }
-  const auto helpers = code_.repair_helpers(chunk.index, available);
-  std::vector<core::SourceRead> sources;
-  sources.reserve(helpers.size());
-  for (int h : helpers) {
-    sources.push_back(core::SourceRead{
-        nodes[static_cast<size_t>(h)], ChunkRef{chunk.stripe, h}});
-  }
-  return sources;
+  return core::pick_helpers(
+      code_, chunk, layout_.stripe_nodes(chunk.stripe), [&](NodeId node) {
+        return node != dst && stf_set_.count(node) == 0 &&
+               exclude.count(node) == 0;
+      });
 }
 
 // A dead STF node is also in failed_nodes_, so "bad" covers both.
@@ -172,11 +163,9 @@ bool Coordinator::rebuild_task(PendingTask& task, ExecutionReport& report) {
   if (!task.migration) {
     std::unordered_set<NodeId> exclude = task.excluded;
     exclude.insert(failed_nodes_.begin(), failed_nodes_.end());
-    try {
-      t.sources = pick_sources(t.chunk, dst, exclude);
-    } catch (const CheckFailure&) {
-      return false;  // fewer than k viable chunks left in the stripe
-    }
+    auto sources = pick_sources(t.chunk, dst, exclude);
+    if (!sources.has_value()) return false;  // too few viable chunks left
+    t.sources = std::move(*sources);
   }
   t.dst = dst;
   return true;

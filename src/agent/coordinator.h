@@ -30,6 +30,7 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -202,10 +203,9 @@ class Coordinator {
   /// Helper selection for reconstructing `chunk` onto `dst`: k viable
   /// sources from the stripe's nodes, skipping every member of the STF
   /// batch being executed, the destination and everything in `exclude`.
-  /// LRC falls back from the local group to global parities via
-  /// ErasureCode::repair_helpers. Throws CheckFailure when the chunk is
-  /// unrepairable.
-  std::vector<core::SourceRead> pick_sources(
+  /// LRC falls back from the local group to global parities
+  /// (core::pick_helpers). nullopt when the chunk is unrepairable.
+  std::optional<std::vector<core::SourceRead>> pick_sources(
       cluster::ChunkRef chunk, cluster::NodeId dst,
       const std::unordered_set<cluster::NodeId>& exclude) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "gf/gf256.h"
@@ -379,11 +378,7 @@ std::vector<telemetry::PredictedRound> Testbed::predict_rounds(
     p.cm = static_cast<int>(round.migrations.size());
     // Migration streams run in parallel, one per STF disk; the round is
     // paced by the most-loaded source (DESIGN.md §8).
-    std::unordered_map<NodeId, int> per_src;
-    int slowest_stream_cm = 0;
-    for (const auto& task : round.migrations) {
-      slowest_stream_cm = std::max(slowest_stream_cm, ++per_src[task.src]);
-    }
+    const int slowest_stream_cm = round.busiest_migration_stream();
     p.duration_seconds =
         model.round_time(p.cr, slowest_stream_cm, round.strategy);
     // Phase expectations the drift tables diff the measured tr/tm

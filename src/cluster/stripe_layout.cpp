@@ -62,7 +62,6 @@ StripeId StripeLayout::add_stripe(const std::vector<NodeId>& nodes) {
     FASTPR_CHECK(node >= 0 && node < num_nodes_);
   }
   const StripeId id = static_cast<StripeId>(stripe_nodes_.size());
-  ++version_;
   stripe_nodes_.push_back(nodes);
   for (int i = 0; i < chunks_per_stripe_; ++i) {
     node_chunks_[static_cast<size_t>(nodes[static_cast<size_t>(i)])]
@@ -104,7 +103,6 @@ void StripeLayout::move_chunk(ChunkRef chunk, NodeId dst) {
   FASTPR_CHECK_MSG(!stripe_uses_node(chunk.stripe, dst),
                    "destination already holds a chunk of stripe "
                        << chunk.stripe);
-  ++version_;
   stripe_nodes_[static_cast<size_t>(chunk.stripe)]
                [static_cast<size_t>(chunk.index)] = dst;
   auto& src_list = node_chunks_[static_cast<size_t>(src)];

@@ -66,11 +66,6 @@ class StripeLayout {
   /// throws CheckFailure on violation. Tests call this after mutations.
   void check_invariants() const;
 
-  /// Monotone counter bumped by every mutation (add_stripe, move_chunk).
-  /// Consumers that precompute against a layout (e.g. the §IV-D
-  /// reconstruction-set cache) use it to detect staleness.
-  uint64_t version() const { return version_; }
-
  private:
   int num_nodes_;
   int chunks_per_stripe_;
@@ -78,7 +73,6 @@ class StripeLayout {
   std::vector<std::vector<NodeId>> stripe_nodes_;
   /// node_chunks_[node] = chunks stored on node (derived index).
   std::vector<std::vector<ChunkRef>> node_chunks_;
-  uint64_t version_ = 0;
 };
 
 }  // namespace fastpr::cluster

@@ -177,10 +177,6 @@ double CostModel::reactive_time_per_chunk() const {
   return reactive_time() / params_.stf_chunks;
 }
 
-double CostModel::migration_only_time_per_chunk() const {
-  return migration_only_time() / params_.stf_chunks;
-}
-
 int CostModel::migration_quota(int cr, RepairStrategy strategy) const {
   if (cr <= 0) return 0;
   const double quota = tr(static_cast<double>(cr), strategy) / tm();

@@ -150,7 +150,6 @@ class CostModel {
   /// Per-chunk variants (what every paper figure plots).
   double predictive_time_per_chunk() const;
   double reactive_time_per_chunk() const;
-  double migration_only_time_per_chunk() const;
 
   /// Scheduler hook (§IV-C): chunks to migrate during one reconstruction
   /// round of cr chunks under `strategy`, cm = tr(cr)/tm, floored to

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "core/placement.h"
+#include "ec/rs_code.h"
 #include "telemetry/trace.h"
 #include "util/check.h"
 
@@ -24,19 +25,18 @@ void distribute_forced_migrations(std::vector<ScheduledRound>& rounds,
                                   int round_cap) {
   if (forced.empty()) return;
   if (rounds.empty()) rounds.emplace_back();
+  const auto full = [&](const ScheduledRound& r) {
+    return round_cap > 0 && static_cast<int>(r.reconstruct.size() +
+                                             r.migrate.size()) >= round_cap;
+  };
   size_t next = 0;
   for (ChunkRef chunk : forced) {
     size_t tried = 0;
-    while (round_cap > 0 && tried < rounds.size()) {
-      const auto& r = rounds[next % rounds.size()];
-      if (static_cast<int>(r.reconstruct.size() + r.migrate.size()) <
-          round_cap) {
-        break;
-      }
+    while (tried < rounds.size() && full(rounds[next % rounds.size()])) {
       ++next;
       ++tried;
     }
-    if (round_cap > 0 && tried == rounds.size()) {
+    if (tried == rounds.size()) {
       rounds.emplace_back();
       next = rounds.size() - 1;
     }
@@ -57,6 +57,15 @@ FastPrPlanner::FastPrPlanner(const cluster::StripeLayout& layout,
   FASTPR_CHECK_MSG(!batch_.empty(), "no STF node flagged in the cluster");
   FASTPR_CHECK(options.k_repair >= 1);
   FASTPR_CHECK(options.chunk_bytes > 0);
+  if (options_.code == nullptr) {
+    default_code_ = std::make_unique<ec::RsCode>(layout.chunks_per_stripe(),
+                                                 options.k_repair);
+    options_.code = default_code_.get();
+  }
+  FASTPR_CHECK_MSG(code().repair_fetch_count(0) == options.k_repair,
+                   "k_repair " << options.k_repair << " differs from "
+                               << code().name() << "'s fetch count "
+                               << code().repair_fetch_count(0));
   if (options.scenario == Scenario::kHotStandby) {
     // A stripe may lose up to B chunks to the batch, and §IV-A demands
     // they land on B distinct spares — so a hot-standby batch can never
@@ -68,12 +77,6 @@ FastPrPlanner::FastPrPlanner(const cluster::StripeLayout& layout,
                                 << batch_.size() << " spares, have "
                                 << cluster.num_hot_standby());
   }
-}
-
-std::vector<NodeId> FastPrPlanner::source_nodes() const {
-  // Healthy storage nodes only — every batch member is flagged, so STF
-  // nodes never serve as helpers for each other.
-  return cluster_.healthy_storage_nodes();
 }
 
 std::vector<NodeId> FastPrPlanner::dest_nodes() const {
@@ -102,15 +105,6 @@ ReconSetOptions FastPrPlanner::effective_recon_options(size_t dests) const {
   }
   if (opts.topology == nullptr) opts.topology = options_.topology;
   return opts;
-}
-
-SchedulerOptions FastPrPlanner::effective_sched_options() const {
-  SchedulerOptions sched = options_.sched;
-  if (options_.scenario == Scenario::kScattered) {
-    sched.max_round_repairs =
-        scattered_round_capacity(cluster_.healthy_storage_nodes().size());
-  }
-  return sched;
 }
 
 CostModel FastPrPlanner::model_for(const std::vector<NodeId>& members) const {
@@ -144,45 +138,24 @@ CostModel FastPrPlanner::model_for(const std::vector<NodeId>& members) const {
 
 CostModel FastPrPlanner::cost_model() const { return model_for(batch_); }
 
-std::vector<char> FastPrPlanner::live_mask(
-    const std::vector<NodeId>& live) const {
-  std::vector<char> mask(
-      static_cast<size_t>(std::max(layout_.num_nodes(), cluster_.num_nodes())),
-      0);
-  for (NodeId node : live) mask[static_cast<size_t>(node)] = 1;
-  return mask;
-}
-
-bool FastPrPlanner::reaches_helpers(ChunkRef chunk,
-                                    const std::vector<char>& live) const {
-  const auto& nodes = layout_.stripe_nodes(chunk.stripe);
-  int helpers = 0;
-  if (options_.code != nullptr) {
-    for (int idx : options_.code->helper_candidates(chunk.index)) {
-      helpers += live[static_cast<size_t>(nodes[static_cast<size_t>(idx)])];
-    }
-  } else {
-    for (NodeId node : nodes) helpers += live[static_cast<size_t>(node)];
-  }
-  return helpers >= (options_.code != nullptr
-                         ? options_.code->repair_fetch_count(chunk.index)
-                         : options_.k_repair);
-}
-
-std::vector<ChunkRef> FastPrPlanner::split_forced_migrations(
-    std::vector<ChunkRef>& chunks) const {
-  // A stripe can lose several chunks to the batch at once; when fewer
-  // than k' healthy helpers survive, reconstruction is impossible and
-  // the chunk MUST be migrated while its member disk is still alive.
-  const auto healthy = live_mask(cluster_.healthy_storage_nodes());
-  std::vector<ChunkRef> searchable;
-  std::vector<ChunkRef> forced;
-  searchable.reserve(chunks.size());
+std::vector<ChunkRef> FastPrPlanner::split_unreachable(
+    std::vector<ChunkRef>& chunks, const std::vector<NodeId>& live) const {
+  std::vector<ChunkRef> reachable;
+  std::vector<ChunkRef> unreachable;
+  reachable.reserve(chunks.size());
   for (ChunkRef chunk : chunks) {
-    (reaches_helpers(chunk, healthy) ? searchable : forced).push_back(chunk);
+    const auto& nodes = layout_.stripe_nodes(chunk.stripe);
+    int helpers = 0;
+    for (int idx : code().helper_candidates(chunk.index)) {
+      helpers += std::binary_search(live.begin(), live.end(),
+                                    nodes[static_cast<size_t>(idx)]);
+    }
+    (helpers >= code().repair_fetch_count(chunk.index) ? reachable
+                                                        : unreachable)
+        .push_back(chunk);
   }
-  chunks.swap(searchable);
-  return forced;
+  chunks.swap(reachable);
+  return unreachable;
 }
 
 std::vector<ChunkRef> FastPrPlanner::batch_chunks(
@@ -198,19 +171,75 @@ std::vector<ChunkRef> FastPrPlanner::batch_chunks(
   return chunks;
 }
 
-const std::vector<std::vector<ChunkRef>>& FastPrPlanner::recon_sets() {
-  if (!sets_ready_) {
+FastPrPlanner::Search FastPrPlanner::search(
+    std::vector<ChunkRef> chunks, const std::vector<NodeId>& deprioritized) {
+  // Healthy storage nodes only — every batch member is flagged, so STF
+  // nodes never serve as helpers for each other.
+  const auto sources = cluster_.healthy_storage_nodes();
+  ReconSetOptions recon = effective_recon_options(sources.size());
+  Search found;
+  // A stripe can lose several chunks to the batch at once; when fewer
+  // than k' healthy helpers survive, reconstruction is impossible and
+  // the chunk MUST be migrated while its member disk is still alive.
+  found.forced = split_unreachable(chunks, sources);
+  if (!deprioritized.empty()) {
+    // Stragglers are planned around structurally: chunks that can still
+    // reach k' helpers without the deprioritized nodes form their sets
+    // over the REDUCED source list, so those rounds are matchable with
+    // zero straggler reads by construction. Preference ordering alone
+    // cannot deliver that — Algorithm 1 packs rounds to the full node
+    // count's capacity, leaving the per-round matching too saturated to
+    // route around even one avoided node. Chunks whose stripes lost too
+    // many holders to the straggler set fall back to the full source
+    // list with the stragglers merely deprioritized.
+    auto fast_sources = sources;
+    std::erase_if(fast_sources, [&](NodeId node) {
+      return std::find(deprioritized.begin(), deprioritized.end(), node) !=
+             deprioritized.end();
+    });
+    auto tainted = split_unreachable(chunks, fast_sources);
+    if (!chunks.empty()) {
+      found.sets = find_reconstruction_sets_for(
+          std::move(chunks), layout_, fast_sources, code(), recon,
+          &recon_stats_);
+    }
+    if (tainted.empty()) return found;
+    chunks = std::move(tainted);
+    recon.deprioritized = deprioritized;
+  }
+  auto sets = find_reconstruction_sets_for(std::move(chunks), layout_,
+                                           sources, code(), recon,
+                                           &recon_stats_);
+  found.sets.insert(found.sets.end(), std::make_move_iterator(sets.begin()),
+                    std::make_move_iterator(sets.end()));
+  return found;
+}
+
+const FastPrPlanner::Search& FastPrPlanner::full_search() {
+  if (!full_search_.has_value()) {
     FASTPR_TRACE_SPAN("planner.recon_sets", "planner");
     recon_stats_ = {};
-    auto chunks = batch_chunks();
-    forced_ = split_forced_migrations(chunks);
-    cached_sets_ = find_reconstruction_sets_for(
-        std::move(chunks), layout_, source_nodes(), options_.k_repair,
-        effective_recon_options(cluster_.healthy_storage_nodes().size()),
-        &recon_stats_, options_.code);
-    sets_ready_ = true;
+    full_search_ = search(batch_chunks());
   }
-  return cached_sets_;
+  return *full_search_;
+}
+
+std::vector<ScheduledRound> FastPrPlanner::schedule(
+    Search found, const std::vector<NodeId>& members) const {
+  SchedulerOptions sched = options_.sched;
+  if (options_.scenario == Scenario::kScattered) {
+    sched.max_round_repairs =
+        scattered_round_capacity(cluster_.healthy_storage_nodes().size());
+  }
+  const auto member_of = [&](ChunkRef chunk) {
+    return static_cast<int>(std::find(members.begin(), members.end(),
+                                      layout_.node_of(chunk)) -
+                            members.begin());
+  };
+  auto rounds = schedule_repair(std::move(found.sets), model_for(members),
+                                sched, member_of);
+  distribute_forced_migrations(rounds, found.forced, sched.max_round_repairs);
+  return rounds;
 }
 
 RepairPlan FastPrPlanner::empty_plan() const {
@@ -220,61 +249,45 @@ RepairPlan FastPrPlanner::empty_plan() const {
 }
 
 RepairPlan FastPrPlanner::place(const std::vector<ScheduledRound>& rounds,
-                                const std::vector<NodeId>* deprioritized)
-    const {
-  const auto sources = source_nodes();
+                                const std::vector<NodeId>* deprioritized,
+                                const std::vector<RepairRound>& done) const {
+  const auto sources = cluster_.healthy_storage_nodes();
   const auto dests = dest_nodes();
   PlacedOverlay placed(batch_chunks());
+  for (const auto& round : done) {
+    // Spares are exempt from the rack invariant (DESIGN.md §11).
+    placed.record(round, options_.scenario == Scenario::kScattered
+                             ? options_.topology
+                             : nullptr);
+  }
   int standby_cursor = 0;
   RepairPlan plan = empty_plan();
   plan.rounds.reserve(rounds.size());
   for (const auto& round : rounds) {
     plan.rounds.push_back(assign_round(
-        layout_, batch_, sources, dests, options_.scenario,
-        options_.k_repair, round, &standby_cursor, options_.code,
-        options_.balance_destinations, &placed, options_.topology,
-        deprioritized));
+        layout_, batch_, sources, dests, options_.scenario, code(), round,
+        &standby_cursor, options_.balance_destinations, &placed,
+        options_.topology, deprioritized));
   }
   return plan;
 }
 
 RepairPlan FastPrPlanner::plan_fastpr() {
   FASTPR_TRACE_SPAN("planner.plan_fastpr", "planner");
-  auto sets = recon_sets();  // copy: the scheduler splits sets
-  const SchedulerOptions sched = effective_sched_options();
+  Search found = full_search();  // copy: the scheduler splits sets
   const auto rounds = [&] {
     FASTPR_TRACE_SPAN("planner.schedule", "planner");
-    const auto member_of = [this](ChunkRef chunk) {
-      return static_cast<int>(
-          std::find(batch_.begin(), batch_.end(), layout_.node_of(chunk)) -
-          batch_.begin());
-    };
-    auto scheduled =
-        schedule_repair(std::move(sets), cost_model(), sched, member_of);
-    distribute_forced_migrations(scheduled, forced_, sched.max_round_repairs);
-    return scheduled;
+    return schedule(std::move(found), batch_);
   }();
   return place(rounds);
 }
 
 RepairPlan FastPrPlanner::plan_sequential() {
   FASTPR_TRACE_SPAN("planner.plan_sequential", "planner");
-  const auto sources = source_nodes();
-  const ReconSetOptions recon =
-      effective_recon_options(cluster_.healthy_storage_nodes().size());
-  const SchedulerOptions sched = effective_sched_options();
   recon_stats_ = {};
   std::vector<ScheduledRound> rounds;
   for (NodeId stf : batch_) {
-    auto chunks = layout_.chunks_on(stf);
-    const auto forced = split_forced_migrations(chunks);
-    auto sets = find_reconstruction_sets_for(
-        std::move(chunks), layout_, sources, options_.k_repair, recon,
-        &recon_stats_, options_.code);
-    auto member_rounds =
-        schedule_repair(std::move(sets), model_for({stf}), sched);
-    distribute_forced_migrations(member_rounds, forced,
-                                 sched.max_round_repairs);
+    auto member_rounds = schedule(search(layout_.chunks_on(stf)), {stf});
     rounds.insert(rounds.end(), std::make_move_iterator(member_rounds.begin()),
                   std::make_move_iterator(member_rounds.end()));
   }
@@ -286,7 +299,7 @@ RepairPlan FastPrPlanner::plan_reconstruction_only() {
                    "reconstruction-only baseline plans one STF node");
   const CostModel model = cost_model();
   std::vector<ScheduledRound> rounds;
-  for (const auto& set : recon_sets()) {
+  for (const auto& set : full_search().sets) {
     ScheduledRound& round = rounds.emplace_back();
     round.reconstruct = set;
     round.strategy = resolve_strategy(options_.sched.strategy, model,
@@ -336,68 +349,47 @@ ReactiveResult FastPrPlanner::plan_reactive(
       dead.push_back(node);
     }
   }
-  const auto alive = [&](const std::vector<NodeId>& nodes) {
-    std::vector<NodeId> kept;
-    for (NodeId node : nodes) {
-      if (std::find(dead.begin(), dead.end(), node) == dead.end()) {
-        kept.push_back(node);
-      }
-    }
-    return kept;
+  const auto alive = [&](std::vector<NodeId> nodes) {
+    std::erase_if(nodes, [&](NodeId node) {
+      return std::find(dead.begin(), dead.end(), node) != dead.end();
+    });
+    return nodes;
   };
   const auto live = alive(cluster_.healthy_storage_nodes());
   const auto dests = alive(dest_nodes());
-  const auto live_nodes = live_mask(live);
+  const auto is_live = [&](NodeId node) {
+    return std::binary_search(live.begin(), live.end(), node);
+  };
 
   // Chunks whose preferred candidates survived go through Algorithm 1;
   // the rest take the code's degraded path (LRC rebuilds through global
   // parities when a local group is damaged), or are lost.
-  std::vector<ChunkRef> matchable;
+  std::vector<ChunkRef> matchable = lost;
   std::vector<ReconstructionTask> degraded;
-  for (ChunkRef chunk : lost) {
-    if (reaches_helpers(chunk, live_nodes)) {
-      matchable.push_back(chunk);
-      continue;
+  for (ChunkRef chunk : split_unreachable(matchable, live)) {
+    auto sources = pick_helpers(code(), chunk,
+                                layout_.stripe_nodes(chunk.stripe), is_live);
+    if (sources.has_value()) {
+      degraded.push_back({chunk, std::move(*sources)});
+    } else {
+      out.unrepairable.push_back(chunk);
     }
-    if (options_.code != nullptr) {
-      const auto& nodes = layout_.stripe_nodes(chunk.stripe);
-      std::vector<bool> available(nodes.size());
-      for (size_t i = 0; i < nodes.size(); ++i) {
-        available[i] = live_nodes[static_cast<size_t>(nodes[i])] != 0;
-      }
-      try {
-        ReconstructionTask task;
-        task.chunk = chunk;
-        for (int idx : options_.code->repair_helpers(chunk.index,
-                                                     available)) {
-          task.sources.push_back(
-              SourceRead{nodes[static_cast<size_t>(idx)],
-                         ChunkRef{chunk.stripe, idx}});
-        }
-        degraded.push_back(std::move(task));
-        continue;
-      } catch (const CheckFailure&) {
-        // fall through to unrepairable
-      }
-    }
-    out.unrepairable.push_back(chunk);
   }
 
   // Matched chunks: one round per reconstruction set. The rack
   // destination invariant is best-effort once data is at risk, so
   // placement stays flat (Algorithm 1 keeps the helper rack spreading).
   const auto sets = find_reconstruction_sets_for(
-      matchable, layout_, live, options_.k_repair,
-      effective_recon_options(dests.size()), nullptr, options_.code);
+      std::move(matchable), layout_, live, code(),
+      effective_recon_options(dests.size()));
   PlacedOverlay placed(lost);
   int standby_cursor = 0;
   for (const auto& set : sets) {
     ScheduledRound round;
     round.reconstruct = set;
     out.plan.rounds.push_back(assign_round(
-        layout_, dead, live, dests, options_.scenario, options_.k_repair,
-        round, &standby_cursor, options_.code,
-        /*balance_destinations=*/false, &placed));
+        layout_, dead, live, dests, options_.scenario, code(), round,
+        &standby_cursor, /*balance_destinations=*/false, &placed));
   }
 
   // Degraded chunks: one dedicated round each (their helper sets are
@@ -431,65 +423,14 @@ ReactiveResult FastPrPlanner::plan_reactive(
 
 RepairPlan FastPrPlanner::plan_fastpr_remaining(
     const std::vector<ChunkRef>& already_repaired,
-    const std::vector<NodeId>& deprioritized) {
+    const std::vector<NodeId>& deprioritized,
+    const std::vector<RepairRound>& done) {
   FASTPR_TRACE_SPAN("planner.plan_fastpr_remaining", "planner");
-  FASTPR_CHECK_MSG(batch_.size() == 1,
-                   "bandwidth replans cover one STF node");
   std::vector<ChunkRef> remaining = batch_chunks(already_repaired);
   if (remaining.empty()) return empty_plan();
-
-  const auto sources = source_nodes();
-  const ReconSetOptions recon = effective_recon_options(sources.size());
   recon_stats_ = {};
-  std::vector<std::vector<ChunkRef>> sets;
-
-  // Stragglers are planned around structurally: chunks that can still
-  // reach k' helpers without the deprioritized nodes form their sets
-  // over the REDUCED source list, so those rounds are matchable with
-  // zero straggler reads by construction. Preference ordering alone
-  // cannot deliver that — Algorithm 1 packs rounds to the full node
-  // count's capacity, leaving the per-round matching too saturated to
-  // route around even one avoided node. Chunks whose stripes lost too
-  // many holders to the straggler set fall back to the full source
-  // list with the stragglers merely deprioritized.
-  std::vector<ChunkRef> tainted;
-  bool reduced = false;
-  if (!deprioritized.empty()) {
-    std::vector<NodeId> fast_sources;
-    for (NodeId node : sources) {
-      if (std::find(deprioritized.begin(), deprioritized.end(), node) ==
-          deprioritized.end()) {
-        fast_sources.push_back(node);
-      }
-    }
-    if (static_cast<int>(fast_sources.size()) >= options_.k_repair) {
-      const auto fast = live_mask(fast_sources);
-      std::vector<ChunkRef> clean;
-      for (ChunkRef chunk : remaining) {
-        (reaches_helpers(chunk, fast) ? clean : tainted).push_back(chunk);
-      }
-      if (!clean.empty()) {
-        sets = find_reconstruction_sets_for(clean, layout_, fast_sources,
-                                            options_.k_repair, recon,
-                                            &recon_stats_, options_.code);
-      }
-      reduced = true;
-    }
-  }
-  if (!reduced) tainted = std::move(remaining);
-  if (!tainted.empty()) {
-    ReconSetOptions tainted_recon = recon;
-    tainted_recon.deprioritized = deprioritized;
-    auto tainted_sets =
-        find_reconstruction_sets_for(tainted, layout_, sources,
-                                     options_.k_repair, tainted_recon,
-                                     &recon_stats_, options_.code);
-    for (auto& set : tainted_sets) sets.push_back(std::move(set));
-  }
-
-  const auto rounds = schedule_repair(std::move(sets), cost_model(),
-                                      effective_sched_options());
-  return place(rounds, &deprioritized);
+  return place(schedule(search(std::move(remaining), deprioritized), batch_),
+               &deprioritized, done);
 }
 
 }  // namespace fastpr::core

@@ -17,6 +17,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "cluster/cluster_state.h"
@@ -30,9 +32,9 @@ namespace fastpr::core {
 
 struct PlannerOptions {
   Scenario scenario = Scenario::kScattered;
-  /// Helper chunks fetched per repaired chunk (k for RS, k/l for LRC).
-  /// Feeds the cost model; also the matching fetch count when no `code`
-  /// is given.
+  /// Helper chunks fetched per repaired chunk (k for RS, k/l for LRC):
+  /// the cost model's k. With a `code`, it must equal
+  /// code->repair_fetch_count(0).
   int k_repair = 6;
   double chunk_bytes = 0;
   /// Wire packet size, needed by the chain strategy's round-time model
@@ -42,9 +44,10 @@ struct PlannerOptions {
   /// name); keep equal to the testbed's charge so kAuto decides on the
   /// same numbers the execution will show.
   double chain_hop_overhead_seconds = 0;
-  /// Optional erasure code: when set, the matching honors the code's
-  /// per-chunk helper counts and candidate sets (LRC locality). Must
-  /// outlive the planner.
+  /// The erasure code whose per-chunk helper counts and candidate sets
+  /// every plan draws helpers from (LRC locality included). Null means
+  /// RS(n, k_repair) over the layout's n chunks per stripe, which the
+  /// planner builds and owns. Must outlive the planner.
   const ec::ErasureCode* code = nullptr;
   /// Load-aware scattered destinations (min-cost matching on current
   /// chunk counts) instead of an arbitrary maximum matching.
@@ -101,20 +104,23 @@ class FastPrPlanner {
       const std::vector<cluster::ChunkRef>& already_handled,
       const std::vector<cluster::NodeId>& failed);
 
-  /// Mid-repair bandwidth replan (DESIGN.md §11): the STF node is still
+  /// Mid-repair bandwidth replan (DESIGN.md §11): the batch is still
   /// alive but measured link bandwidth drifted far from the model, so
-  /// the remaining rounds are replanned from scratch. Re-runs Algorithm
-  /// 1 + 2 over the chunks not in `already_repaired`, planning around
+  /// the remaining rounds are replanned from scratch. Runs plan_fastpr's
+  /// pipeline over the chunks not in `already_repaired`, planning around
   /// the `deprioritized` nodes (the straggling-link endpoints)
   /// structurally: chunks that can reach k' helpers without them form
   /// their reconstruction sets over the reduced source list, so those
   /// rounds carry zero straggler reads by construction; chunks whose
   /// stripes need a straggler fall back to the full list with the
   /// stragglers ordered last in every adjacency. Never sacrifices
-  /// repairability — only read placement. Batch of one only.
+  /// repairability — only read placement. Any batch size. `done`, the
+  /// rounds already executed, keeps a stripe with chunks on two members
+  /// from landing both on one node (at B = 1 it may stay empty).
   RepairPlan plan_fastpr_remaining(
       const std::vector<cluster::ChunkRef>& already_repaired,
-      const std::vector<cluster::NodeId>& deprioritized);
+      const std::vector<cluster::NodeId>& deprioritized,
+      const std::vector<RepairRound>& done = {});
 
   /// The §III analysis instantiated for this cluster and batch (B =
   /// batch size, U = chunks across all members, M = storage-node count,
@@ -127,51 +133,63 @@ class FastPrPlanner {
   const ReconSetStats& recon_stats() const { return recon_stats_; }
 
  private:
-  std::vector<cluster::NodeId> source_nodes() const;
+  /// What the pipeline's search step found: Algorithm 1's sets, and the
+  /// forced migrations (chunks with fewer than k' healthy helpers).
+  struct Search {
+    std::vector<std::vector<cluster::ChunkRef>> sets;
+    std::vector<cluster::ChunkRef> forced;
+  };
+
+  /// The code every plan draws helpers from.
+  const ec::ErasureCode& code() const { return *options_.code; }
   std::vector<cluster::NodeId> dest_nodes() const;
   /// Largest per-round repair count for which a scattered destination
   /// matching over `dests` live candidates is guaranteed (Hall):
   /// |dests| - (n-1).
   int scattered_round_capacity(size_t dests) const;
   ReconSetOptions effective_recon_options(size_t dests) const;
-  SchedulerOptions effective_sched_options() const;
   /// The cost model for `members` repaired as one batch.
   CostModel model_for(const std::vector<cluster::NodeId>& members) const;
 
-  /// `live` as a mask indexed by node id, for reaches_helpers.
-  std::vector<char> live_mask(const std::vector<cluster::NodeId>& live) const;
-  /// Whether `chunk` can still reach the helpers its repair fetches (k'
-  /// for its index, or k_repair) among the nodes `live` marks.
-  bool reaches_helpers(cluster::ChunkRef chunk,
-                       const std::vector<char>& live) const;
-  /// Removes and returns the chunks whose stripes the batch itself left
-  /// with fewer than k' healthy helpers (order-stable partition).
-  std::vector<cluster::ChunkRef> split_forced_migrations(
-      std::vector<cluster::ChunkRef>& chunks) const;
+  /// Removes and returns (order-stably) the chunks that cannot reach
+  /// their k' helpers among `live` (ascending node ids).
+  std::vector<cluster::ChunkRef> split_unreachable(
+      std::vector<cluster::ChunkRef>& chunks,
+      const std::vector<cluster::NodeId>& live) const;
   /// Every batch member's chunks, member order, minus `handled`.
   std::vector<cluster::ChunkRef> batch_chunks(
       const std::vector<cluster::ChunkRef>& handled = {}) const;
 
-  /// Algorithm 1 over the batch's reconstructable chunks, computed once
-  /// and shared by plan_fastpr and plan_reconstruction_only (both
-  /// partition the same chunk set); forced_ receives the rest.
-  const std::vector<std::vector<cluster::ChunkRef>>& recon_sets();
+  /// Pipeline step 1: splits off the forced migrations, then runs
+  /// Algorithm 1 over the rest (counters added to recon_stats_). With
+  /// `deprioritized`, chunks that reach k' helpers without those nodes
+  /// search the reduced source list first, the rest the full list.
+  Search search(std::vector<cluster::ChunkRef> chunks,
+                const std::vector<cluster::NodeId>& deprioritized = {});
+  /// The full batch's search, run once for plan_fastpr and
+  /// plan_reconstruction_only.
+  const Search& full_search();
+  /// Pipeline step 2: Algorithm 2 with one migration quota per disk of
+  /// `members`, then the forced migrations spread over the rounds.
+  std::vector<ScheduledRound> schedule(
+      Search found, const std::vector<cluster::NodeId>& members) const;
 
   /// §IV-A placement of `rounds` in order, sharing one standby cursor
-  /// and one cross-round destination overlay.
+  /// and one cross-round destination overlay that starts out holding
+  /// the `done` rounds' destinations.
   RepairPlan place(const std::vector<ScheduledRound>& rounds,
-                   const std::vector<cluster::NodeId>* deprioritized =
-                       nullptr) const;
+                   const std::vector<cluster::NodeId>* deprioritized = nullptr,
+                   const std::vector<RepairRound>& done = {}) const;
   RepairPlan empty_plan() const;
 
   const cluster::StripeLayout& layout_;
   const cluster::ClusterState& cluster_;
+  /// options_.code always names the code: the caller's, or default_code_.
   PlannerOptions options_;
+  std::unique_ptr<const ec::ErasureCode> default_code_;
   std::vector<cluster::NodeId> batch_;
   ReconSetStats recon_stats_;
-  std::vector<std::vector<cluster::ChunkRef>> cached_sets_;
-  std::vector<cluster::ChunkRef> forced_;
-  bool sets_ready_ = false;
+  std::optional<Search> full_search_;
 };
 
 }  // namespace fastpr::core

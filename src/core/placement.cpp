@@ -14,28 +14,9 @@
 
 namespace fastpr::core {
 
-namespace {
-
 using cluster::ChunkRef;
 using cluster::NodeId;
 using cluster::StripeLayout;
-
-/// Helper chunk stored by `node` for `stripe` (node must hold exactly
-/// one — stripes never co-locate).
-ChunkRef chunk_of_stripe_on(const StripeLayout& layout,
-                            cluster::StripeId stripe, NodeId node) {
-  const auto& nodes = layout.stripe_nodes(stripe);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i] == node) {
-      return ChunkRef{stripe, static_cast<int32_t>(i)};
-    }
-  }
-  FASTPR_CHECK_MSG(false, "node " << node << " holds no chunk of stripe "
-                                  << stripe);
-  return {};
-}
-
-}  // namespace
 
 PlacedOverlay::PlacedOverlay(const std::vector<ChunkRef>& repaired) {
   std::vector<cluster::StripeId> stripes;
@@ -45,6 +26,41 @@ PlacedOverlay::PlacedOverlay(const std::vector<ChunkRef>& repaired) {
   for (size_t i = 1; i < stripes.size(); ++i) {
     if (stripes[i] == stripes[i - 1]) placed_[stripes[i]];
   }
+}
+
+void PlacedOverlay::record(const RepairRound& round,
+                           const net::Topology* topology) {
+  const bool racks = topology != nullptr && !topology->is_flat();
+  const auto land = [&](ChunkRef chunk, NodeId dst) {
+    record(chunk.stripe, dst);
+    if (racks) record_rack(chunk.stripe, topology->rack_of(dst));
+  };
+  for (const auto& task : round.reconstructions) land(task.chunk, task.dst);
+  for (const auto& task : round.migrations) land(task.chunk, task.dst);
+}
+
+std::optional<std::vector<SourceRead>> pick_helpers(
+    const ec::ErasureCode& code, ChunkRef chunk,
+    const std::vector<NodeId>& stripe_nodes,
+    const std::function<bool(NodeId)>& usable) {
+  std::vector<bool> available(stripe_nodes.size());
+  for (size_t i = 0; i < stripe_nodes.size(); ++i) {
+    available[i] =
+        static_cast<int>(i) != chunk.index && usable(stripe_nodes[i]);
+  }
+  std::vector<int> helpers;
+  try {
+    helpers = code.repair_helpers(chunk.index, available);
+  } catch (const CheckFailure&) {
+    return std::nullopt;  // too few usable chunks left in the stripe
+  }
+  std::vector<SourceRead> sources;
+  sources.reserve(helpers.size());
+  for (int idx : helpers) {
+    sources.push_back(SourceRead{stripe_nodes[static_cast<size_t>(idx)],
+                                 ChunkRef{chunk.stripe, idx}});
+  }
+  return sources;
 }
 
 NodeId next_spare(const std::vector<NodeId>& spares,
@@ -70,9 +86,8 @@ RepairRound assign_round(const StripeLayout& layout,
                          const std::vector<NodeId>& stf_batch,
                          const std::vector<NodeId>& source_nodes,
                          const std::vector<NodeId>& dest_nodes,
-                         Scenario scenario, int k_repair,
+                         Scenario scenario, const ec::ErasureCode& code,
                          const ScheduledRound& round, int* standby_cursor,
-                         const ec::ErasureCode* code,
                          bool balance_destinations, PlacedOverlay* placed,
                          const net::Topology* topology,
                          const std::vector<NodeId>* deprioritized) {
@@ -92,10 +107,6 @@ RepairRound assign_round(const StripeLayout& layout,
   for (size_t i = 0; i < source_nodes.size(); ++i) {
     left_of_node[source_nodes[i]] = static_cast<int>(i);
   }
-  const auto fetch_count = [&](ChunkRef chunk) {
-    return code != nullptr ? code->repair_fetch_count(chunk.index)
-                           : k_repair;
-  };
   matching::IncrementalMatcher matcher(static_cast<int>(source_nodes.size()));
   std::deque<std::vector<int>> adjacency_store;  // stable for the matcher
   // Rack-aware helper bias (DESIGN.md §11): the matcher prefers earlier
@@ -123,14 +134,10 @@ RepairRound assign_round(const StripeLayout& layout,
         const auto it = left_of_node.find(node);
         if (it != left_of_node.end()) adj.push_back(it->second);
       };
-      if (code != nullptr) {
-        for (int idx : code->helper_candidates(chunk.index)) {
-          consider(nodes[static_cast<size_t>(idx)]);
-        }
-      } else {
-        for (NodeId node : nodes) consider(node);
+      for (int idx : code.helper_candidates(chunk.index)) {
+        consider(nodes[static_cast<size_t>(idx)]);
       }
-      const int k_this = fetch_count(chunk);
+      const int k_this = code.repair_fetch_count(chunk.index);
       if (filtered && static_cast<int>(adj.size()) < k_this) return false;
       if (rack_aware || !avoid.empty()) {
         const auto avoided = [&](int left) {
@@ -178,12 +185,16 @@ RepairRound assign_round(const StripeLayout& layout,
       ReconstructionTask task;
       task.chunk = chunk;
       task.strategy = round.strategy;
-      const int k_this = fetch_count(chunk);
+      const int k_this = code.repair_fetch_count(chunk.index);
+      // Each matched node holds exactly one chunk of the stripe.
+      const auto& nodes = layout.stripe_nodes(chunk.stripe);
       for (int t = 0; t < k_this; ++t, ++right) {
         const int left = matcher.matched_left(right);
         const NodeId node = source_nodes[static_cast<size_t>(left)];
-        task.sources.push_back(
-            SourceRead{node, chunk_of_stripe_on(layout, chunk.stripe, node)});
+        const auto index = std::find(nodes.begin(), nodes.end(), node);
+        task.sources.push_back(SourceRead{
+            node, ChunkRef{chunk.stripe,
+                           static_cast<int32_t>(index - nodes.begin())}});
       }
       out.reconstructions.push_back(std::move(task));
     }

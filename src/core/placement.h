@@ -6,9 +6,13 @@
 //    stripe to a healthy node that holds none of its chunks (Hall's
 //    theorem guarantees a perfect matching when M - n >= cm + cr);
 //    hot-standby repair spreads destinations round-robin over the spares.
+// Also the one-chunk helper pick that every repair outside a matched
+// round uses (retries, degraded reads, degraded reactive rebuilds).
 #pragma once
 
 #include <algorithm>
+#include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -44,6 +48,9 @@ class PlacedOverlay {
   void record(cluster::StripeId stripe, cluster::NodeId node) {
     if (Placed* p = find(stripe)) p->nodes.push_back(node);
   }
+  /// Records every destination of `round`, a round placed earlier (or
+  /// already executed), and with a multi-rack `topology` their racks.
+  void record(const RepairRound& round, const net::Topology* topology);
 
   /// Rack-level analog for topology-aware plans (DESIGN.md §11): racks
   /// that already received a repaired chunk of `stripe` earlier in the
@@ -74,6 +81,17 @@ class PlacedOverlay {
   std::unordered_map<cluster::StripeId, Placed> placed_;
 };
 
+/// Helper reads for rebuilding `chunk` on its own, outside a matched
+/// round: the code picks them among the stripe's chunks whose nodes are
+/// `usable` (LRC's local group first, its global parities when the
+/// group is damaged); the chunk's own index never serves.
+/// `stripe_nodes[i]` holds chunk i of the stripe. nullopt when the
+/// usable chunks cannot rebuild it.
+std::optional<std::vector<SourceRead>> pick_helpers(
+    const ec::ErasureCode& code, cluster::ChunkRef chunk,
+    const std::vector<cluster::NodeId>& stripe_nodes,
+    const std::function<bool(cluster::NodeId)>& usable);
+
 /// Hot-standby destination: the next spare round-robin from
 /// `*standby_cursor` that holds no repaired chunk of `stripe` yet
 /// (recorded in `placed`).
@@ -89,8 +107,8 @@ cluster::NodeId next_spare(const std::vector<cluster::NodeId>& spares,
 /// at most one read per round.
 /// `dest_nodes`: scattered → healthy storage nodes; hot-standby → spares.
 /// `standby_cursor`: round-robin state across rounds (hot-standby only).
-/// When `code` is given, per-chunk helper counts and candidate indices
-/// come from it (LRC locality); otherwise RS semantics with k_repair.
+/// Per-chunk helper counts and candidate indices come from `code` (LRC
+/// locality included).
 /// `balance_destinations`: pick the scattered destination matching that
 /// minimizes total destination load (min-cost matching over current
 /// chunk counts) instead of an arbitrary maximum matching.
@@ -119,9 +137,9 @@ RepairRound assign_round(
     const std::vector<cluster::NodeId>& stf_batch,
     const std::vector<cluster::NodeId>& source_nodes,
     const std::vector<cluster::NodeId>& dest_nodes, Scenario scenario,
-    int k_repair, const ScheduledRound& round, int* standby_cursor,
-    const ec::ErasureCode* code = nullptr,
-    bool balance_destinations = false, PlacedOverlay* placed = nullptr,
+    const ec::ErasureCode& code, const ScheduledRound& round,
+    int* standby_cursor, bool balance_destinations = false,
+    PlacedOverlay* placed = nullptr,
     const net::Topology* topology = nullptr,
     const std::vector<cluster::NodeId>* deprioritized = nullptr);
 

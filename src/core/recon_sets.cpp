@@ -21,13 +21,11 @@ using matching::IncrementalMatcher;
 class MatchContext {
  public:
   MatchContext(const StripeLayout& layout,
-               const std::vector<NodeId>& healthy, int k_repair,
-               int max_set_size, ReconSetStats* stats,
-               const ec::ErasureCode* code,
-               const net::Topology* topology = nullptr,
+               const std::vector<NodeId>& healthy,
+               const ec::ErasureCode& code, int max_set_size,
+               ReconSetStats* stats, const net::Topology* topology = nullptr,
                const std::vector<NodeId>* deprioritized = nullptr)
       : layout_(layout),
-        k_(k_repair),
         max_set_size_(max_set_size),
         stats_(stats),
         code_(code),
@@ -52,14 +50,14 @@ class MatchContext {
 
   /// Helper chunks this particular chunk's repair fetches.
   int fetch_count(ChunkRef chunk) const {
-    return code_ != nullptr ? code_->repair_fetch_count(chunk.index) : k_;
+    return code_.repair_fetch_count(chunk.index);
   }
 
-  /// Max chunks any reconstruction set can hold: floor(sources/k) (the
+  /// Max chunks any reconstruction set can hold: floor(sources/k') (the
   /// paper's floor((M-1)/k)), further capped by the planner's
   /// destination-feasibility bound.
   int capacity() const {
-    const int matching_cap = left_count_ / k_;
+    const int matching_cap = left_count_ / code_.repair_fetch_count(0);
     return max_set_size_ > 0 ? std::min(matching_cap, max_set_size_)
                              : matching_cap;
   }
@@ -76,12 +74,8 @@ class MatchContext {
       const auto li = left_of_node_.find(node);
       if (li != left_of_node_.end()) adj.push_back(li->second);
     };
-    if (code_ != nullptr) {
-      for (int idx : code_->helper_candidates(chunk.index)) {
-        consider(nodes[static_cast<size_t>(idx)]);
-      }
-    } else {
-      for (NodeId node : nodes) consider(node);
+    for (int idx : code_.helper_candidates(chunk.index)) {
+      consider(nodes[static_cast<size_t>(idx)]);
     }
     FASTPR_CHECK_MSG(static_cast<int>(adj.size()) >= fetch_count(chunk),
                      "stripe " << chunk.stripe
@@ -171,10 +165,9 @@ class MatchContext {
   }
 
   const StripeLayout& layout_;
-  int k_;
   int max_set_size_;
   ReconSetStats* stats_;
-  const ec::ErasureCode* code_;
+  const ec::ErasureCode& code_;
   std::vector<NodeId> healthy_;
   const net::Topology* topology_ = nullptr;
   std::unordered_set<NodeId> deprioritized_;
@@ -355,25 +348,22 @@ class SetFinder {
 
 std::vector<std::vector<ChunkRef>> find_reconstruction_sets(
     const StripeLayout& layout, NodeId stf,
-    const std::vector<NodeId>& healthy_sources, int k_repair,
-    const ReconSetOptions& options, ReconSetStats* stats,
-    const ec::ErasureCode* code) {
+    const std::vector<NodeId>& healthy_sources, const ec::ErasureCode& code,
+    const ReconSetOptions& options, ReconSetStats* stats) {
   return find_reconstruction_sets_for(layout.chunks_on(stf), layout,
-                                      healthy_sources, k_repair, options,
-                                      stats, code);
+                                      healthy_sources, code, options, stats);
 }
 
 std::vector<std::vector<ChunkRef>> find_reconstruction_sets_for(
     std::vector<ChunkRef> all_chunks, const StripeLayout& layout,
-    const std::vector<NodeId>& healthy_sources, int k_repair,
-    const ReconSetOptions& options, ReconSetStats* stats,
-    const ec::ErasureCode* code) {
-  FASTPR_CHECK(k_repair >= 1);
-  FASTPR_CHECK_MSG(static_cast<int>(healthy_sources.size()) >= k_repair,
-                   "need at least k healthy source nodes");
+    const std::vector<NodeId>& healthy_sources, const ec::ErasureCode& code,
+    const ReconSetOptions& options, ReconSetStats* stats) {
+  FASTPR_CHECK_MSG(static_cast<int>(healthy_sources.size()) >=
+                       code.repair_fetch_count(0),
+                   "need at least k' healthy source nodes");
 
-  MatchContext ctx(layout, healthy_sources, k_repair, options.max_set_size,
-                   stats, code, options.topology, &options.deprioritized);
+  MatchContext ctx(layout, healthy_sources, code, options.max_set_size,
+                   stats, options.topology, &options.deprioritized);
   for (ChunkRef c : all_chunks) {
     FASTPR_CHECK_MSG(!ctx.is_source(layout.node_of(c)),
                      "node " << layout.node_of(c)
@@ -405,12 +395,11 @@ std::vector<std::vector<ChunkRef>> find_reconstruction_sets_for(
 
 bool is_valid_reconstruction_set(const StripeLayout& layout, NodeId stf,
                                  const std::vector<NodeId>& healthy,
-                                 int k_repair,
-                                 const std::vector<ChunkRef>& set,
-                                 const ec::ErasureCode* code) {
+                                 const ec::ErasureCode& code,
+                                 const std::vector<ChunkRef>& set) {
   FASTPR_CHECK(std::find(healthy.begin(), healthy.end(), stf) ==
                healthy.end());
-  MatchContext ctx(layout, healthy, k_repair, 0, nullptr, code);
+  MatchContext ctx(layout, healthy, code, 0, nullptr);
   IncrementalMatcher matcher = ctx.make_matcher();
   for (ChunkRef c : set) {
     if (!ctx.try_match(matcher, c)) return false;

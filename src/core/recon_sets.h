@@ -57,17 +57,16 @@ struct ReconSetStats {
 
 /// Returns reconstruction sets covering every chunk the STF node stores,
 /// ordered as found. `healthy_sources` are the nodes eligible to serve
-/// helper reads (healthy storage nodes, excluding the STF node).
-/// `k_repair` is the per-chunk helper count (k for RS, k/l for LRC).
-/// When `code` is given, each chunk's helper count and candidate set
-/// come from it (repair_fetch_count / helper_candidates) — this is what
-/// makes the matching honor LRC locality; without it, RS semantics with
-/// a uniform k_repair apply.
+/// helper reads (healthy storage nodes, excluding the STF node). Each
+/// chunk's helper count and candidate set come from `code`
+/// (repair_fetch_count / helper_candidates): k of the stripe's other
+/// chunks for RS, the local group for LRC. A set holds at most
+/// floor(sources / code.repair_fetch_count(0)) chunks.
 std::vector<std::vector<cluster::ChunkRef>> find_reconstruction_sets(
     const cluster::StripeLayout& layout, cluster::NodeId stf,
-    const std::vector<cluster::NodeId>& healthy_sources, int k_repair,
-    const ReconSetOptions& options = {}, ReconSetStats* stats = nullptr,
-    const ec::ErasureCode* code = nullptr);
+    const std::vector<cluster::NodeId>& healthy_sources,
+    const ec::ErasureCode& code, const ReconSetOptions& options = {},
+    ReconSetStats* stats = nullptr);
 
 /// Generalized form over an explicit chunk list (multi-failure reactive
 /// repair partitions the union of several nodes' lost chunks).
@@ -76,17 +75,16 @@ std::vector<std::vector<cluster::ChunkRef>> find_reconstruction_sets(
 std::vector<std::vector<cluster::ChunkRef>> find_reconstruction_sets_for(
     std::vector<cluster::ChunkRef> chunks,
     const cluster::StripeLayout& layout,
-    const std::vector<cluster::NodeId>& healthy_sources, int k_repair,
-    const ReconSetOptions& options = {}, ReconSetStats* stats = nullptr,
-    const ec::ErasureCode* code = nullptr);
+    const std::vector<cluster::NodeId>& healthy_sources,
+    const ec::ErasureCode& code, const ReconSetOptions& options = {},
+    ReconSetStats* stats = nullptr);
 
 /// Checks that `set` is a valid reconstruction set (the saturating
 /// matching exists). Exposed for tests.
 bool is_valid_reconstruction_set(const cluster::StripeLayout& layout,
                                  cluster::NodeId stf,
                                  const std::vector<cluster::NodeId>& healthy,
-                                 int k_repair,
-                                 const std::vector<cluster::ChunkRef>& set,
-                                 const ec::ErasureCode* code = nullptr);
+                                 const ec::ErasureCode& code,
+                                 const std::vector<cluster::ChunkRef>& set);
 
 }  // namespace fastpr::core

@@ -1,9 +1,12 @@
 #include "core/repair_plan.h"
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "ec/rs_code.h"
 #include "util/check.h"
 
 namespace fastpr::core {
@@ -22,6 +25,15 @@ int RepairPlan::total_reconstructed() const {
     total += static_cast<int>(round.reconstructions.size());
   }
   return total;
+}
+
+int RepairRound::busiest_migration_stream() const {
+  std::unordered_map<cluster::NodeId, int> per_src;
+  int busiest = 0;
+  for (const auto& task : migrations) {
+    busiest = std::max(busiest, ++per_src[task.src]);
+  }
+  return busiest;
 }
 
 std::string RepairPlan::to_string() const {
@@ -45,6 +57,10 @@ void validate_plan(const RepairPlan& plan,
   using cluster::ChunkRefHash;
   using cluster::NodeId;
 
+  std::optional<ec::RsCode> default_code;
+  if (code == nullptr) {
+    code = &default_code.emplace(layout.chunks_per_stripe(), k_repair);
+  }
   const std::vector<NodeId>& batch = plan.stf_nodes;
   FASTPR_CHECK_MSG(!batch.empty(), "plan names no STF node");
   const std::unordered_set<NodeId> stf_set(batch.begin(), batch.end());
@@ -118,11 +134,9 @@ void validate_plan(const RepairPlan& plan,
                        "reconstructed chunk not on an STF node");
       FASTPR_CHECK_MSG(seen.insert(task.chunk).second,
                        "chunk repaired twice");
-      const int expected_sources =
-          code != nullptr ? code->repair_fetch_count(task.chunk.index)
-                          : k_repair;
       FASTPR_CHECK_MSG(
-          static_cast<int>(task.sources.size()) == expected_sources,
+          static_cast<int>(task.sources.size()) ==
+              code->repair_fetch_count(task.chunk.index),
           "reconstruction must fetch exactly k (or k') chunks");
       for (const auto& src : task.sources) {
         FASTPR_CHECK(stf_set.count(src.node) == 0);

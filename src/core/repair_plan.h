@@ -48,9 +48,10 @@ struct RepairRound {
   /// the simulator and predict_rounds price the round with).
   RepairStrategy strategy = RepairStrategy::kFanIn;
 
-  int repaired_chunks() const {
-    return static_cast<int>(reconstructions.size() + migrations.size());
-  }
+  /// Migrations off the round's busiest STF disk. Each disk is its own
+  /// migration stream and the streams run in parallel, so the round's
+  /// migrations take as long as this one's share (DESIGN.md §8).
+  int busiest_migration_stream() const;
 };
 
 struct RepairPlan {
@@ -81,7 +82,9 @@ struct RepairPlan {
 ///    and are used at most once per round; hot-standby destinations are
 ///    spare nodes; across the WHOLE plan no destination receives two
 ///    repaired chunks of one stripe (multi-STF cross-round §IV-A).
-/// `code`, when given, supplies per-chunk helper counts (LRC).
+/// `code` supplies per-chunk helper counts (LRC); null means
+/// RS(n, k_repair) over the layout's n chunks per stripe, as in
+/// FastPrPlanner.
 /// `topology`, when given and multi-rack (DESIGN.md §11), additionally
 /// enforces the failure-domain invariant: after the plan applies, no
 /// rack holds two chunks of one stripe — checked against the surviving

@@ -28,8 +28,6 @@ class LrcCode final : public ErasureCode {
   int k() const override { return k_; }
   std::string name() const override;
 
-  int local_groups() const { return l_; }
-  int global_parities() const { return g_; }
   int group_size() const { return k_ / l_; }
 
   /// Local group of a data or local-parity chunk; -1 for global parities.

@@ -39,7 +39,8 @@ struct DegradedWindow {
 }  // namespace
 
 LifetimeReport simulate_lifetime(const LifetimeConfig& config) {
-  FASTPR_CHECK(config.num_nodes >= config.n + 1);
+  const ec::ErasureCode& code = *config.code;
+  FASTPR_CHECK(config.num_nodes >= code.n() + 1);
   FASTPR_CHECK(config.node_mtbf_days > 0);
   FASTPR_CHECK_MSG(config.scenario == core::Scenario::kScattered,
                    "lifetime simulation models scattered repair (spares "
@@ -47,7 +48,7 @@ LifetimeReport simulate_lifetime(const LifetimeConfig& config) {
   Rng rng(config.seed);
 
   auto layout = cluster::StripeLayout::random(
-      config.num_nodes, config.n, config.num_stripes, rng);
+      config.num_nodes, code.n(), config.num_stripes, rng);
   cluster::ClusterState state(
       config.num_nodes, config.hot_standby,
       cluster::BandwidthProfile{config.disk_bw, config.net_bw});
@@ -97,7 +98,7 @@ LifetimeReport simulate_lifetime(const LifetimeConfig& config) {
   sp.chunk_bytes = config.chunk_bytes;
   sp.disk_bw = config.disk_bw;
   sp.net_bw = config.net_bw;
-  sp.k_repair = config.k;
+  sp.k_repair = code.repair_fetch_count(0);
   sp.hot_standby = config.hot_standby;
   sp.scenario = config.scenario;
 
@@ -117,7 +118,7 @@ LifetimeReport simulate_lifetime(const LifetimeConfig& config) {
         if (it != stripe_hits.end()) ++it->second;
       }
     }
-    const int tolerance = config.n - config.k;
+    const int tolerance = code.n() - code.k();
     for (const auto& [stripe, hits] : stripe_hits) {
       if (hits > tolerance && lost_stripes.insert(stripe).second) {
         ++report.data_loss_stripes;
@@ -139,8 +140,9 @@ LifetimeReport simulate_lifetime(const LifetimeConfig& config) {
 
   core::PlannerOptions popts;
   popts.scenario = config.scenario;
-  popts.k_repair = config.k;
+  popts.k_repair = code.repair_fetch_count(0);
   popts.chunk_bytes = config.chunk_bytes;
+  popts.code = &code;
   // Cap Algorithm 1's planning cost per repair (§IV-D chunk grouping).
   popts.recon.chunk_group_size = 128;
 

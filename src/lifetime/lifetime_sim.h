@@ -14,16 +14,21 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "core/cost_model.h"
+#include "ec/erasure_code.h"
+#include "ec/rs_code.h"
 #include "util/stats.h"
 
 namespace fastpr::lifetime {
 
 struct LifetimeConfig {
   int num_nodes = 100;
-  int n = 9;
-  int k = 6;
+  /// The stripes' code: the planner draws helpers from it, and a stripe
+  /// survives up to n - k concurrent losses.
+  std::shared_ptr<const ec::ErasureCode> code =
+      std::make_shared<const ec::RsCode>(9, 6);
   int num_stripes = 1000;
   double chunk_bytes = 0;
   double disk_bw = 0;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "core/placement.h"
 #include "telemetry/trace.h"
 #include "util/check.h"
 
@@ -106,41 +107,36 @@ bool ForegroundWorkload::node_degraded(NodeId node) const {
 
 bool ForegroundWorkload::run_degraded_read(
     ChunkRef chunk, int64_t slice, std::vector<NodeId>& touched) {
-  const auto& placement = stripe_nodes_[static_cast<size_t>(chunk.stripe)];
-  std::vector<bool> available(placement.size(), true);
-  for (size_t j = 0; j < placement.size(); ++j) {
-    if (node_degraded(placement[j])) available[j] = false;
-  }
-  std::vector<int> helpers;
-  try {
-    helpers = code_.repair_helpers(chunk.index, available);
-  } catch (const CheckFailure&) {
-    return false;  // too many nodes down — the read just fails
-  }
+  const auto sources = core::pick_helpers(
+      code_, chunk, stripe_nodes_[static_cast<size_t>(chunk.stripe)],
+      [&](NodeId node) { return !node_degraded(node); });
+  if (!sources.has_value()) return false;  // too many nodes down
 
   // The op decodes bytes [0, slice) of the chunk, so each helper read
   // fetches just that range of its chunk.
   const size_t len = static_cast<size_t>(slice);
   std::vector<uint8_t> helper_data;
-  if (options_.verify_degraded) helper_data.resize(helpers.size() * len);
-  for (size_t i = 0; i < helpers.size(); ++i) {
-    const int h = helpers[i];
-    const NodeId node = placement[static_cast<size_t>(h)];
-    auto& store = testbed_.store(node);
+  if (options_.verify_degraded) helper_data.resize(sources->size() * len);
+  for (size_t i = 0; i < sources->size(); ++i) {
+    const core::SourceRead& src = (*sources)[i];
+    auto& store = testbed_.store(src.node);
     if (options_.verify_degraded &&
-        !store.read_slice(ChunkRef{chunk.stripe, h}, 0,
+        !store.read_slice(src.chunk, 0,
                           ec::MutChunk(helper_data.data() + i * len, len))) {
       return false;  // helper read error
     }
     store.charge_io(slice);
-    testbed_.network().charge_tx(node, slice);
-    touched.push_back(node);
+    testbed_.network().charge_tx(src.node, slice);
+    touched.push_back(src.node);
   }
 
   if (options_.verify_degraded) {
+    std::vector<int> helpers;
     std::vector<ec::ConstChunk> spans;
-    spans.reserve(helpers.size());
-    for (size_t i = 0; i < helpers.size(); ++i) {
+    helpers.reserve(sources->size());
+    spans.reserve(sources->size());
+    for (size_t i = 0; i < sources->size(); ++i) {
+      helpers.push_back((*sources)[i].chunk.index);
       spans.emplace_back(helper_data.data() + i * len, len);
     }
     std::vector<uint8_t> out(len);

@@ -10,12 +10,11 @@ void InprocTransport::send(Message msg) {
       is_data_packet(msg.type) ? static_cast<int64_t>(msg.encoded_size()) : 0;
   if (bytes > 0) {
     // Span duration ≈ time this packet waited on bandwidth shaping.
-    FASTPR_TRACE_SPAN("inproc.shape", "net", bytes, "bytes");
-    // Sender's uplink first, then receiver's downlink: a saturated
+    // The sender waits on the receiver's downlink too: a saturated
     // receiver back-pressures all of its senders, which is exactly the
     // hot-standby bottleneck of Eq. (6).
-    shape_tx(msg, bytes);
-    shape_rx(msg, bytes);
+    FASTPR_TRACE_SPAN("inproc.shape", "net", bytes, "bytes");
+    shape(msg, bytes);
   }
   deliver(std::move(msg), bytes);
 }

@@ -127,9 +127,9 @@ void TcpTransport::reader_loop(int node, int fd) {
       LOG_WARN("tcp: misaddressed frame dropped on node " << node);
       continue;
     }
+    // The sender shaped the packet on both NICs before writing it.
     const int64_t data_bytes =
         is_data_packet(msg->type) ? static_cast<int64_t>(frame.size()) : 0;
-    if (data_bytes > 0) shape_rx(*msg, data_bytes);
     if (!deliver(std::move(*msg), data_bytes)) break;
   }
   ::close(fd);
@@ -167,7 +167,7 @@ void TcpTransport::send(Message msg) {
 
   const auto frame = serialize_pooled(msg);
   if (is_data_packet(msg.type)) {
-    shape_tx(msg, static_cast<int64_t>(frame.size()));
+    shape(msg, static_cast<int64_t>(frame.size()));
   }
 
   static telemetry::Counter& tx_frames =

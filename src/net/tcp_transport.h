@@ -4,10 +4,11 @@
 // per-connection reader threads parse length-prefixed frames into the
 // node's inbox. Senders keep one persistent connection per (src, dst)
 // pair. The shaped core (net/transport.h) holds the inboxes and NICs: a
-// send shapes the sender's tx before writing the frame, and the
-// receiver's reader thread shapes rx before delivering, so the agent
-// protocol runs over a real network stack with the same timing
-// semantics and byte accounting as the in-process transport.
+// send shapes the packet on the sender's tx and the receiver's rx
+// before writing the frame, and the receiver's reader thread delivers
+// it, so the agent protocol runs over a real network stack with the
+// same timing semantics and byte accounting as the in-process
+// transport.
 #pragma once
 
 #include <map>

@@ -1,5 +1,7 @@
 #include "net/transport.h"
 
+#include <algorithm>
+
 #include "telemetry/trace.h"
 #include "util/check.h"
 
@@ -19,27 +21,28 @@ void ShapedTransport::check_route(const Message& msg) const {
   FASTPR_CHECK(msg.to >= 0 && msg.to < num_nodes());
 }
 
-void ShapedTransport::shape_tx(const Message& msg, int64_t bytes) {
+void ShapedTransport::shape(const Message& msg, int64_t bytes) {
   Nic& from = nic(msg.from);
-  int64_t tx_bytes = bytes;
+  Nic& to = nic(msg.to);
+  int64_t surcharge = 0;
   if (msg.hop != 0 && options_.chain_hop_overhead_seconds > 0) {
     // Store-and-forward cost of the chain hop, as the byte-equivalent
     // of a fixed time at the hop's current uplink rate (0 when
     // unthrottled). This is the measured-side twin of
     // ModelParams.chain_hop_overhead_seconds.
-    tx_bytes += static_cast<int64_t>(options_.chain_hop_overhead_seconds *
+    surcharge = static_cast<int64_t>(options_.chain_hop_overhead_seconds *
                                      from.tx.rate());
   }
-  from.tx.acquire(tx_bytes);
+  for (int64_t left = bytes; left > 0;) {
+    const int64_t slice = std::min(left, kNicBurstBytes);
+    from.tx.acquire(slice + surcharge);
+    surcharge = 0;
+    to.rx.acquire(slice);
+    left -= slice;
+  }
   if (options_.flow_monitor != nullptr) {
     options_.flow_monitor->on_tx(msg.from, msg.to, bytes,
                                  telemetry::trace_now_us());
-  }
-}
-
-void ShapedTransport::shape_rx(const Message& msg, int64_t bytes) {
-  nic(msg.to).rx.acquire(bytes);
-  if (options_.flow_monitor != nullptr) {
     options_.flow_monitor->on_rx(msg.from, msg.to, bytes,
                                  telemetry::trace_now_us());
   }

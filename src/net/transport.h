@@ -56,11 +56,11 @@ class Transport {
 /// transfers; commands/acks are negligible next to 64 MB chunks).
 ///
 /// A transport moves a message from the sender's NIC to the receiver's:
-/// InprocTransport shapes tx and rx in the sender's thread and
-/// delivers; TcpTransport shapes tx and writes the frame, and the
-/// receiver's reader thread shapes rx and delivers. Either way a data
-/// packet pays its encoded size on both buckets, so both transports
-/// price traffic identically.
+/// both shape a data packet once, in the sender's thread, then
+/// InprocTransport delivers it and TcpTransport writes the frame for
+/// the receiver's reader thread to deliver. Either way a data packet
+/// pays its encoded size on both buckets, so both transports price
+/// traffic identically.
 class ShapedTransport : public Transport {
  public:
   struct Options {
@@ -116,13 +116,16 @@ class ShapedTransport : public Transport {
   /// Checks msg.from and msg.to name nodes of this transport.
   void check_route(const Message& msg) const;
 
-  /// The sender's uplink for a data packet of `bytes` encoded bytes:
-  /// the chain-hop surcharge, the tx bucket, then the tx flow sample.
-  void shape_tx(const Message& msg, int64_t bytes);
-  /// The receiver's downlink: the rx bucket, then the rx flow sample,
-  /// stamped AFTER shaping so the monitor measures the link's achieved
-  /// rate, shaping included.
-  void shape_rx(const Message& msg, int64_t bytes);
+  /// The link for a data packet of `bytes` encoded bytes: burst-sized
+  /// slices that alternate the sender's tx bucket and the receiver's rx
+  /// bucket, the chain-hop surcharge on the first tx slice, then one tx
+  /// and one rx flow sample, stamped AFTER shaping so the monitor
+  /// measures the link's achieved rate, shaping included. Slicing lets
+  /// the two buckets refill while the other drains, as the two ends of
+  /// a link do: from idle buckets a packet of B > burst bytes waits
+  /// (B - burst)/R, not twice that. A packet within one burst takes one
+  /// tx and one rx acquire.
+  void shape(const Message& msg, int64_t bytes);
 
   /// Appends `msg` to msg.to's inbox, wakes one receiver and counts
   /// `data_bytes` (0 for control messages). Returns false, dropping the

@@ -11,18 +11,6 @@ namespace {
 
 using cluster::NodeId;
 
-/// Migrations off distinct STF disks stream in parallel, so a round's
-/// migrations take as long as its busiest source's share (a single
-/// source: all of them).
-int busiest_source_migrations(const core::RepairRound& round) {
-  std::unordered_map<NodeId, int> per_src;
-  int busiest = 0;
-  for (const auto& task : round.migrations) {
-    busiest = std::max(busiest, ++per_src[task.src]);
-  }
-  return busiest;
-}
-
 /// Round time under per-node resource accounting.
 double resource_round_time(const core::RepairRound& round,
                            const SimParams& p) {
@@ -152,7 +140,7 @@ SimResult simulate(const core::RepairPlan& plan, const SimParams& params) {
   for (const auto& round : plan.rounds) {
     const int cr = static_cast<int>(round.reconstructions.size());
     double t = params.model == TimingModel::kPaperModel
-                   ? model.round_time(cr, busiest_source_migrations(round),
+                   ? model.round_time(cr, round.busiest_migration_stream(),
                                       round.strategy)
                    : resource_round_time(round, params);
     if (racked) t = std::max(t, rack_round_time(round, params));

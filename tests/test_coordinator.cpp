@@ -38,15 +38,17 @@ std::set<NodeId> source_nodes(const std::vector<core::SourceRead>& sources) {
 /// The reconstruction a failed migration falls back to: same chunk and
 /// destination, helpers picked around the STF node and every node in
 /// `failed` — what the coordinator's rebuild issues after an STF read
-/// failure.
+/// failure. Throws CheckFailure where the rebuild abandons the chunk.
 core::ReconstructionTask fallback_for(const Coordinator& coordinator,
                                       const core::MigrationTask& mig,
                                       std::unordered_set<NodeId> failed) {
   failed.insert(mig.src);
+  auto sources = coordinator.pick_sources(mig.chunk, mig.dst, failed);
+  FASTPR_CHECK_MSG(sources.has_value(), "chunk is unrepairable");
   core::ReconstructionTask recon;
   recon.chunk = mig.chunk;
   recon.dst = mig.dst;
-  recon.sources = coordinator.pick_sources(mig.chunk, mig.dst, failed);
+  recon.sources = std::move(*sources);
   return recon;
 }
 
@@ -75,8 +77,9 @@ TEST_F(LrcSelectionTest, PickSourcesStaysInLocalGroupWhenIntact) {
   // helper read, not a k = 4 one.
   const auto sources =
       coordinator_.pick_sources(ChunkRef{0, 0}, /*dst=*/8, {});
-  EXPECT_EQ(source_nodes(sources), (std::set<NodeId>{1, 4}));
-  for (const auto& s : sources) {
+  ASSERT_TRUE(sources.has_value());
+  EXPECT_EQ(source_nodes(*sources), (std::set<NodeId>{1, 4}));
+  for (const auto& s : *sources) {
     EXPECT_EQ(s.chunk.stripe, 0);
     EXPECT_EQ(s.chunk.index, s.node);  // identity placement
   }
@@ -87,7 +90,8 @@ TEST_F(LrcSelectionTest, PickSourcesFallsBackToGlobalParities) {
   // repair is impossible and selection must widen to a global solve.
   const auto sources =
       coordinator_.pick_sources(ChunkRef{0, 0}, /*dst=*/8, {4});
-  const auto nodes = source_nodes(sources);
+  ASSERT_TRUE(sources.has_value());
+  const auto nodes = source_nodes(*sources);
   EXPECT_GE(nodes.size(), 2u);
   EXPECT_EQ(nodes.count(0), 0u);  // never the STF node
   EXPECT_EQ(nodes.count(4), 0u);  // never an excluded node
@@ -113,13 +117,13 @@ TEST_F(LrcSelectionTest, FallbackForExcludesKnownFailedNodes) {
   EXPECT_GE(nodes.size(), 2u);
 }
 
-TEST_F(LrcSelectionTest, PickSourcesThrowsWhenStripeIsDepleted) {
+TEST_F(LrcSelectionTest, PickSourcesFindsNoneWhenStripeIsDepleted) {
   // Only the two global parities survive: rank 2 < k = 4, so chunk 0 is
   // unrepairable and selection must say so (the coordinator abandons
   // the chunk and reports it unrepaired).
-  EXPECT_THROW(
-      coordinator_.pick_sources(ChunkRef{0, 0}, /*dst=*/8, {1, 2, 3, 4, 5}),
-      CheckFailure);
+  EXPECT_FALSE(
+      coordinator_.pick_sources(ChunkRef{0, 0}, /*dst=*/8, {1, 2, 3, 4, 5})
+          .has_value());
 }
 
 // RS(6,4) with identity placement on nodes 0..5.

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ec/rs_code.h"
 #include "util/check.h"
 #include "util/units.h"
 
@@ -13,8 +14,7 @@ namespace {
 LifetimeConfig base_config() {
   LifetimeConfig cfg;
   cfg.num_nodes = 40;
-  cfg.n = 9;
-  cfg.k = 6;
+  cfg.code = std::make_shared<const ec::RsCode>(9, 6);
   cfg.num_stripes = 200;
   cfg.chunk_bytes = static_cast<double>(MB(64));
   cfg.disk_bw = MBps(100);

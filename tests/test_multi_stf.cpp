@@ -160,6 +160,56 @@ TEST(MultiStfPlanner, BatchStarvedStripesFallBackToMigration) {
             layout.load(0) + layout.load(1) + layout.load(2));
 }
 
+TEST(MultiStfPlanner, BatchReplanSplicesIntoAValidPlan) {
+  // A bandwidth replan of a two-node batch: the first half of the joint
+  // plan's rounds are done and two helpers straggle. The replanned tail,
+  // spliced after the done rounds, must form a valid whole plan — no
+  // stripe with chunks on both members may land two on one node.
+  for (int s = 0; s < seed_count(); ++s) {
+    const uint64_t seed = seed_base() + static_cast<uint64_t>(s);
+    SCOPED_TRACE("seed=" + std::to_string(seed) +
+                 " (override with FASTPR_PROPERTY_SEED_BASE)");
+    Rng rng(seed);
+    const auto layout = cluster::StripeLayout::random(40, 9, 300, rng);
+    cluster::ClusterState state(
+        40, 3, cluster::BandwidthProfile{MBps(100), Gbps(1)});
+    const auto order = most_loaded(layout, 4);
+    state.set_health(order[0], cluster::NodeHealth::kSoonToFail);
+    state.set_health(order[1], cluster::NodeHealth::kSoonToFail);
+    for (auto scenario :
+         {core::Scenario::kScattered, core::Scenario::kHotStandby}) {
+      SCOPED_TRACE(core::to_string(scenario));
+      core::PlannerOptions options;
+      options.scenario = scenario;
+      options.k_repair = 6;
+      options.chunk_bytes = static_cast<double>(MB(64));
+
+      core::FastPrPlanner planner(layout, state, options);
+      const auto plan = planner.plan_fastpr();
+      const size_t half = (plan.rounds.size() + 1) / 2;
+      const std::vector<core::RepairRound> done(
+          plan.rounds.begin(),
+          plan.rounds.begin() + static_cast<ptrdiff_t>(half));
+      std::vector<cluster::ChunkRef> handled;
+      for (const auto& round : done) {
+        for (const auto& task : round.reconstructions) {
+          handled.push_back(task.chunk);
+        }
+        for (const auto& task : round.migrations) {
+          handled.push_back(task.chunk);
+        }
+      }
+      core::FastPrPlanner replanner(layout, state, options);
+      core::RepairPlan spliced = replanner.plan_fastpr_remaining(
+          handled, {order[2], order[3]}, done);
+      spliced.rounds.insert(spliced.rounds.begin(), done.begin(),
+                            done.end());
+      EXPECT_NO_THROW(
+          core::validate_plan(spliced, layout, state, options.k_repair));
+    }
+  }
+}
+
 TEST(MultiStfDifferential, SimRoundsMatchCostModelExactly) {
   // Under the paper timing model a simulated round is
   // CostModel::round_time(cr, busiest per-source migration count), so

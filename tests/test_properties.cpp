@@ -33,6 +33,7 @@
 #include "core/fastpr.h"
 #include "core/recon_sets.h"
 #include "core/repair_plan.h"
+#include "ec/rs_code.h"
 #include "net/topology.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -156,13 +157,14 @@ TEST(AlgorithmOneProperties, SingleStfSetsFeasibleAndMaximal) {
     const NodeId stf = most_loaded(layout, 1).front();
     const auto healthy = healthy_except(8, {stf});
     const int k_repair = 3;
+    const ec::RsCode code(5, k_repair);
 
-    const auto sets = core::find_reconstruction_sets(layout, stf, healthy,
-                                                     k_repair);
+    const auto sets =
+        core::find_reconstruction_sets(layout, stf, healthy, code);
     expect_exact_cover(sets, layout.chunks_on(stf));
     for (const auto& set : sets) {
       EXPECT_TRUE(core::is_valid_reconstruction_set(layout, stf, healthy,
-                                                    k_repair, set));
+                                                    code, set));
     }
     expect_feasible_and_maximal(layout, healthy, k_repair, sets);
   }
@@ -179,6 +181,7 @@ TEST(AlgorithmOneProperties, MultiStfUnionSetsFeasibleAndMaximal) {
     const auto batch = most_loaded(layout, 2);
     const auto healthy = healthy_except(10, batch);
     const int k_repair = 3;
+    const ec::RsCode code(5, k_repair);
 
     // Union of the batch's chunks, member order — what the joint
     // planner feeds Algorithm 1. Stripes the batch itself starved below
@@ -196,7 +199,7 @@ TEST(AlgorithmOneProperties, MultiStfUnionSetsFeasibleAndMaximal) {
     }
 
     const auto sets = core::find_reconstruction_sets_for(
-        union_chunks, layout, healthy, k_repair);
+        union_chunks, layout, healthy, code);
     expect_exact_cover(sets, union_chunks);
     expect_feasible_and_maximal(layout, healthy, k_repair, sets);
   }
@@ -218,16 +221,17 @@ TEST(AlgorithmOneProperties, RackAwareSetsFeasibleAndMaximal) {
     const NodeId stf = most_loaded(layout, 1).front();
     const auto healthy = healthy_except(10, {stf});
     const int k_repair = 3;
+    const ec::RsCode code(5, k_repair);
     const net::Topology topo(5, 2, net::Oversub(4.0));
 
     core::ReconSetOptions options;
     options.topology = &topo;
     const auto sets = core::find_reconstruction_sets(layout, stf, healthy,
-                                                     k_repair, options);
+                                                     code, options);
     expect_exact_cover(sets, layout.chunks_on(stf));
     for (const auto& set : sets) {
       EXPECT_TRUE(core::is_valid_reconstruction_set(layout, stf, healthy,
-                                                    k_repair, set));
+                                                    code, set));
     }
     expect_feasible_and_maximal(layout, healthy, k_repair, sets);
   }
@@ -247,11 +251,12 @@ TEST(AlgorithmOneProperties, DeprioritizedSetsFeasibleAndMaximal) {
     const NodeId stf = most_loaded(layout, 1).front();
     const auto healthy = healthy_except(8, {stf});
     const int k_repair = 3;
+    const ec::RsCode code(5, k_repair);
 
     core::ReconSetOptions options;
     options.deprioritized = {healthy[0], healthy[1]};
     const auto sets = core::find_reconstruction_sets(layout, stf, healthy,
-                                                     k_repair, options);
+                                                     code, options);
     expect_exact_cover(sets, layout.chunks_on(stf));
     expect_feasible_and_maximal(layout, healthy, k_repair, sets);
   }
@@ -265,6 +270,7 @@ TEST(AlgorithmOneProperties, PaperScaleSetsValidAndMaximal) {
   // Hopcroft–Karp by test_matching) on each grown set.
   const int num_nodes = 100;
   const int k_repair = 6;
+  const ec::RsCode code(9, k_repair);
   const NodeId stf = 0;
   for (int s = 0; s < seed_count(); ++s) {
     const uint64_t seed = seed_base() + static_cast<uint64_t>(s);
@@ -282,13 +288,13 @@ TEST(AlgorithmOneProperties, PaperScaleSetsValidAndMaximal) {
     const auto healthy = healthy_except(num_nodes, {stf});
     const size_t cap = healthy.size() / k_repair;
 
-    const auto sets = core::find_reconstruction_sets(layout, stf, healthy,
-                                                     k_repair);
+    const auto sets =
+        core::find_reconstruction_sets(layout, stf, healthy, code);
     expect_exact_cover(sets, layout.chunks_on(stf));
     for (size_t i = 0; i < sets.size(); ++i) {
       EXPECT_LE(sets[i].size(), cap);
       EXPECT_TRUE(core::is_valid_reconstruction_set(layout, stf, healthy,
-                                                    k_repair, sets[i]))
+                                                    code, sets[i]))
           << "set " << i << " is not a valid reconstruction set";
       if (sets[i].size() >= cap) continue;
       for (size_t j = i + 1; j < sets.size(); ++j) {
@@ -296,7 +302,7 @@ TEST(AlgorithmOneProperties, PaperScaleSetsValidAndMaximal) {
           std::vector<ChunkRef> grown = sets[i];
           grown.push_back(chunk);
           EXPECT_FALSE(core::is_valid_reconstruction_set(
-              layout, stf, healthy, k_repair, grown))
+              layout, stf, healthy, code, grown))
               << "set " << i << " is not maximal: chunk (" << chunk.stripe
               << "," << chunk.index << ") from set " << j << " still fits";
         }

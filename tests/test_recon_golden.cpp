@@ -18,7 +18,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "agent/testbed.h"
@@ -128,7 +130,8 @@ uint64_t single_stf_digest(int num_nodes, int n, int k, int stripes,
   const NodeId stf = by_load(layout).front();
   core::ReconSetStats stats;
   const auto sets = core::find_reconstruction_sets(
-      layout, stf, all_except(num_nodes, {stf}), k, options, &stats);
+      layout, stf, all_except(num_nodes, {stf}), ec::RsCode(n, k), options,
+      &stats);
   return digest_sets(sets, stats);
 }
 
@@ -182,7 +185,8 @@ TEST(ReconSetsGolden, Deprioritized) {
     options.deprioritized = {order[1], order[2], order[3]};
     core::ReconSetStats stats;
     const auto sets = core::find_reconstruction_sets(
-        layout, order[0], all_except(40, {order[0]}), 6, options, &stats);
+        layout, order[0], all_except(40, {order[0]}), ec::RsCode(9, 6),
+        options, &stats);
     EXPECT_EQ(digest_sets(sets, stats), g.digest);
   }
 }
@@ -201,7 +205,8 @@ TEST(ReconSetsGolden, RackTopology) {
     options.topology = &topo;
     core::ReconSetStats stats;
     const auto sets = core::find_reconstruction_sets(
-        layout, stf, all_except(40, {stf}), 6, options, &stats);
+        layout, stf, all_except(40, {stf}), ec::RsCode(9, 6), options,
+        &stats);
     EXPECT_EQ(digest_sets(sets, stats), g.digest);
   }
 }
@@ -218,8 +223,7 @@ TEST(ReconSetsGolden, LrcCode) {
     const NodeId stf = by_load(layout).front();
     core::ReconSetStats stats;
     const auto sets = core::find_reconstruction_sets(
-        layout, stf, all_except(40, {stf}), code.repair_fetch_count(0), {},
-        &stats, &code);
+        layout, stf, all_except(40, {stf}), code, {}, &stats);
     EXPECT_EQ(digest_sets(sets, stats), g.digest);
   }
 }
@@ -248,7 +252,7 @@ TEST(ReconSetsGolden, MultiStfUnion) {
     }
     core::ReconSetStats stats;
     const auto sets = core::find_reconstruction_sets_for(
-        chunks, layout, healthy, 6, {}, &stats);
+        chunks, layout, healthy, ec::RsCode(9, 6), {}, &stats);
     EXPECT_EQ(digest_sets(sets, stats), g.digest);
   }
 }
@@ -615,8 +619,7 @@ TEST(PlanGolden, LifetimeReport) {
   // Predictive repair for flagged nodes, reactive repair for the rest.
   lifetime::LifetimeConfig cfg;
   cfg.num_nodes = 40;
-  cfg.n = 9;
-  cfg.k = 6;
+  cfg.code = std::make_shared<const ec::RsCode>(9, 6);
   cfg.num_stripes = 200;
   cfg.chunk_bytes = static_cast<double>(MB(64));
   cfg.disk_bw = MBps(100);
@@ -637,6 +640,53 @@ TEST(PlanGolden, LifetimeReport) {
   EXPECT_DOUBLE_EQ(report.degraded_stripe_seconds, 9722.6470195200018);
   EXPECT_DOUBLE_EQ(report.repair_seconds.sum(), 697.68994816000009);
   EXPECT_DOUBLE_EQ(report.repair_seconds.max(), 45.012254720000008);
+}
+
+TEST(PlanGolden, LrcLifetimeReport) {
+  // The same year on LRC(12,2,2) stripes: helpers come from each
+  // chunk's local group, and a stripe is lost past n - k = 4 concurrent
+  // losses. Recorded with the planner drawing helpers from the LRC code.
+  lifetime::LifetimeConfig cfg;
+  cfg.num_nodes = 40;
+  cfg.code = std::make_shared<const ec::LrcCode>(12, 2, 2);
+  cfg.num_stripes = 200;
+  cfg.chunk_bytes = static_cast<double>(MB(64));
+  cfg.disk_bw = MBps(100);
+  cfg.net_bw = Gbps(1);
+  cfg.sim_days = 365;
+  cfg.node_mtbf_days = 600;
+  cfg.prediction_recall = 0.7;
+  cfg.seed = 11;
+  const auto report = lifetime::simulate_lifetime(cfg);
+  EXPECT_EQ(report.failures, 19);
+  EXPECT_EQ(report.predicted, 13);
+  EXPECT_EQ(report.completed_in_time, 13);
+  EXPECT_EQ(report.false_alarms, 2);
+  EXPECT_EQ(report.data_loss_stripes, 0);
+  EXPECT_EQ(report.repair_traffic_chunks, 8516);
+  EXPECT_EQ(report.repair_seconds.count(), 21u);
+  EXPECT_DOUBLE_EQ(report.vulnerability_seconds, 832.72671231999993);
+  EXPECT_DOUBLE_EQ(report.degraded_stripe_seconds, 66744.171298816014);
+  EXPECT_DOUBLE_EQ(report.repair_seconds.sum(), 1786.9865123840009);
+  EXPECT_DOUBLE_EQ(report.repair_seconds.max(), 157.54289151999996);
+}
+
+TEST(PlanEquivalence, ReplanOfNothingIsPlanFastpr) {
+  // With nothing handled and no straggler, the bandwidth replan runs
+  // plan_fastpr's pipeline over the same chunks: the same plan, for a
+  // batch of one and of two.
+  for (const auto& [seed, stripes, flagged] :
+       {std::tuple{1, 900, 1}, std::tuple{2, 300, 2}}) {
+    SCOPED_TRACE("batch of " + std::to_string(flagged));
+    const PaperCluster cluster(static_cast<uint64_t>(seed), stripes,
+                               flagged);
+    core::FastPrPlanner planner(cluster.layout, cluster.state,
+                                paper_options());
+    core::FastPrPlanner replanner(cluster.layout, cluster.state,
+                                  paper_options());
+    EXPECT_EQ(digest_plan(replanner.plan_fastpr_remaining({}, {})),
+              digest_plan(planner.plan_fastpr()));
+  }
 }
 
 }  // namespace

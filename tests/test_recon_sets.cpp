@@ -6,6 +6,7 @@
 
 #include <set>
 
+#include "ec/rs_code.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -26,12 +27,13 @@ std::vector<NodeId> healthy_except(int num_nodes, NodeId stf) {
 
 /// Asserts the sets exactly cover the STF node's chunks, each valid.
 void check_cover(const StripeLayout& layout, NodeId stf,
-                 const std::vector<NodeId>& healthy, int k,
+                 const std::vector<NodeId>& healthy,
+                 const ec::ErasureCode& code,
                  const std::vector<std::vector<ChunkRef>>& sets) {
   std::set<std::pair<int, int>> covered;
   for (const auto& set : sets) {
     EXPECT_FALSE(set.empty());
-    EXPECT_TRUE(is_valid_reconstruction_set(layout, stf, healthy, k, set));
+    EXPECT_TRUE(is_valid_reconstruction_set(layout, stf, healthy, code, set));
     for (ChunkRef c : set) {
       EXPECT_TRUE(covered.emplace(c.stripe, c.index).second)
           << "chunk covered twice";
@@ -58,19 +60,20 @@ TEST(ReconSets, Figure5WorkedExample) {
   layout.add_stripe({0, 5, 6, 7, 8});  // C3
   layout.add_stripe({0, 1, 2, 8, 9});  // C4
   const auto healthy = healthy_except(10, stf);
+  const ec::RsCode code(5, 3);
 
   ReconSetOptions opt_on;
   opt_on.optimize = true;
   ReconSetStats stats;
   const auto sets =
-      find_reconstruction_sets(layout, stf, healthy, 3, opt_on, &stats);
-  check_cover(layout, stf, healthy, 3, sets);
+      find_reconstruction_sets(layout, stf, healthy, code, opt_on, &stats);
+  check_cover(layout, stf, healthy, code, sets);
 
   ReconSetOptions opt_off;
   opt_off.optimize = false;
   const auto sets_ini =
-      find_reconstruction_sets(layout, stf, healthy, 3, opt_off);
-  check_cover(layout, stf, healthy, 3, sets_ini);
+      find_reconstruction_sets(layout, stf, healthy, code, opt_off);
+  check_cover(layout, stf, healthy, code, sets_ini);
 
   // Both partitions have 2 sets here, but the swap pass grows the first
   // set to the capacity of 3 chunks (C1, C3, C4 in the paper's telling)
@@ -97,9 +100,10 @@ TEST_P(RandomReconSetTest, CoverAndValidityOnRandomLayouts) {
     if (layout.load(n) > layout.load(stf)) stf = n;
   }
   const auto healthy = healthy_except(num_nodes, stf);
-  const auto sets =
-      find_reconstruction_sets(layout, stf, healthy, k, ReconSetOptions{});
-  check_cover(layout, stf, healthy, k, sets);
+  const ec::RsCode code(k + 3, k);
+  const auto sets = find_reconstruction_sets(layout, stf, healthy, code,
+                                             ReconSetOptions{});
+  check_cover(layout, stf, healthy, code, sets);
   // No set exceeds the matching capacity floor((M-1)/k).
   for (const auto& set : sets) {
     EXPECT_LE(static_cast<int>(set.size()),
@@ -123,10 +127,11 @@ TEST(ReconSets, OptimizationNeverIncreasesSetCount) {
     ReconSetOptions on, off;
     on.optimize = true;
     off.optimize = false;
+    const ec::RsCode code(9, 6);
     const auto d_opt =
-        find_reconstruction_sets(layout, stf, healthy, 6, on).size();
+        find_reconstruction_sets(layout, stf, healthy, code, on).size();
     const auto d_ini =
-        find_reconstruction_sets(layout, stf, healthy, 6, off).size();
+        find_reconstruction_sets(layout, stf, healthy, code, off).size();
     EXPECT_LE(d_opt, d_ini) << "seed " << seed;
   }
 }
@@ -141,9 +146,10 @@ TEST(ReconSets, ChunkGroupingStillCovers) {
   const auto healthy = healthy_except(25, stf);
   ReconSetOptions grouped;
   grouped.chunk_group_size = 10;
+  const ec::RsCode code(6, 4);
   const auto sets =
-      find_reconstruction_sets(layout, stf, healthy, 4, grouped);
-  check_cover(layout, stf, healthy, 4, sets);
+      find_reconstruction_sets(layout, stf, healthy, code, grouped);
+  check_cover(layout, stf, healthy, code, sets);
   // Grouping can only fragment: at least ceil(U / group) sets.
   const size_t u = layout.chunks_on(stf).size();
   EXPECT_GE(sets.size(), (u + 9) / 10);
@@ -159,9 +165,10 @@ TEST(ReconSets, MaxSetSizeCapRespected) {
   const auto healthy = healthy_except(40, stf);
   ReconSetOptions capped;
   capped.max_set_size = 3;
+  const ec::RsCode code(5, 4);
   const auto sets =
-      find_reconstruction_sets(layout, stf, healthy, 4, capped);
-  check_cover(layout, stf, healthy, 4, sets);
+      find_reconstruction_sets(layout, stf, healthy, code, capped);
+  check_cover(layout, stf, healthy, code, sets);
   for (const auto& set : sets) EXPECT_LE(set.size(), 3u);
 }
 
@@ -169,8 +176,8 @@ TEST(ReconSets, SingleChunk) {
   StripeLayout layout(6, 4);
   layout.add_stripe({0, 1, 2, 3});
   const auto healthy = healthy_except(6, 0);
-  const auto sets =
-      find_reconstruction_sets(layout, 0, healthy, 3, ReconSetOptions{});
+  const auto sets = find_reconstruction_sets(
+      layout, 0, healthy, ec::RsCode(4, 3), ReconSetOptions{});
   ASSERT_EQ(sets.size(), 1u);
   EXPECT_EQ(sets[0].size(), 1u);
 }
@@ -179,8 +186,8 @@ TEST(ReconSets, EmptyStfNode) {
   StripeLayout layout(6, 3);
   layout.add_stripe({1, 2, 3});  // node 0 holds nothing
   const auto healthy = healthy_except(6, 0);
-  const auto sets =
-      find_reconstruction_sets(layout, 0, healthy, 2, ReconSetOptions{});
+  const auto sets = find_reconstruction_sets(
+      layout, 0, healthy, ec::RsCode(3, 2), ReconSetOptions{});
   EXPECT_TRUE(sets.empty());
 }
 
@@ -190,9 +197,9 @@ TEST(ReconSets, InsufficientHealthySourcesRejected) {
   layout.add_stripe({0, 1, 2, 3});
   // Healthy list excludes node 3 as well as the STF node 0.
   std::vector<NodeId> healthy = {1, 2, 4};
-  EXPECT_THROW(
-      find_reconstruction_sets(layout, 0, healthy, 3, ReconSetOptions{}),
-      CheckFailure);
+  EXPECT_THROW(find_reconstruction_sets(layout, 0, healthy, ec::RsCode(4, 3),
+                                        ReconSetOptions{}),
+               CheckFailure);
 }
 
 TEST(ReconSets, SourceHoldingARepairedChunkRejected) {
@@ -202,17 +209,18 @@ TEST(ReconSets, SourceHoldingARepairedChunkRejected) {
   StripeLayout layout(6, 4);
   layout.add_stripe({0, 1, 2, 3});
   const std::vector<NodeId> sources = {0, 1, 2, 4, 5};
+  const ec::RsCode code(4, 3);
   EXPECT_THROW(
-      find_reconstruction_sets(layout, 0, sources, 3, ReconSetOptions{}),
+      find_reconstruction_sets(layout, 0, sources, code, ReconSetOptions{}),
       CheckFailure);
-  EXPECT_THROW(is_valid_reconstruction_set(layout, 0, sources, 3,
+  EXPECT_THROW(is_valid_reconstruction_set(layout, 0, sources, code,
                                            layout.chunks_on(0)),
                CheckFailure);
   // The generalized entry point checks every chunk's holder, so a
   // multi-node batch cannot lend one member to another as a helper.
   layout.add_stripe({4, 1, 2, 3});
   EXPECT_THROW(find_reconstruction_sets_for({ChunkRef{0, 0}, ChunkRef{1, 0}},
-                                            layout, {1, 2, 3, 4, 5}, 3),
+                                            layout, {1, 2, 3, 4, 5}, code),
                CheckFailure);
 }
 

@@ -145,9 +145,11 @@ TEST_P(TransportTest, TracksBytesSent) {
 
 TEST_P(TransportTest, ChargesPaceLikeADataPacket) {
   // Foreground traffic charges the NIC buckets a data packet crosses:
-  // charging a packet's encoded size to the sender's tx and then the
-  // receiver's rx takes as long as sending the packet itself. Each
-  // bucket starts full (one burst), so each side waits for the rest.
+  // charging a packet's encoded size to the sender's tx, or to the
+  // receiver's rx, takes as long as sending the packet. Each bucket
+  // starts full (one burst), so each waits for the rest. The packet
+  // streams through both buckets at once, as the two ends of a link
+  // do, so it waits for the rest once, not twice.
   constexpr double kRate = 8e6;  // bytes/s
   auto packet = data_packet(0, 1, 3 * kMiB);
   const int64_t bytes = static_cast<int64_t>(packet.encoded_size());
@@ -171,9 +173,10 @@ TEST_P(TransportTest, ChargesPaceLikeADataPacket) {
 
   EXPECT_GT(tx_s, 0.9 * per_bucket_s);
   EXPECT_GT(charge_s - tx_s, 0.9 * per_bucket_s);
-  EXPECT_GT(packet_s, 0.9 * 2 * per_bucket_s);
-  EXPECT_NEAR(charge_s / packet_s, 1.0, 0.5)
-      << "charges " << charge_s << " s, packet " << packet_s << " s";
+  EXPECT_GT(packet_s, 0.9 * per_bucket_s);
+  EXPECT_LT(packet_s, 1.5 * per_bucket_s)
+      << "packet " << packet_s << " s, one bucket's wait " << per_bucket_s
+      << " s";
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, TransportTest,

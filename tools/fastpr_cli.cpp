@@ -129,8 +129,8 @@ namespace {
 struct Spec {
   int nodes = 100;
   int standby = 3;
-  std::unique_ptr<ec::ErasureCode> code =
-      std::make_unique<ec::RsCode>(9, 6);
+  std::shared_ptr<const ec::ErasureCode> code =
+      std::make_shared<const ec::RsCode>(9, 6);
   double chunk_bytes = static_cast<double>(MB(64));
   double disk_bw = MBps(100);
   double net_bw = Gbps(1);
@@ -196,11 +196,11 @@ bool parse_spec(const std::string& path, Spec& spec, std::string& error) {
       if (kind == "rs") {
         int n = 0, k = 0;
         if (!(tokens >> n >> k)) return fail("code rs <n> <k>");
-        spec.code = std::make_unique<ec::RsCode>(n, k);
+        spec.code = std::make_shared<const ec::RsCode>(n, k);
       } else if (kind == "lrc") {
         int k = 0, l = 0, g = 0;
         if (!(tokens >> k >> l >> g)) return fail("code lrc <k> <l> <g>");
-        spec.code = std::make_unique<ec::LrcCode>(k, l, g);
+        spec.code = std::make_shared<const ec::LrcCode>(k, l, g);
       } else {
         return fail("unknown code kind '" + kind + "'");
       }
@@ -430,8 +430,7 @@ int cmd_simulate(const Spec& spec) {
 int cmd_lifetime(const Spec& spec) {
   lifetime::LifetimeConfig cfg;
   cfg.num_nodes = spec.nodes;
-  cfg.n = spec.code->n();
-  cfg.k = spec.code->repair_fetch_count(0);
+  cfg.code = spec.code;
   cfg.num_stripes = spec.stripes;
   cfg.chunk_bytes = spec.chunk_bytes;
   cfg.disk_bw = spec.disk_bw;
