@@ -102,7 +102,7 @@ inline TestbedTimes run_testbed_trio(const agent::TestbedOptions& opts,
                 << (report.errors.empty() ? "?" : report.errors[0]));
       return 0.0;
     }
-    if (!tb.verify(plan)) {
+    if (!tb.verify(report, plan)) {
       LOG_ERROR("testbed verification FAILED for " << which);
       return 0.0;
     }

@@ -41,7 +41,7 @@ BatchRun run_batch(const agent::TestbedOptions& opts,
               << (report.errors.empty() ? "?" : report.errors[0]));
     return out;
   }
-  if (!tb.verify(plan)) {
+  if (!tb.verify(report, plan)) {
     LOG_ERROR("testbed verification FAILED (batch " << batch << ")");
     return out;
   }

@@ -68,7 +68,7 @@ ReconRun run_recon(const agent::TestbedOptions& base,
   }
   const auto report = tb.execute(isolated);
   ReconRun out;
-  out.ok = report.success && tb.verify(isolated);
+  out.ok = report.success && tb.verify(report, isolated);
   if (!out.ok) {
     LOG_ERROR("reconstruction run failed ("
               << (report.errors.empty() ? "verify" : report.errors[0])
@@ -97,7 +97,7 @@ double run_single_transfer(const agent::TestbedOptions& base,
   const auto plan =
       tb.make_planner(core::Scenario::kScattered).plan_migration_only();
   const auto report = tb.execute(plan);
-  if (!report.success || !tb.verify(plan)) {
+  if (!report.success || !tb.verify(report, plan)) {
     LOG_ERROR("migration run failed");
     ok = false;
     return 0;

@@ -105,7 +105,7 @@ int main() {
   const auto report = tb.execute(plan);
   std::printf("testbed LRC repair: %d chunks in %.2f s — %s\n",
               report.repaired(), report.repair.total_seconds,
-              report.success && tb.verify(plan)
+              report.success && tb.verify(report, plan)
                   ? "all chunks byte-verified"
                   : "FAILED");
   return 0;

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
         plan = planner.plan_migration_only();
       }
       const auto report = tb.execute(plan);
-      const bool verified = tb.verify(plan);
+      const bool verified = report.success && tb.verify(report, plan);
       std::printf(
           "%-15s stf=%2d U=%2d rounds=%2zu migrated=%2d reconstructed=%2d "
           "time=%6.2fs per-chunk=%5.3fs %s\n",

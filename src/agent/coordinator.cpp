@@ -48,7 +48,7 @@ Coordinator::Coordinator(NodeId id, net::Transport& transport,
   FASTPR_CHECK(options.stf_failure_threshold >= 1);
 }
 
-void Coordinator::issue_task(uint64_t task_id, const PendingTask& task) {
+void Coordinator::issue_task(uint64_t task_id, PendingTask& task) {
   // One command per attempt, to the destination: it drives the transfer
   // (DESIGN.md §5b).
   const core::ReconstructionTask& t = task.transfer;
@@ -82,6 +82,7 @@ void Coordinator::issue_task(uint64_t task_id, const PendingTask& task) {
     cmd.shape = net::RepairShape::kChain;
     coord_counter("coordinator.chain_tasks").add();
   }
+  task.issued = telemetry::TraceClock::now();
   // fastpr-lint: allow(ack-tracking) — reply tracked via pending_;
   // non-acknowledgement is salvaged by round extensions + probes.
   transport_.send(std::move(cmd));
@@ -155,8 +156,9 @@ bool Coordinator::rebuild_task(PendingTask& task, ExecutionReport& report) {
   }
   NodeId dst = t.dst;
   if (dst == cluster::kNoNode || bad(dst)) {
-    dst = choose_destination(t.chunk.stripe, task);
+    dst = choose_destination(task, nullptr);
     if (dst == cluster::kNoNode) return false;
+    ledger_->place(t.chunk, dst);
   }
   // A live STF keeps serving its own chunk; a reconstruction re-picks
   // helpers around every known-bad node.
@@ -171,8 +173,8 @@ bool Coordinator::rebuild_task(PendingTask& task, ExecutionReport& report) {
   return true;
 }
 
-NodeId Coordinator::choose_destination(cluster::StripeId stripe,
-                                       const PendingTask& task) {
+NodeId Coordinator::choose_destination(
+    const PendingTask& task, const std::unordered_set<NodeId>* busy) {
   std::unordered_set<NodeId> in_use;
   for (const auto& [id, p] : pending_) in_use.insert(p.transfer.dst);
 
@@ -181,17 +183,22 @@ NodeId Coordinator::choose_destination(cluster::StripeId stripe,
     pool.resize(static_cast<size_t>(layout_.num_nodes()));
     std::iota(pool.begin(), pool.end(), 0);
   }
+  // Spare (hot-standby) ids sit beyond the layout and hold no chunks.
+  const auto spare = [&](NodeId n) { return n >= layout_.num_nodes(); };
 
   NodeId best = cluster::kNoNode;
   std::pair<int, int> best_key{0, 0};
   for (NodeId n : pool) {
     if (stf_set_.count(n) != 0 || failed_nodes_.count(n) != 0 ||
-        task.excluded.count(n) != 0) {
+        task.excluded.count(n) != 0 ||
+        !ledger_->allows(task.transfer.chunk, n)) {
       continue;
     }
-    if (layout_.stripe_uses_node(stripe, n)) continue;
-    // Spare (hot-standby) ids sit beyond the layout and hold no chunks.
-    const int placed = n < layout_.num_nodes() ? layout_.load(n) : 0;
+    if (busy != nullptr &&
+        (busy->count(n) != 0 || spare(n) != spare(task.transfer.dst))) {
+      continue;
+    }
+    const int placed = spare(n) ? 0 : layout_.load(n);
     const std::pair<int, int> key{in_use.count(n) != 0 ? 1 : 0,
                                   placed + extra_dst_load_[n]};
     if (best == cluster::kNoNode || key < best_key) {
@@ -201,6 +208,83 @@ NodeId Coordinator::choose_destination(cluster::StripeId stripe,
   }
   if (best != cluster::kNoNode) ++extra_dst_load_[best];
   return best;
+}
+
+void Coordinator::pull(std::vector<core::RepairRound>& rounds,
+                       size_t round_idx, ExecutionReport& report) {
+  if (pullers_.empty()) return;
+  bool reconstructing = false;
+  std::unordered_set<NodeId> migrating;  // members with a migration out
+  std::unordered_set<NodeId> busy;       // every in-flight task's nodes
+  for (const auto& [id, task] : pending_) {
+    if (task.migration) {
+      migrating.insert(task.transfer.sources.front().node);
+    } else {
+      reconstructing = true;
+    }
+    collect_task_nodes(task, busy);
+  }
+  if (!reconstructing) return;
+
+  for (NodeId member : pullers_) {
+    if (stf_node_dead(member) || migrating.count(member) != 0) continue;
+    // The member's next planned migration in Algorithm 2's order, else
+    // the last of its chunks that the latest remaining round would
+    // reconstruct: stealing from the tail is what removes rounds.
+    size_t from = rounds.size();
+    ChunkRef chunk;
+    NodeId planned_dst = cluster::kNoNode;
+    for (size_t r = round_idx + 1; r < rounds.size() && from == rounds.size();
+         ++r) {
+      for (const auto& mig : rounds[r].migrations) {
+        if (mig.src != member) continue;
+        from = r;
+        chunk = mig.chunk;
+        planned_dst = mig.dst;
+        break;
+      }
+    }
+    for (size_t r = rounds.size(); r > round_idx + 1 && from == rounds.size();
+         --r) {
+      const auto& recons = rounds[r - 1].reconstructions;
+      for (auto it = recons.rbegin(); it != recons.rend(); ++it) {
+        if (layout_.node_of(it->chunk) != member) continue;
+        from = r - 1;
+        chunk = it->chunk;
+        planned_dst = it->dst;
+        break;
+      }
+    }
+    if (from == rounds.size()) continue;  // nothing left to pull
+
+    PendingTask task;
+    task.transfer = {chunk, {{member, chunk}}, planned_dst};
+    task.migration = true;
+    task.barrier = false;
+    task.planned_round = static_cast<int>(from) + 1;
+    task.executed_round = current_round_;
+    // The planned destination if it is idle, else an idle node of its
+    // class: a pull that shares a busy node's disk stretches its round.
+    if (busy.count(planned_dst) != 0 ||
+        failed_nodes_.count(planned_dst) != 0 ||
+        !ledger_->allows(chunk, planned_dst)) {
+      task.transfer.dst = choose_destination(task, &busy);
+      if (task.transfer.dst == cluster::kNoNode) continue;  // pull later
+    }
+    auto& round = rounds[from];
+    std::erase_if(round.migrations, [&](const core::MigrationTask& m) {
+      return m.chunk == chunk;
+    });
+    std::erase_if(round.reconstructions,
+                  [&](const core::ReconstructionTask& t) {
+                    return t.chunk == chunk;
+                  });
+    ledger_->place(chunk, task.transfer.dst);
+    migrating.insert(member);
+    collect_task_nodes(task, busy);
+    coord_counter("coordinator.pulled_migrations").add();
+    start_task(std::move(task), report);
+  }
 }
 
 void Coordinator::start_task(PendingTask task, ExecutionReport& report) {
@@ -217,23 +301,32 @@ void Coordinator::start_task(PendingTask task, ExecutionReport& report) {
   issue_task(id, it->second);
 }
 
-const CompletedRepair* Coordinator::handle_task_done(
-    const Message& msg, ExecutionReport& report) {
+void Coordinator::handle_task_done(const Message& msg,
+                                   ExecutionReport& report) {
   const auto it = pending_.find(msg.task_id);
   if (it == pending_.end() || it->second.attempt != msg.attempt) {
     coord_counter("coordinator.stale_acks").add();
-    return nullptr;
+    return;
   }
   const PendingTask& task = it->second;
   if (options_.throttler != nullptr) {
     options_.throttler->on_progress(send_bytes(task.transfer.sources.size()));
   }
-  report.completions.push_back(CompletedRepair{task.transfer.chunk, msg.from,
-                                               task.migration,
-                                               static_cast<int>(task.attempt)});
+  const auto since_start = [&](telemetry::TraceClock::time_point t) {
+    return std::chrono::duration<double>(t - execute_start_).count();
+  };
+  CompletedRepair done;
+  done.chunk = task.transfer.chunk;
+  done.dst = msg.from;
+  done.migrated = task.migration;
+  done.attempts = static_cast<int>(task.attempt);
+  done.planned_round = task.planned_round;
+  done.executed_round = task.executed_round;
+  done.start_seconds = since_start(task.issued);
+  done.finish_seconds = since_start(telemetry::TraceClock::now());
+  report.completions.push_back(done);
   ++(task.migration ? report.migrated : report.reconstructed);
   pending_.erase(it);
-  return &report.completions.back();
 }
 
 void Coordinator::handle_task_failed(const Message& msg,
@@ -429,6 +522,7 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan,
       telemetry::make_root_context(static_cast<int>(id_)), id_);
   FASTPR_TRACE_SPAN("coordinator.execute", "coordinator");
   ExecutionReport report;
+  execute_start_ = Clock::now();
 
   pending_.clear();
   retries_due_.clear();
@@ -441,6 +535,16 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan,
   stf_death_round_.clear();
   stf_failures_by_.clear();
   probe_active_ = false;
+  pullers_.clear();
+  for (NodeId member : plan.stf_nodes) {
+    for (const auto& round : plan.rounds) {
+      if (std::any_of(round.migrations.begin(), round.migrations.end(),
+                      [&](const auto& m) { return m.src == member; })) {
+        pullers_.push_back(member);
+        break;
+      }
+    }
+  }
   // Replanning re-derives the whole tail, so only a single-STF execution
   // replans: in a batch, one member's death or a slow link must not
   // reshuffle the other members' still-valid rounds — only the dead
@@ -448,13 +552,25 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan,
   const bool may_replan = replan && plan.stf_nodes.size() == 1;
   const NodeId stf = plan.stf_nodes.front();
 
-  // The tail of the schedule is mutable: the replan hook replaces the
-  // rounds after the current one.
+  // The tail of the schedule is mutable: pulls take tasks out of it and
+  // the replan hook replaces the rounds after the current one.
   std::vector<core::RepairRound> rounds = plan.rounds;
   bool replanned_reactive = false;
+  ledger_.emplace(layout_, plan.stf_nodes, layout_.num_nodes(),
+                  options_.topology);
+  const auto record_destinations = [&](size_t from_idx) {
+    for (size_t i = from_idx; i < rounds.size(); ++i) {
+      for (const auto& t : rounds[i].migrations) ledger_->place(t.chunk, t.dst);
+      for (const auto& t : rounds[i].reconstructions) {
+        ledger_->place(t.chunk, t.dst);
+      }
+    }
+  };
+  record_destinations(0);
 
   // Estimated repair send bytes of a schedule tail — the denominator of
-  // the throttler's finish-time (panic) estimate.
+  // the throttler's finish-time (panic) estimate. Pulled tasks have left
+  // the tail, so they are not counted twice.
   const auto rounds_send_bytes = [&](size_t from_idx) {
     double bytes = 0;
     for (size_t i = from_idx; i < rounds.size(); ++i) {
@@ -464,6 +580,16 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan,
       bytes += send_bytes(1) * static_cast<double>(rounds[i].migrations.size());
     }
     return bytes;
+  };
+  const auto empty_round = [&](size_t idx) {
+    return rounds[idx].reconstructions.empty() &&
+           rounds[idx].migrations.empty();
+  };
+  const auto last_round = [&](size_t idx) {
+    for (size_t i = idx + 1; i < rounds.size(); ++i) {
+      if (!empty_round(i)) return false;
+    }
+    return true;
   };
 
   if (options_.throttler != nullptr) {
@@ -479,178 +605,161 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan,
   }
 
   for (size_t round_idx = 0; round_idx < rounds.size(); ++round_idx) {
+    if (empty_round(round_idx)) continue;  // pulls took all its tasks
     current_round_ = static_cast<int>(round_idx) + 1;
     FASTPR_TRACE_SPAN("coordinator.round", "coordinator",
                       static_cast<int64_t>(current_round_), "round");
     const auto round_start = Clock::now();
     auto deadline = round_start + options_.round_timeout;
     int extensions_left = options_.max_round_extensions;
-    const int round_migrated_before = report.migrated;
-    const int round_recon_before = report.reconstructed;
     const int round_fallbacks_before = report.fallback_reconstructions;
     const int round_retries_before = report.retries;
-    // Measured phase times in the paper's vocabulary: time from round
-    // start to the LAST reconstruction (tr) / migration (tm) completion.
-    // 0 when the round ran none of that phase.
-    double round_tr = 0;
-    double round_tm = 0;
-    retries_due_.clear();
 
-    for (const auto& task : rounds[round_idx].reconstructions) {
+    const auto start_planned = [&](core::ReconstructionTask transfer,
+                                   bool migration) {
       PendingTask pending;
-      pending.transfer = task;
+      pending.transfer = std::move(transfer);
+      pending.migration = migration;
+      pending.planned_round = pending.executed_round = current_round_;
       start_task(std::move(pending), report);
+    };
+    for (const auto& task : rounds[round_idx].reconstructions) {
+      start_planned(task, false);
     }
     // A migration is the one-source transfer of the STF's own chunk.
     for (const auto& mig : rounds[round_idx].migrations) {
-      PendingTask pending;
-      pending.transfer = {mig.chunk, {{mig.src, mig.chunk}}, mig.dst};
-      pending.migration = true;
-      start_task(std::move(pending), report);
+      start_planned({mig.chunk, {{mig.src, mig.chunk}}, mig.dst}, true);
     }
+    pull(rounds, round_idx, report);
 
-    while (!pending_.empty()) {
-      auto now = Clock::now();
+    // The round waits for what it issued at its start; the last round
+    // also drains every pulled migration still in flight.
+    const auto waiting = [&] {
+      if (last_round(round_idx)) return !pending_.empty();
+      return std::any_of(pending_.begin(), pending_.end(),
+                         [](const auto& entry) { return entry.second.barrier; });
+    };
+    const auto serve = [&] {
+      while (waiting()) {
+        auto now = Clock::now();
 
-      // Fire retries that have served their backoff.
-      while (!retries_due_.empty() && retries_due_.begin()->first <= now) {
-        const uint64_t id = retries_due_.begin()->second;
-        retries_due_.erase(retries_due_.begin());
-        const auto it = pending_.find(id);
-        if (it == pending_.end() || !it->second.waiting_retry) continue;
-        it->second.waiting_retry = false;
-        reissue_now(id, report);
-      }
-
-      // Resolve an outstanding probe (everyone answered, or timed out).
-      if (probe_active_) {
-        bool all_replied = true;
-        for (const auto& [node, replied] : probe_outstanding_) {
-          all_replied = all_replied && replied;
+        // Fire retries that have served their backoff.
+        while (!retries_due_.empty() && retries_due_.begin()->first <= now) {
+          const uint64_t id = retries_due_.begin()->second;
+          retries_due_.erase(retries_due_.begin());
+          const auto it = pending_.find(id);
+          if (it == pending_.end() || !it->second.waiting_retry) continue;
+          it->second.waiting_retry = false;
+          reissue_now(id, report);
         }
-        if (all_replied || now >= probe_deadline_) finish_probe(report);
-      }
-      // Lease cadence: re-grant every ttl/3 so healthy leases renew
-      // well before expiring and pressure shifts re-shape shares fast.
-      if (options_.throttler != nullptr && now >= next_lease_tick_) {
-        lease_tick();
-      }
-      if (pending_.empty()) break;
 
-      now = Clock::now();
-      if (now >= deadline) {
-        if (extensions_left > 0) {
-          --extensions_left;
-          ++report.round_extensions;
-          coord_counter("coordinator.round_extensions").add();
-          deadline = now + options_.round_timeout;
-          LOG_INFO("coordinator: round " << current_round_ << " stalled ("
-                                         << pending_.size()
-                                         << " tasks); extending + probing");
-          // Salvage what completed; probe the stragglers' nodes, then
-          // reissue them with confirmed-dead nodes excluded.
-          start_probe(report);
-        } else {
-          report.errors.push_back(
-              "round " + std::to_string(current_round_) +
-              " timed out with " + std::to_string(pending_.size()) +
-              " tasks outstanding");
-          std::vector<uint64_t> ids;
-          ids.reserve(pending_.size());
-          for (const auto& [id, task] : pending_) ids.push_back(id);
-          std::sort(ids.begin(), ids.end());
-          for (uint64_t id : ids) abandon(id, "round timed out", report);
-          retries_due_.clear();
-          break;
+        // Resolve an outstanding probe (everyone answered, or timed out).
+        if (probe_active_) {
+          bool all_replied = true;
+          for (const auto& [node, replied] : probe_outstanding_) {
+            all_replied = all_replied && replied;
+          }
+          if (all_replied || now >= probe_deadline_) finish_probe(report);
         }
-        continue;
-      }
+        // Lease cadence: re-grant every ttl/3 so healthy leases renew
+        // well before expiring and pressure shifts re-shape shares fast.
+        if (options_.throttler != nullptr && now >= next_lease_tick_) {
+          lease_tick();
+        }
+        if (!waiting()) break;
 
-      auto next_event = deadline;
-      if (probe_active_ && probe_deadline_ < next_event) {
-        next_event = probe_deadline_;
-      }
-      if (!retries_due_.empty() &&
-          retries_due_.begin()->first < next_event) {
-        next_event = retries_due_.begin()->first;
-      }
-      if (options_.throttler != nullptr && next_lease_tick_ < next_event) {
-        next_event = next_lease_tick_;
-      }
-      auto budget = std::chrono::duration_cast<std::chrono::milliseconds>(
-          next_event - now);
-      if (budget < std::chrono::milliseconds(1)) {
-        budget = std::chrono::milliseconds(1);
-      }
-      auto msg = transport_.recv(id_, budget);
-      if (!msg.has_value()) continue;  // timeout tick; loop re-checks
+        now = Clock::now();
+        if (now >= deadline) {
+          if (extensions_left > 0) {
+            --extensions_left;
+            ++report.round_extensions;
+            coord_counter("coordinator.round_extensions").add();
+            deadline = now + options_.round_timeout;
+            LOG_INFO("coordinator: round " << current_round_ << " stalled ("
+                                           << pending_.size()
+                                           << " tasks); extending + probing");
+            // Salvage what completed; probe the stragglers' nodes, then
+            // reissue them with confirmed-dead nodes excluded.
+            start_probe(report);
+          } else {
+            report.errors.push_back(
+                "round " + std::to_string(current_round_) +
+                " timed out with " + std::to_string(pending_.size()) +
+                " tasks outstanding");
+            std::vector<uint64_t> ids;
+            ids.reserve(pending_.size());
+            for (const auto& [id, task] : pending_) ids.push_back(id);
+            std::sort(ids.begin(), ids.end());
+            for (uint64_t id : ids) abandon(id, "round timed out", report);
+            retries_due_.clear();
+            break;
+          }
+          continue;
+        }
 
-      switch (msg->type) {
-        case MessageType::kTaskDone:
-          if (const auto* done = handle_task_done(*msg, report)) {
-            (done->migrated ? round_tm : round_tr) =
-                std::chrono::duration<double>(Clock::now() - round_start)
-                    .count();
-          }
-          break;
-        case MessageType::kTaskFailed:
-          handle_task_failed(*msg, report);
-          break;
-        case MessageType::kPong:
-          if (msg->task_id == probe_epoch_ &&
-              msg->trace.origin_ts_us != 0) {
-            // The pong carries the agent's local clock at reply time;
-            // paired with this epoch's send time it yields one
-            // clock-offset sample (clock_sync.h).
-            clock_sync_.record(msg->from, probe_sent_us_,
-                               msg->trace.origin_ts_us,
-                               telemetry::trace_now_us());
-          }
-          if (probe_active_ && msg->task_id == probe_epoch_) {
-            const auto it = probe_outstanding_.find(msg->from);
-            if (it != probe_outstanding_.end()) it->second = true;
-          }
-          // Lease renewal piggybacks on the probe epoch: a pong carries
-          // the agent's foreground pressure exactly as a pressure report
-          // does.
-          [[fallthrough]];
-        case MessageType::kPressureReport:
-          if (options_.throttler != nullptr) {
-            // chunk_bytes/packet_bytes carry the agent's foreground
-            // pressure (p99 ns, fg bytes/s).
-            options_.throttler->report_pressure(
-                msg->from, msg->task_id,
-                // ns→s wire decode, not a config. fastpr-lint: allow(units)
-                static_cast<double>(msg->chunk_bytes) / 1e9,
-                static_cast<double>(msg->packet_bytes),
-                telemetry::trace_now_us());
-          }
-          break;
-        default:
-          break;  // stray message; ignore
+        auto next_event = deadline;
+        if (probe_active_ && probe_deadline_ < next_event) {
+          next_event = probe_deadline_;
+        }
+        if (!retries_due_.empty() &&
+            retries_due_.begin()->first < next_event) {
+          next_event = retries_due_.begin()->first;
+        }
+        if (options_.throttler != nullptr && next_lease_tick_ < next_event) {
+          next_event = next_lease_tick_;
+        }
+        auto budget = std::chrono::duration_cast<std::chrono::milliseconds>(
+            next_event - now);
+        if (budget < std::chrono::milliseconds(1)) {
+          budget = std::chrono::milliseconds(1);
+        }
+        auto msg = transport_.recv(id_, budget);
+        if (!msg.has_value()) continue;  // timeout tick; loop re-checks
+
+        switch (msg->type) {
+          case MessageType::kTaskDone:
+            handle_task_done(*msg, report);
+            break;
+          case MessageType::kTaskFailed:
+            handle_task_failed(*msg, report);
+            break;
+          case MessageType::kPong:
+            if (msg->task_id == probe_epoch_ &&
+                msg->trace.origin_ts_us != 0) {
+              // The pong carries the agent's local clock at reply time;
+              // paired with this epoch's send time it yields one
+              // clock-offset sample (clock_sync.h).
+              clock_sync_.record(msg->from, probe_sent_us_,
+                                 msg->trace.origin_ts_us,
+                                 telemetry::trace_now_us());
+            }
+            if (probe_active_ && msg->task_id == probe_epoch_) {
+              const auto it = probe_outstanding_.find(msg->from);
+              if (it != probe_outstanding_.end()) it->second = true;
+            }
+            // Lease renewal piggybacks on the probe epoch: a pong carries
+            // the agent's foreground pressure exactly as a pressure
+            // report does.
+            [[fallthrough]];
+          case MessageType::kPressureReport:
+            if (options_.throttler != nullptr) {
+              // chunk_bytes/packet_bytes carry the agent's foreground
+              // pressure (p99 ns, fg bytes/s).
+              options_.throttler->report_pressure(
+                  msg->from, msg->task_id,
+                  // ns→s wire decode, not a config. fastpr-lint: allow(units)
+                  static_cast<double>(msg->chunk_bytes) / 1e9,
+                  static_cast<double>(msg->packet_bytes),
+                  telemetry::trace_now_us());
+            }
+            break;
+          default:
+            break;  // stray message; ignore
+        }
+        pull(rounds, round_idx, report);
       }
-    }
-
-    const double secs =
-        std::chrono::duration<double>(Clock::now() - round_start).count();
-    report.repair.total_seconds += secs;
-
-    telemetry::RepairRoundStats stats;
-    stats.round = current_round_;
-    stats.cr = report.reconstructed - round_recon_before;
-    stats.cm = report.migrated - round_migrated_before;
-    stats.fallbacks =
-        report.fallback_reconstructions - round_fallbacks_before;
-    stats.retries = report.retries - round_retries_before;
-    stats.bytes_reconstructed =
-        static_cast<int64_t>(stats.cr) *
-        static_cast<int64_t>(options_.chunk_bytes);
-    stats.bytes_migrated = static_cast<int64_t>(stats.cm) *
-                           static_cast<int64_t>(options_.chunk_bytes);
-    stats.duration_seconds = secs;
-    stats.tr_seconds = round_tr;
-    stats.tm_seconds = round_tm;
-    report.repair.rounds.push_back(stats);
+    };
+    serve();
 
     // Replan the tail after this round (DESIGN.md §7, §11). The STF's
     // death replans once, as pure reactive repair over everything not
@@ -663,13 +772,13 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan,
     // reactive tail is not the plan the ratios price.
     ReplanRequest request;
     bool fire = false;
+    double replan_seconds = 0;  // planning, not repair: left out of the round
     if (may_replan && stf_node_dead(stf) && !replanned_reactive) {
       fire = replanned_reactive = true;
       ++report.replans;
       coord_counter("coordinator.replans").add();
     } else if (may_replan && options_.bandwidth_trigger != nullptr &&
-               options_.flow_monitor != nullptr &&
-               round_idx + 1 < rounds.size()) {
+               options_.flow_monitor != nullptr && !last_round(round_idx)) {
       auto& slow = request.slow_nodes;
       double worst = std::numeric_limits<double>::infinity();
       for (const auto& link : options_.flow_monitor->snapshot()) {
@@ -695,35 +804,83 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan,
       }
     }
     if (fire) {
+      // Pulled migrations still in flight are handled too, or the new
+      // tail would repair them a second time.
       request.handled.reserve(report.completions.size() +
-                              report.unrepaired.size());
+                              report.unrepaired.size() + pending_.size());
       for (const auto& done : report.completions) {
         request.handled.push_back(done.chunk);
       }
       request.handled.insert(request.handled.end(), report.unrepaired.begin(),
                              report.unrepaired.end());
+      for (const auto& [id, task] : pending_) {
+        request.handled.push_back(task.transfer.chunk);
+      }
       request.failed_nodes.assign(failed_nodes_.begin(),
                                   failed_nodes_.end());
       std::sort(request.failed_nodes.begin(), request.failed_nodes.end());
+      const auto replan_start = Clock::now();
       core::ReactiveResult result = replan(request);
+      replan_seconds =
+          std::chrono::duration<double>(Clock::now() - replan_start).count();
       rounds.resize(round_idx + 1);
       for (auto& extra : result.plan.rounds) {
         rounds.push_back(std::move(extra));
       }
+      record_destinations(round_idx + 1);
       for (const auto& chunk : result.unrepairable) {
         report.unrepaired.push_back(chunk);
         report.errors.push_back("chunk " + chunk_str(chunk) +
                                 " unrepaired: fewer than k live chunks "
                                 "after STF death");
       }
+      // A tail that came back empty leaves this round to drain.
+      serve();
     }
 
+    telemetry::RepairRoundStats stats;
+    stats.round = current_round_;
+    stats.fallbacks =
+        report.fallback_reconstructions - round_fallbacks_before;
+    stats.retries = report.retries - round_retries_before;
+    stats.start_seconds =
+        std::chrono::duration<double>(round_start - execute_start_).count();
+    stats.duration_seconds =
+        std::chrono::duration<double>(Clock::now() - round_start).count() -
+        replan_seconds;
+    report.repair.total_seconds += stats.duration_seconds;
+    report.repair.rounds.push_back(stats);
+
     // Re-sync the throttler's outstanding-bytes estimate with the (by
-    // now possibly replanned) schedule tail, so drift from fallbacks
-    // and retries never skews the panic predicate.
+    // now possibly replanned) schedule tail plus the pulled migrations
+    // still in flight (they left the tail but have yet to report
+    // progress), so drift from fallbacks and retries never skews the
+    // panic predicate.
     if (options_.throttler != nullptr) {
-      options_.throttler->set_remaining(rounds_send_bytes(round_idx + 1));
+      double remaining = rounds_send_bytes(round_idx + 1);
+      for (const auto& [id, task] : pending_) {
+        remaining += send_bytes(task.transfer.sources.size());
+      }
+      options_.throttler->set_remaining(remaining);
     }
+  }
+  FASTPR_CHECK_MSG(pending_.empty(), "execution ended with tasks in flight");
+
+  // Each round's (cr, cm) in the paper's vocabulary counts the chunks it
+  // started; its tr / tm run from its start to the last completion of
+  // each kind, so a pulled migration can stretch tm past the round.
+  std::unordered_map<int, telemetry::RepairRoundStats*> by_round;
+  for (auto& stats : report.repair.rounds) by_round[stats.round] = &stats;
+  for (const auto& done : report.completions) {
+    auto* stats = by_round.at(done.executed_round);
+    ++(done.migrated ? stats->cm : stats->cr);
+    double& phase = done.migrated ? stats->tm_seconds : stats->tr_seconds;
+    phase = std::max(phase, done.finish_seconds - stats->start_seconds);
+  }
+  for (auto& stats : report.repair.rounds) {
+    const auto chunk = static_cast<int64_t>(options_.chunk_bytes);
+    stats.bytes_reconstructed = static_cast<int64_t>(stats.cr) * chunk;
+    stats.bytes_migrated = static_cast<int64_t>(stats.cm) * chunk;
   }
 
   report.failed_nodes.assign(failed_nodes_.begin(), failed_nodes_.end());

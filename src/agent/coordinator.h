@@ -4,16 +4,22 @@
 // destination: the sources with their decode coefficients (from the
 // erasure code) and the shape — fan-in, chain, or a migration as the
 // one-source fan-in of the STF's own chunk. The destination drives the
-// transfer and acks; the coordinator waits for all acknowledgements
-// before starting the next round. Execution is fault-tolerant
-// (DESIGN.md §7):
+// transfer and acks. A round ends once every task it issued at its
+// start has acknowledged; then the next round starts. The STF disk does
+// not wait for that barrier (DESIGN.md §7): whenever a batch member the
+// plan migrates from has no migration in flight while a reconstruction
+// is, the coordinator pulls the member's next migration forward onto an
+// idle destination — its next planned migration, or once those run out
+// a chunk of its own that the latest remaining round would reconstruct.
+// Pulled migrations belong to no barrier; the last round drains them.
+// Execution is fault-tolerant (DESIGN.md §7):
 //
 //  * A failed or timed-out task is reissued (bounded attempts with
 //    exponential backoff) with the faulty nodes excluded — helpers are
 //    re-picked through ErasureCode::repair_helpers and destinations
-//    through the placement matcher. task_id stays stable across retries
-//    while the attempt id increments, so agents can dedupe duplicate
-//    commands and drop packets of superseded attempts.
+//    through core::PlacementLedger's §IV-A rule. task_id stays stable
+//    across retries while the attempt id increments, so agents can
+//    dedupe duplicate commands and drop packets of superseded attempts.
 //  * When a round stalls, the deadline is extended a bounded number of
 //    times: completed tasks are kept, the nodes the stragglers depend
 //    on are probed (kPing), unresponsive ones are excluded for the rest
@@ -41,6 +47,7 @@
 #include "core/repair_throttler.h"
 #include "core/replan_trigger.h"
 #include "ec/erasure_code.h"
+#include "net/topology.h"
 #include "net/transport.h"
 #include "telemetry/clock_sync.h"
 #include "telemetry/flow_monitor.h"
@@ -50,7 +57,8 @@
 namespace fastpr::agent {
 
 /// Input of the mid-repair replan hook: what the execution has already
-/// dealt with (repaired or abandoned), which nodes are known dead (the
+/// dealt with (repaired, abandoned or still in flight as a pulled
+/// migration), which nodes are known dead (the
 /// STF node among them once it died) and the source endpoints of the
 /// straggler links when link drift fired the replan.
 struct ReplanRequest {
@@ -111,16 +119,29 @@ struct CoordinatorOptions {
   /// execute() (the predictor's estimate, or an explicit CLI deadline).
   /// > 0 arms the throttler's panic mode. Ignored without a throttler.
   double stf_deadline_seconds = 0;
+  /// Rack model of the storage nodes (DESIGN.md §11). Not owned. When
+  /// multi-rack, a destination the coordinator picks (retry or pulled
+  /// migration) also honors the rack rule of core::PlacementLedger.
+  const net::Topology* topology = nullptr;
 };
 
 /// One chunk actually repaired, with where it really landed — retries
-/// may have moved it off the planned destination.
+/// and pulled migrations may have moved it off the planned destination.
 struct CompletedRepair {
   cluster::ChunkRef chunk;
   cluster::NodeId dst = cluster::kNoNode;
   /// Repaired by migration (false = reconstruction, planned or fallback).
   bool migrated = false;
   int attempts = 1;
+  /// The schedule round (1-based) that planned the chunk, and the round
+  /// during which the executor first issued it: equal unless the chunk
+  /// was pulled forward as a migration, which runs earlier.
+  int planned_round = 0;
+  int executed_round = 0;
+  /// Seconds from the start of execute() to the issue of the attempt
+  /// that completed, and to its acknowledgement.
+  double start_seconds = 0;
+  double finish_seconds = 0;
 };
 
 struct ExecutionReport {
@@ -134,9 +155,12 @@ struct ExecutionReport {
   int64_t network_bytes = 0;
   /// Per-round breakdown in the paper's (cr, cm) vocabulary, with the
   /// execution's total time, the round it degraded in and one per_stf
-  /// entry per batch member in plan order. The coordinator fills
-  /// everything except stf_bw_utilization, `links` and `predicted`,
-  /// which Testbed::execute and its callers add (see DESIGN.md §5c).
+  /// entry per batch member in plan order. A round's cr and cm count the
+  /// chunks it started, pulled migrations included; a round that pulls
+  /// emptied is skipped, so rounds can be fewer than the plan's. The
+  /// coordinator fills everything except stf_bw_utilization, `links` and
+  /// `predicted`, which Testbed::execute and its callers add (see
+  /// DESIGN.md §5c).
   telemetry::RepairReport repair;
   std::vector<std::string> errors;
 
@@ -223,11 +247,18 @@ class Coordinator {
     /// execution-wide failed_nodes_ set.
     std::unordered_set<cluster::NodeId> excluded;
     bool waiting_retry = false;
+    /// Issued at its round's start, so the round waits for it. A
+    /// migration pulled forward belongs to no round's barrier.
+    bool barrier = true;
+    int planned_round = 0;
+    int executed_round = 0;
+    telemetry::TraceClock::time_point issued{};
   };
 
   /// Sends the task's current attempt as one kRepairCmd to its
-  /// destination, naming every source and the shape.
-  void issue_task(uint64_t task_id, const PendingTask& task);
+  /// destination, naming every source and the shape, and stamps the
+  /// attempt's issue time.
+  void issue_task(uint64_t task_id, PendingTask& task);
   /// Cancels `task`'s attempt at its destination (unless it is
   /// `keep_dst`) and, for a chain, at every hop.
   void cancel_attempt(uint64_t task_id, const PendingTask& task,
@@ -248,17 +279,27 @@ class Coordinator {
   /// Returns false when the chunk has become unrepairable.
   bool rebuild_task(PendingTask& task, ExecutionReport& report);
 
-  /// Least-loaded eligible replacement destination for a chunk of
-  /// `stripe`, or kNoNode. Prefers nodes no pending task already
-  /// targets; never picks the STF, a failed node, a task-excluded node,
-  /// or a node of the stripe.
-  cluster::NodeId choose_destination(cluster::StripeId stripe,
-                                     const PendingTask& task);
+  /// Least-loaded eligible destination for the task's chunk, or kNoNode.
+  /// Every pick passes the §IV-A ledger and is no batch member, failed
+  /// node or task-excluded node. A retry (`busy` null) draws from every
+  /// candidate and prefers nodes no pending task targets; a pulled
+  /// migration takes only nodes outside `busy` of its planned
+  /// destination's class (storage node or spare).
+  cluster::NodeId choose_destination(
+      const PendingTask& task,
+      const std::unordered_set<cluster::NodeId>* busy);
 
-  /// Records an acknowledged completion of the current attempt and
-  /// returns it, or nullptr for a stale ack.
-  const CompletedRepair* handle_task_done(const net::Message& msg,
-                                          ExecutionReport& report);
+  /// Starts the next migration of every live member that the plan
+  /// migrates from and that has none in flight, while a reconstruction
+  /// is in flight: its next planned migration of a later round, else a
+  /// chunk of its own that the latest remaining round would reconstruct.
+  /// The task leaves `rounds`; its destination must be idle.
+  void pull(std::vector<core::RepairRound>& rounds, size_t round_idx,
+            ExecutionReport& report);
+
+  /// Records an acknowledged completion of the current attempt; stale
+  /// acks are counted and dropped.
+  void handle_task_done(const net::Message& msg, ExecutionReport& report);
   void handle_task_failed(const net::Message& msg,
                           ExecutionReport& report);
   void schedule_retry(uint64_t task_id, PendingTask& task);
@@ -303,6 +344,11 @@ class Coordinator {
   std::unordered_map<cluster::NodeId, int> extra_dst_load_;
   /// Members of the STF batch being executed (plan.stf_nodes).
   std::unordered_set<cluster::NodeId> stf_set_;
+  /// The members the plan migrates from, in plan order: only they pull.
+  std::vector<cluster::NodeId> pullers_;
+  /// Where every chunk of the execution lands or is planned to land.
+  std::optional<core::PlacementLedger> ledger_;
+  telemetry::TraceClock::time_point execute_start_{};
   /// Dead batch members, with the (1-based) round each was declared in.
   std::unordered_map<cluster::NodeId, int> stf_death_round_;
   std::unordered_map<cluster::NodeId, int> stf_failures_by_;

@@ -213,6 +213,7 @@ Testbed::Testbed(const TestbedOptions& options, const ec::ErasureCode& code)
   copts.stf_failure_threshold = options.stf_failure_threshold;
   copts.throttler = throttler_.get();
   copts.stf_deadline_seconds = options.stf_deadline_seconds;
+  copts.topology = topology();
   if (bandwidth_trigger_ != nullptr) {
     copts.flow_monitor = &flow_;
     copts.bandwidth_trigger = bandwidth_trigger_.get();
@@ -353,15 +354,35 @@ ExecutionReport Testbed::execute(const core::RepairPlan& plan) {
   auto report = coordinator_->execute(plan, replan);
   report.network_bytes = transport_->data_bytes_sent() - before;
   report.repair.links = flow_.snapshot();
-  // The coordinator cannot know the disk rate; the testbed does. A
-  // round's migration reads all come off the STF node's (shaped) disk.
+  // The coordinator cannot know the disk rate; the testbed does. Every
+  // migration reads its STF member's (shaped) disk for its whole
+  // interval, which a pulled migration stretches across rounds: each
+  // round gets the share of its bytes that overlaps the round, over what
+  // the members still alive could have read.
   if (options_.disk_bytes_per_sec > 0) {
+    const auto chunk = static_cast<double>(options_.chunk_bytes);
     for (auto& round : report.repair.rounds) {
-      if (round.duration_seconds > 0) {
-        round.stf_bw_utilization =
-            static_cast<double>(round.bytes_migrated) /
-            (options_.disk_bytes_per_sec * round.duration_seconds);
+      if (round.duration_seconds <= 0) continue;
+      const double begin = round.start_seconds;
+      const double end = begin + round.duration_seconds;
+      double bytes = 0;
+      for (const auto& done : report.completions) {
+        if (!done.migrated) continue;
+        const double span = done.finish_seconds - done.start_seconds;
+        const double overlap = std::min(end, done.finish_seconds) -
+                               std::max(begin, done.start_seconds);
+        if (span <= 0 || overlap <= 0) continue;
+        bytes += chunk * overlap / span;
       }
+      int live = 0;
+      for (const auto& member : report.repair.per_stf) {
+        if (member.died_at_round == 0 || member.died_at_round >= round.round) {
+          ++live;
+        }
+      }
+      round.stf_bw_utilization =
+          bytes / (options_.disk_bytes_per_sec * round.duration_seconds *
+                   std::max(1, live));
     }
   }
   return report;
@@ -415,19 +436,6 @@ bool Testbed::chunk_ok(ChunkRef chunk, NodeId dst,
   return true;
 }
 
-bool Testbed::verify(const core::RepairPlan& plan) const {
-  std::vector<uint8_t> scratch;
-  for (const auto& round : plan.rounds) {
-    for (const auto& task : round.migrations) {
-      if (!chunk_ok(task.chunk, task.dst, scratch)) return false;
-    }
-    for (const auto& task : round.reconstructions) {
-      if (!chunk_ok(task.chunk, task.dst, scratch)) return false;
-    }
-  }
-  return true;
-}
-
 bool Testbed::verify(const ExecutionReport& report,
                      const core::RepairPlan& plan) const {
   // Accounting: completions ∪ unrepaired must be exactly the plan's
@@ -441,9 +449,17 @@ bool Testbed::verify(const ExecutionReport& report,
   }
   std::unordered_set<ChunkRef, cluster::ChunkRefHash> accounted;
   std::vector<uint8_t> scratch;
+  // §IV-A on the executed placement. The reactive tail a dead STF leaves
+  // places rack-blind by design (FastPrPlanner::plan_reactive), so the
+  // rack rule holds only for executions that stayed predictive.
+  core::PlacementLedger ledger(
+      *layout_, plan.stf_nodes, options_.num_storage,
+      report.degraded_to_reactive ? nullptr : topology());
   for (const auto& done : report.completions) {
     if (planned.count(done.chunk) == 0) return false;
     if (!accounted.insert(done.chunk).second) return false;
+    if (!ledger.allows(done.chunk, done.dst)) return false;
+    ledger.place(done.chunk, done.dst);
     if (!chunk_ok(done.chunk, done.dst, scratch)) return false;
   }
   for (ChunkRef chunk : report.unrepaired) {

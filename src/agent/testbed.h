@@ -7,7 +7,8 @@
 // (SyntheticOracle) so arbitrarily large clusters fit in RAM. All
 // repaired bytes are real: helpers stream GF-scaled packets,
 // destinations decode and store, and verify() checks the repaired
-// chunks byte-for-byte against the oracle.
+// chunks byte-for-byte against the oracle and where they landed against
+// the §IV-A placement rule.
 #pragma once
 
 #include <memory>
@@ -221,13 +222,13 @@ class Testbed {
   std::vector<telemetry::PredictedRound> predict_rounds(
       const core::RepairPlan& plan, core::Scenario scenario);
 
-  /// Byte-exact verification of every repaired chunk against the oracle.
-  bool verify(const core::RepairPlan& plan) const;
-
   /// Verification against what the execution actually did: every
-  /// completed repair byte-exact at its *final* destination (retries may
-  /// have moved chunks off the planned one). The report's completions ∪
-  /// unrepaired must exactly cover the plan's chunks.
+  /// completed repair byte-exact at its *final* destination (retries and
+  /// pulled migrations may have moved chunks off the planned one), and
+  /// every destination passing core::PlacementLedger's §IV-A rule —
+  /// node-level always, rack-level on a racked testbed whose execution
+  /// stayed predictive. The report's completions ∪ unrepaired must
+  /// exactly cover the plan's chunks.
   bool verify(const ExecutionReport& report,
               const core::RepairPlan& plan) const;
 

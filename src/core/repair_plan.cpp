@@ -48,6 +48,64 @@ std::string RepairPlan::to_string() const {
   return os.str();
 }
 
+PlacementLedger::PlacementLedger(const cluster::StripeLayout& layout,
+                                 const std::vector<cluster::NodeId>& batch,
+                                 cluster::NodeId first_spare,
+                                 const net::Topology* topology)
+    : layout_(&layout),
+      batch_(batch),
+      first_spare_(first_spare),
+      topology_(topology != nullptr && !topology->is_flat() ? topology
+                                                            : nullptr) {}
+
+const char* PlacementLedger::violation(cluster::ChunkRef chunk,
+                                       cluster::NodeId dst) const {
+  const auto member = [&](cluster::NodeId node) {
+    return std::find(batch_.begin(), batch_.end(), node) != batch_.end();
+  };
+  if (dst == cluster::kNoNode || member(dst)) {
+    return "destination is an STF batch node";
+  }
+  // Other repaired chunks of the stripe, planned or landed.
+  std::vector<cluster::NodeId> others;
+  if (const auto it = landed_.find(chunk.stripe); it != landed_.end()) {
+    for (const Landing& l : it->second) {
+      if (l.index != chunk.index) others.push_back(l.node);
+    }
+  }
+  if (std::find(others.begin(), others.end(), dst) != others.end()) {
+    return "two repaired chunks of one stripe land on one node";
+  }
+  if (dst >= first_spare_) return nullptr;
+  if (layout_->stripe_uses_node(chunk.stripe, dst)) {
+    return "destination already holds a chunk of the stripe";
+  }
+  if (topology_ == nullptr) return nullptr;
+  const int rack = topology_->rack_of(dst);
+  for (cluster::NodeId holder : layout_->stripe_nodes(chunk.stripe)) {
+    if (!member(holder) && topology_->rack_of(holder) == rack) {
+      return "destination rack still holds a chunk of the stripe";
+    }
+  }
+  for (cluster::NodeId node : others) {
+    if (node < first_spare_ && topology_->rack_of(node) == rack) {
+      return "two repaired chunks of one stripe land in one rack";
+    }
+  }
+  return nullptr;
+}
+
+void PlacementLedger::place(cluster::ChunkRef chunk, cluster::NodeId dst) {
+  auto& landings = landed_[chunk.stripe];
+  for (Landing& l : landings) {
+    if (l.index == chunk.index) {
+      l.node = dst;
+      return;
+    }
+  }
+  landings.push_back({chunk.index, dst});
+}
+
 void validate_plan(const RepairPlan& plan,
                    const cluster::StripeLayout& layout,
                    const cluster::ClusterState& cluster, int k_repair,
@@ -74,42 +132,27 @@ void validate_plan(const RepairPlan& plan,
     for (ChunkRef c : layout.chunks_on(s)) expected.insert(c);
   }
   std::unordered_set<ChunkRef, ChunkRefHash> seen;
-  // Cross-round §IV-A: a stripe losing chunks on several batch members
-  // is repaired across rounds, and no destination may collect two of
-  // them (single-STF plans touch each stripe once, so this cannot fire).
-  std::unordered_map<cluster::StripeId, std::unordered_set<NodeId>> landed;
+  // §IV-A across the whole plan: a stripe losing chunks on several batch
+  // members is repaired across rounds, and no destination (nor, racked,
+  // no rack) may collect two of them.
+  PlacementLedger ledger(layout, batch, cluster.num_storage_nodes(),
+                         topology);
+  std::unordered_set<NodeId> round_destinations;
   const auto land = [&](ChunkRef chunk, NodeId dst) {
-    FASTPR_CHECK_MSG(landed[chunk.stripe].insert(dst).second,
-                     "two repaired chunks of stripe " << chunk.stripe
-                                                      << " land on node "
-                                                      << dst);
-  };
-
-  // Rack-level failure-domain invariant (DESIGN.md §11). Spares are
-  // exempt like the node-level checks below; `land_rack` is called only
-  // for scattered destinations.
-  const bool rack_checks = topology != nullptr && !topology->is_flat();
-  std::unordered_map<cluster::StripeId, std::unordered_set<int>>
-      landed_racks;
-  const auto land_rack = [&](ChunkRef chunk, NodeId dst) {
-    if (!rack_checks) return;
-    const int rack = topology->rack_of(dst);
-    for (NodeId holder : layout.stripe_nodes(chunk.stripe)) {
-      if (stf_set.count(holder) > 0) continue;  // lost or vacating
-      FASTPR_CHECK_MSG(topology->rack_of(holder) != rack,
-                       "repaired chunk of stripe "
-                           << chunk.stripe << " lands in rack " << rack
-                           << ", which still holds a chunk on node "
-                           << holder);
-    }
-    FASTPR_CHECK_MSG(landed_racks[chunk.stripe].insert(rack).second,
-                     "two repaired chunks of stripe "
-                         << chunk.stripe << " land in rack " << rack);
+    FASTPR_CHECK(dst >= 0 && dst < cluster.num_nodes());
+    const char* why = ledger.violation(chunk, dst);
+    FASTPR_CHECK_MSG(why == nullptr, "chunk (" << chunk.stripe << ","
+                                               << chunk.index << ") on node "
+                                               << dst << ": " << why);
+    ledger.place(chunk, dst);
+    if (cluster.is_hot_standby(dst)) return;
+    FASTPR_CHECK_MSG(round_destinations.insert(dst).second,
+                     "scattered destination reused within a round");
   };
 
   for (const auto& round : plan.rounds) {
     std::unordered_set<NodeId> round_sources;
-    std::unordered_set<NodeId> round_destinations;
+    round_destinations.clear();
 
     for (const auto& task : round.migrations) {
       FASTPR_CHECK_MSG(stf_set.count(task.src) == 1,
@@ -118,15 +161,7 @@ void validate_plan(const RepairPlan& plan,
                        "migrated chunk not on its STF node");
       FASTPR_CHECK_MSG(seen.insert(task.chunk).second,
                        "chunk repaired twice");
-      FASTPR_CHECK(stf_set.count(task.dst) == 0 &&
-                   task.dst != cluster::kNoNode);
       land(task.chunk, task.dst);
-      if (cluster.is_hot_standby(task.dst)) continue;
-      FASTPR_CHECK_MSG(!layout.stripe_uses_node(task.chunk.stripe, task.dst),
-                       "migration breaks stripe distinctness");
-      FASTPR_CHECK_MSG(round_destinations.insert(task.dst).second,
-                       "scattered destination reused within a round");
-      land_rack(task.chunk, task.dst);
     }
 
     for (const auto& task : round.reconstructions) {
@@ -152,15 +187,7 @@ void validate_plan(const RepairPlan& plan,
         FASTPR_CHECK_MSG(round_sources.insert(src.node).second,
                          "node reads twice in one round");
       }
-      FASTPR_CHECK(stf_set.count(task.dst) == 0 &&
-                   task.dst != cluster::kNoNode);
       land(task.chunk, task.dst);
-      if (cluster.is_hot_standby(task.dst)) continue;
-      FASTPR_CHECK_MSG(!layout.stripe_uses_node(task.chunk.stripe, task.dst),
-                       "reconstruction breaks stripe distinctness");
-      FASTPR_CHECK_MSG(round_destinations.insert(task.dst).second,
-                       "scattered destination reused within a round");
-      land_rack(task.chunk, task.dst);
     }
   }
 

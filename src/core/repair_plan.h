@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster_state.h"
@@ -71,6 +72,49 @@ struct RepairPlan {
   std::string to_string() const;
 };
 
+/// §IV-A placement of repaired chunks: the one destination rule that
+/// validate_plan, the coordinator's destination chooser and
+/// Testbed::verify apply (DESIGN.md §8, §11). A repaired chunk of stripe
+/// s may land on node d when
+///  * d is no batch member and receives no other repaired chunk of s;
+///  * d holds no chunk of s; and
+///  * under a multi-rack topology, d's rack holds no surviving chunk of
+///    s (batch members' chunks are lost or vacating) and receives no
+///    other repaired chunk of s.
+/// A hot-standby spare (id >= `first_spare`) holds no chunks and lives in
+/// an overflow rack, so only the first rule binds it. The ledger
+/// remembers where each repaired chunk lands or is planned to land; a
+/// chunk's own entry never vetoes it.
+class PlacementLedger {
+ public:
+  /// `topology` may be null; flat or single-rack topologies add no rack
+  /// rule.
+  PlacementLedger(const cluster::StripeLayout& layout,
+                  const std::vector<cluster::NodeId>& batch,
+                  cluster::NodeId first_spare,
+                  const net::Topology* topology);
+
+  /// Why `dst` may not receive the repaired `chunk`; nullptr when it may.
+  const char* violation(cluster::ChunkRef chunk, cluster::NodeId dst) const;
+  bool allows(cluster::ChunkRef chunk, cluster::NodeId dst) const {
+    return violation(chunk, dst) == nullptr;
+  }
+  /// Records that `chunk` lands on `dst`, replacing its earlier entry.
+  void place(cluster::ChunkRef chunk, cluster::NodeId dst);
+
+ private:
+  struct Landing {
+    int index = 0;
+    cluster::NodeId node = cluster::kNoNode;
+  };
+
+  const cluster::StripeLayout* layout_;
+  std::vector<cluster::NodeId> batch_;
+  cluster::NodeId first_spare_;
+  const net::Topology* topology_;  // null unless multi-rack
+  std::unordered_map<cluster::StripeId, std::vector<Landing>> landed_;
+};
+
 /// Structural validation of a plan against the layout it was built from
 /// (pre-repair state). Throws CheckFailure when an invariant is violated:
 ///  * every chunk of every STF node in the batch repaired exactly once;
@@ -78,19 +122,16 @@ struct RepairPlan {
 ///    reconstruction sources are k distinct healthy non-STF nodes
 ///    holding chunks of the right stripe;
 ///  * within a round, no healthy node serves more than one source read;
-///  * scattered destinations do not already hold a chunk of the stripe
-///    and are used at most once per round; hot-standby destinations are
-///    spare nodes; across the WHOLE plan no destination receives two
-///    repaired chunks of one stripe (multi-STF cross-round §IV-A).
+///  * every destination passes the PlacementLedger rule across the
+///    WHOLE plan (multi-STF cross-round §IV-A); hot-standby destinations
+///    are spare nodes; scattered destinations are used at most once per
+///    round.
 /// `code` supplies per-chunk helper counts (LRC); null means
 /// RS(n, k_repair) over the layout's n chunks per stripe, as in
 /// FastPrPlanner.
-/// `topology`, when given and multi-rack (DESIGN.md §11), additionally
-/// enforces the failure-domain invariant: after the plan applies, no
-/// rack holds two chunks of one stripe — checked against the surviving
-/// holders' racks and across every round's destinations. Hot-standby
-/// spares are exempt (dedicated overflow rack), mirroring the node-level
-/// exemption above.
+/// `topology`, when given and multi-rack (DESIGN.md §11), adds the
+/// ledger's rack rule: after the plan applies, no rack holds two chunks
+/// of one stripe.
 void validate_plan(const RepairPlan& plan,
                    const cluster::StripeLayout& layout,
                    const cluster::ClusterState& cluster, int k_repair,

@@ -20,6 +20,14 @@ void ErasureCode::repair_chunk(int lost_index,
   gf::dot_region_xor(out, std::span<const ConstChunk>(helper_data), coeffs);
 }
 
+bool ErasureCode::can_decode(const std::vector<int>& erased) const {
+  std::vector<uint8_t> scratch(static_cast<size_t>(n()), 0);
+  std::vector<MutChunk> chunks;
+  chunks.reserve(scratch.size());
+  for (uint8_t& byte : scratch) chunks.emplace_back(&byte, 1);
+  return decode(erased, chunks);
+}
+
 std::vector<std::vector<uint8_t>> encode_stripe(
     const ErasureCode& code, const std::vector<std::vector<uint8_t>>& data) {
   FASTPR_CHECK(static_cast<int>(data.size()) == code.k());

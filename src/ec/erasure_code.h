@@ -74,6 +74,12 @@ class ErasureCode {
   /// indices are outputs. Returns false if the pattern is undecodable.
   virtual bool decode(const std::vector<int>& erased,
                       const std::vector<MutChunk>& chunks) const = 0;
+
+  /// True when the chunks at `erased` can all be rebuilt from the rest:
+  /// runs decode on 1-byte scratch chunks, so the answer is exact for
+  /// every code (LRC included, where some loss patterns within n - k do
+  /// not decode).
+  bool can_decode(const std::vector<int>& erased) const;
 };
 
 /// Convenience: stripes-in-memory encode used by tests and the workload

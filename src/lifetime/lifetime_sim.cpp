@@ -29,11 +29,11 @@ struct FailureEvent {
   bool false_alarm = false;  // flagged but never fails
 };
 
-/// While a failure is unrepaired, its stripes run degraded; overlap of
-/// concurrently degraded nodes beyond n-k losses is data loss.
+/// While a failure is unrepaired, its stripes run degraded; a stripe
+/// whose concurrently lost chunks the code cannot decode is data loss.
 struct DegradedWindow {
   double until_day = 0;
-  std::unordered_set<int32_t> stripes;
+  std::unordered_map<int32_t, int> lost;  // stripe → lost chunk index
 };
 
 }  // namespace
@@ -107,20 +107,22 @@ LifetimeReport simulate_lifetime(const LifetimeConfig& config) {
   std::unordered_set<int32_t> lost_stripes;
 
   const auto account_overlap = [&](NodeId node, double at_day) {
-    // Data loss when a stripe accumulates more than n-k concurrently
-    // degraded members.
-    std::unordered_map<int32_t, int> stripe_hits;
-    for (ChunkRef c : layout.chunks_on(node)) stripe_hits[c.stripe] = 1;
+    // Data loss when the code cannot decode a stripe's concurrently lost
+    // chunks (for an MDS code, more than n - k of them).
+    std::unordered_map<int32_t, std::vector<int>> stripe_lost;
+    for (const auto& [stripe, index] : degraded.at(node).lost) {
+      stripe_lost[stripe] = {index};
+    }
     for (const auto& [other, window] : degraded) {
       if (other == node || window.until_day <= at_day) continue;
-      for (int32_t s : window.stripes) {
-        const auto it = stripe_hits.find(s);
-        if (it != stripe_hits.end()) ++it->second;
+      for (const auto& [stripe, index] : window.lost) {
+        const auto it = stripe_lost.find(stripe);
+        if (it != stripe_lost.end()) it->second.push_back(index);
       }
     }
-    const int tolerance = code.n() - code.k();
-    for (const auto& [stripe, hits] : stripe_hits) {
-      if (hits > tolerance && lost_stripes.insert(stripe).second) {
+    for (const auto& [stripe, lost] : stripe_lost) {
+      if (!code.can_decode(lost) &&
+          lost_stripes.insert(stripe).second) {
         ++report.data_loss_stripes;
       }
     }
@@ -180,7 +182,7 @@ LifetimeReport simulate_lifetime(const LifetimeConfig& config) {
         DegradedWindow window;
         window.until_day = ev.day + exposed / kSecondsPerDay;
         for (ChunkRef c : layout.chunks_on(ev.node)) {
-          window.stripes.insert(c.stripe);
+          window.lost[c.stripe] = c.index;
         }
         degraded[ev.node] = std::move(window);
         account_overlap(ev.node, ev.day);
@@ -205,7 +207,7 @@ LifetimeReport simulate_lifetime(const LifetimeConfig& config) {
       DegradedWindow window;
       window.until_day = ev.day + timing.total_time / kSecondsPerDay;
       for (ChunkRef c : layout.chunks_on(ev.node)) {
-        window.stripes.insert(c.stripe);
+        window.lost[c.stripe] = c.index;
       }
       degraded[ev.node] = std::move(window);
       account_overlap(ev.node, ev.day);

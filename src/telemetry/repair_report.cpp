@@ -51,8 +51,9 @@ std::string RepairReport::to_json() const {
       os << ",\"tr_seconds\":" << json_num(r.tr_seconds)
          << ",\"tm_seconds\":" << json_num(r.tm_seconds);
     }
-    if (i < predicted.size()) {
-      const auto& p = predicted[i];
+    const auto plan_idx = static_cast<size_t>(r.round - 1);
+    if (r.round >= 1 && plan_idx < predicted.size()) {
+      const auto& p = predicted[plan_idx];
       os << ",\"predicted\":{\"cr\":" << p.cr << ",\"cm\":" << p.cm
          << ",\"duration_seconds\":" << json_num(p.duration_seconds);
       if (p.tr_seconds > 0 || p.tm_seconds > 0) {

@@ -19,9 +19,13 @@
 
 namespace fastpr::telemetry {
 
-/// One executed repair round.
+/// One executed repair round. Its chunk counts cover the tasks it
+/// started: its planned ones plus the migrations the executor pulled
+/// forward during it, which may finish after the round ends.
 struct RepairRoundStats {
-  int round = 0;  // 1-based, matching the paper's figures
+  /// 1-based schedule round, matching the paper's figures. A round whose
+  /// tasks were all pulled forward never runs, so numbers can skip.
+  int round = 0;
   int cr = 0;     // chunks repaired by reconstruction (fallbacks included)
   int cm = 0;     // chunks repaired by migration
   /// Migrations that failed and were re-executed as reconstructions
@@ -33,15 +37,22 @@ struct RepairRoundStats {
   int retries = 0;
   int64_t bytes_reconstructed = 0;  // repaired bytes written via decode
   int64_t bytes_migrated = 0;       // repaired bytes copied off the STF node
+  /// Offset of the round's start from the start of the execution, and
+  /// how long the round waited for the tasks it issued at its start. A
+  /// replan at the round's end is planning, not repair: its time is left
+  /// out of the duration (and of total_seconds).
+  double start_seconds = 0;
   double duration_seconds = 0;
-  /// Fraction of the STF node's disk bandwidth consumed by this round's
-  /// migration reads (bytes_migrated / (disk_bw * duration)). Filled by
-  /// the testbed, which knows the configured disk rate; 0 when the disk
-  /// is unshaped or the rate is unknown.
+  /// Fraction of the live STF disks' bandwidth that migration reads used
+  /// during this round: each migration's bytes prorated over the rounds
+  /// its interval overlaps, over disk_bw * duration * live members.
+  /// Filled by the testbed, which knows the configured disk rate; 0 when
+  /// the disk is unshaped or the rate is unknown.
   double stf_bw_utilization = 0;
   /// Measured reconstruction / migration phase times: start of round to
-  /// the last completion of each kind. 0 when unmeasured (simulator) or
-  /// the round ran none of that kind.
+  /// the last completion of each kind it started (a pulled migration can
+  /// run past the round's end). 0 when unmeasured (simulator) or the
+  /// round started none of that kind.
   double tr_seconds = 0;
   double tm_seconds = 0;
 };
@@ -85,7 +96,9 @@ struct StfRepairStats {
 
 struct RepairReport {
   std::vector<RepairRoundStats> rounds;
-  /// Empty, or exactly rounds.size() entries aligned by index.
+  /// Empty, or one entry per planned round: predicted[i] prices schedule
+  /// round i + 1, so it pairs with the row whose `round` is i + 1. Rounds
+  /// that never ran leave their prediction unpaired.
   std::vector<PredictedRound> predicted;
   double total_seconds = 0;
   /// First round (1-based) in which the execution degraded from

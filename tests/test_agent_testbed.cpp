@@ -73,7 +73,7 @@ TEST_P(TestbedExecutionTest, ExecutesAndVerifies) {
                                       : report.errors.front());
   EXPECT_EQ(report.repaired(), plan.total_repaired());
   EXPECT_EQ(report.fallback_reconstructions, 0);
-  EXPECT_TRUE(tb.verify(plan));
+  EXPECT_TRUE(report.success && tb.verify(report, plan));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -127,7 +127,7 @@ TEST(Testbed, LrcPlansExecuteWithLocalRepairFanIn) {
   EXPECT_TRUE(saw_local);
   const auto report = tb.execute(plan);
   EXPECT_TRUE(report.success);
-  EXPECT_TRUE(tb.verify(plan));
+  EXPECT_TRUE(report.success && tb.verify(report, plan));
 }
 
 TEST(Testbed, ChainExecutionByteExactAcrossSeeds) {
@@ -147,8 +147,10 @@ TEST(Testbed, ChainExecutionByteExactAcrossSeeds) {
       fanin.flag_stf();
       const auto fanin_plan =
           fanin.make_planner(scenario).plan_fastpr();
-      ASSERT_TRUE(fanin.execute(fanin_plan).success);
-      EXPECT_TRUE(fanin.verify(fanin_plan));
+      const auto fanin_report = fanin.execute(fanin_plan);
+      ASSERT_TRUE(fanin_report.success);
+      EXPECT_TRUE(fanin_report.success &&
+                  fanin.verify(fanin_report, fanin_plan));
 
 #if FASTPR_TELEMETRY_ENABLED
       const int64_t forwards_before = telemetry::MetricsRegistry::global()
@@ -165,7 +167,7 @@ TEST(Testbed, ChainExecutionByteExactAcrossSeeds) {
       ASSERT_TRUE(report.success) << (report.errors.empty()
                                           ? ""
                                           : report.errors.front());
-      EXPECT_TRUE(chain.verify(chain_plan))
+      EXPECT_TRUE(report.success && chain.verify(report, chain_plan))
           << "seed=" << seed
           << " scenario=" << core::to_string(scenario);
 #if FASTPR_TELEMETRY_ENABLED
@@ -195,7 +197,7 @@ TEST(Testbed, ChainLrcExecutesAndVerifies) {
   ASSERT_TRUE(report.success) << (report.errors.empty()
                                       ? ""
                                       : report.errors.front());
-  EXPECT_TRUE(tb.verify(plan));
+  EXPECT_TRUE(report.success && tb.verify(report, plan));
 }
 
 TEST(Testbed, ChainOverTcpEndToEnd) {
@@ -215,7 +217,7 @@ TEST(Testbed, ChainOverTcpEndToEnd) {
   ASSERT_TRUE(report.success) << (report.errors.empty()
                                       ? ""
                                       : report.errors.front());
-  EXPECT_TRUE(tb.verify(plan));
+  EXPECT_TRUE(report.success && tb.verify(report, plan));
 }
 
 TEST(Testbed, ChainPredictedRoundsUseChainModel) {
@@ -262,7 +264,7 @@ TEST(Testbed, StfReadErrorFallsBackToReconstruction) {
                                       : report.errors.front());
   EXPECT_EQ(report.fallback_reconstructions, 2);
   EXPECT_EQ(report.repaired(), plan.total_repaired());
-  EXPECT_TRUE(tb.verify(plan));
+  EXPECT_TRUE(report.success && tb.verify(report, plan));
 }
 
 TEST(Testbed, KilledDestinationRecoversViaRetry) {
@@ -360,7 +362,7 @@ TEST(Testbed, TcpTransportEndToEnd) {
   EXPECT_TRUE(report.success) << (report.errors.empty()
                                       ? ""
                                       : report.errors.front());
-  EXPECT_TRUE(tb.verify(plan));
+  EXPECT_TRUE(report.success && tb.verify(report, plan));
 }
 
 TEST(Testbed, ShapedRunRespectsBandwidthFloor) {
@@ -384,7 +386,7 @@ TEST(Testbed, ShapedRunRespectsBandwidthFloor) {
       static_cast<double>(u) * static_cast<double>(1 * kMiB) / MBps(50);
   // Allow generous slack under the floor for burst tokens.
   EXPECT_GT(report.repair.total_seconds, uplink_floor * 0.5);
-  EXPECT_TRUE(tb.verify(plan));
+  EXPECT_TRUE(report.success && tb.verify(report, plan));
 }
 
 TEST(Testbed, OddChunkPacketDivisionStillExact) {
@@ -417,7 +419,7 @@ TEST(Testbed, OddChunkPacketDivisionStillExact) {
     EXPECT_TRUE(report.success) << (report.errors.empty()
                                         ? ""
                                         : report.errors.front());
-    EXPECT_TRUE(tb.verify(plan));
+    EXPECT_TRUE(report.success && tb.verify(report, plan));
   }
 }
 
@@ -461,7 +463,7 @@ TEST(Testbed, SteadyStateTransferRecyclesPayloadBuffers) {
   const auto before = BufferPool::global()->stats();
   const auto report = tb.execute(plan);
   ASSERT_TRUE(report.success);
-  EXPECT_TRUE(tb.verify(plan));
+  EXPECT_TRUE(report.success && tb.verify(report, plan));
   const auto after = BufferPool::global()->stats();
 
   const int64_t new_misses = after.misses - before.misses;
@@ -587,7 +589,7 @@ TEST(Testbed, TrafficAmplificationMatchesTheory) {
       auto planner = tb.make_planner(core::Scenario::kScattered);
       const auto plan = planner.plan_migration_only();
       const auto report = tb.execute(plan);
-      EXPECT_TRUE(report.success && tb.verify(plan));
+      EXPECT_TRUE(report.success && tb.verify(report, plan));
       traffic.migration_bytes = report.network_bytes;
       traffic.repaired = report.repaired();
     }
@@ -597,7 +599,7 @@ TEST(Testbed, TrafficAmplificationMatchesTheory) {
       auto planner = tb.make_planner(core::Scenario::kScattered);
       const auto plan = planner.plan_reconstruction_only();
       const auto report = tb.execute(plan);
-      EXPECT_TRUE(report.success && tb.verify(plan));
+      EXPECT_TRUE(report.success && tb.verify(report, plan));
       traffic.reconstruction_bytes = report.network_bytes;
     }
     return traffic;

@@ -110,7 +110,7 @@ TEST(Integration, TestbedFastPrBeatsMigrationOnlyWallClock) {
     const auto plan = planner.plan_fastpr();
     const auto report = tb.execute(plan);
     ASSERT_TRUE(report.success);
-    ASSERT_TRUE(tb.verify(plan));
+    ASSERT_TRUE(report.success && tb.verify(report, plan));
     fastpr_secs = report.repair.total_seconds;
   }
   {
@@ -153,7 +153,7 @@ TEST(Integration, FalseAlarmStillRepairsSafely) {
   const auto plan = planner.plan_fastpr();
   const auto report = tb.execute(plan);
   EXPECT_TRUE(report.success);
-  EXPECT_TRUE(tb.verify(plan));
+  EXPECT_TRUE(report.success && tb.verify(report, plan));
 }
 
 }  // namespace

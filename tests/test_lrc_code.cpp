@@ -157,6 +157,15 @@ TEST(LrcCode, UndecodablePatternReturnsFalse) {
   EXPECT_FALSE(code.decode(erased, spans));
 }
 
+TEST(LrcCode, CanDecodeIsExactBelowTheMdsBound) {
+  // LRC(12,2,2): n - k = 4, yet four data chunks of one local group have
+  // only their local parity and the two global parities to decode from.
+  const LrcCode code(12, 2, 2);
+  EXPECT_TRUE(code.can_decode({}));
+  EXPECT_TRUE(code.can_decode({0, 1, 2}));
+  EXPECT_FALSE(code.can_decode({0, 1, 2, 3}));
+}
+
 TEST(LrcCode, InvalidParametersRejected) {
   EXPECT_THROW(LrcCode(5, 2, 1), CheckFailure);  // k % l != 0
   EXPECT_THROW(LrcCode(0, 1, 1), CheckFailure);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "agent/testbed.h"
+#include "executed_rounds.h"
 #include "cluster/cluster_state.h"
 #include "cluster/stripe_layout.h"
 #include "core/fastpr.h"
@@ -335,11 +336,11 @@ TEST(MultiStfTestbed, ExecutedRoundsMatchAlgorithmTwoPlan) {
   const auto report = tb.execute(plan);
   EXPECT_TRUE(report.success)
       << (report.errors.empty() ? "" : report.errors.front());
-  // Satellite check: the testbed executes exactly the Algorithm-2
-  // round structure, one barrier per planned round.
-  EXPECT_EQ(report.repair.rounds.size(), plan.rounds.size());
-  EXPECT_TRUE(tb.verify(plan));
-  EXPECT_TRUE(tb.verify(report, plan));
+  // The testbed executes the Algorithm-2 round structure, one barrier per
+  // planned round that still holds a task once migrations were pulled
+  // forward out of it.
+  fastpr::test_rounds::expect_rounds_within_plan(report, plan);
+  EXPECT_TRUE(report.success && tb.verify(report, plan));
 
   // Per-member progress: one entry per batch member, plan order, sums
   // consistent, nobody died, nothing unrepaired.

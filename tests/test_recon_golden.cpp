@@ -671,6 +671,31 @@ TEST(PlanGolden, LrcLifetimeReport) {
   EXPECT_DOUBLE_EQ(report.repair_seconds.max(), 157.54289151999996);
 }
 
+TEST(PlanGolden, LrcLifetimeDataLoss) {
+  // A month of two-day node lifetimes on a slow LRC(12,2,2) cluster:
+  // exposure windows overlap, and a stripe is lost once its concurrently
+  // lost chunks do not decode — four chunks of one local group already,
+  // below the MDS bound of n - k = 4 that counted 6 lost stripes here.
+  lifetime::LifetimeConfig cfg;
+  cfg.num_nodes = 40;
+  cfg.code = std::make_shared<const ec::LrcCode>(12, 2, 2);
+  cfg.num_stripes = 200;
+  cfg.chunk_bytes = static_cast<double>(MB(64));
+  cfg.disk_bw = MBps(0.5);
+  cfg.net_bw = MBps(2);
+  cfg.sim_days = 30;
+  cfg.node_mtbf_days = 2;
+  cfg.prediction_recall = 0.7;
+  cfg.seed = 11;
+  const auto report = lifetime::simulate_lifetime(cfg);
+  EXPECT_EQ(report.failures, 585);
+  EXPECT_EQ(report.predicted, 375);
+  EXPECT_EQ(report.completed_in_time, 375);
+  EXPECT_EQ(report.data_loss_stripes, 17);
+  EXPECT_EQ(report.repair_traffic_chunks, 266395);
+  EXPECT_EQ(report.repair_seconds.count(), 585u);
+}
+
 TEST(PlanEquivalence, ReplanOfNothingIsPlanFastpr) {
   // With nothing handled and no straggler, the bandwidth replan runs
   // plan_fastpr's pipeline over the same chunks: the same plan, for a

@@ -178,6 +178,20 @@ TEST(RsCode, ExhaustiveErasurePatternsSmallCode) {
   }
 }
 
+TEST(RsCode, CanDecodeExactlyTheMdsPatterns) {
+  // RS(9,6) is MDS: every pattern of at most n - k = 3 erasures decodes,
+  // and no pattern of 4 does.
+  const RsCode code(9, 6);
+  for (uint32_t mask = 0; mask < (1u << 9); ++mask) {
+    std::vector<int> erased;
+    for (int i = 0; i < 9; ++i) {
+      if ((mask >> i) & 1u) erased.push_back(i);
+    }
+    if (erased.size() > 4) continue;
+    EXPECT_EQ(code.can_decode(erased), erased.size() <= 3) << "mask " << mask;
+  }
+}
+
 TEST(RsCode, ConstructionsAgreeOnDataPath) {
   // Systematic codes keep data chunks identical regardless of
   // construction; parity differs but both decode.
